@@ -37,6 +37,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CapeskitError
 from .grid import GridField, GridSpec
+from .parallel import blas_single_thread
 from .pca import PcaBasis, fit_pca, compress_domains  # noqa: F401  (re-export)
 
 LAYOUTS = ("sequence_concat", "channel_stack")
@@ -227,8 +228,23 @@ def init_params(cfg: AttentionConfig, seed: int) -> ModelParams:
     return ModelParams(cfg, tensors)
 
 
+class _InferenceTensors(dict):
+    """Parameter name -> constant Tensor, built on first use, so a pass
+    that touches few parameters (a tail) wraps only those."""
+
+    def __init__(self, params: ModelParams):
+        super().__init__()
+        self._params = params
+
+    def __missing__(self, name: str) -> Tensor:
+        t = self[name] = Tensor(self._params.tensors[name])
+        return t
+
+
 def _wrap(params: ModelParams, requires_grad: bool) -> dict[str, Tensor]:
-    return {k: Tensor(v, requires_grad=requires_grad) for k, v in params.tensors.items()}
+    if not requires_grad:
+        return _InferenceTensors(params)
+    return {k: Tensor(v, requires_grad=True) for k, v in params.tensors.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +278,7 @@ def _embed_tokens(inputs_t: Tensor, pt: dict[str, Tensor], cfg: AttentionConfig)
     return ad.add(ad.matmul(patches, pt["embed.W"]), pt["embed.b"])
 
 
+@blas_single_thread
 def tokenize(fields: np.ndarray, params: ModelParams, cfg: AttentionConfig) -> TokenSequence:
     """Patch-embed PCA-compressed per-domain fields into a token sequence.
 
@@ -413,6 +430,7 @@ def _check_tokens(x: TokenSequence, cfg: AttentionConfig) -> None:
         raise CapeskitError("token tags inconsistent with config ordering")
 
 
+@blas_single_thread
 def window_attention(x: TokenSequence, params: ModelParams, cfg: AttentionConfig,
                      layer: int = 0) -> TokenSequence:
     """Pre-norm windowed attention with residual, grouped per (domain,
@@ -422,6 +440,7 @@ def window_attention(x: TokenSequence, params: ModelParams, cfg: AttentionConfig
     return TokenSequence(_window_t(x.tokens, pt, cfg, layer), x.tags)
 
 
+@blas_single_thread
 def cross_variable_attention(x: TokenSequence, params: ModelParams, cfg: AttentionConfig,
                              layer: int = 0) -> TokenSequence:
     """Pre-norm attention among the tokens sharing one patch location."""
@@ -430,6 +449,7 @@ def cross_variable_attention(x: TokenSequence, params: ModelParams, cfg: Attenti
     return TokenSequence(_xvar_t(x.tokens, pt, cfg, layer), x.tags)
 
 
+@blas_single_thread
 def anchor_attention(x: TokenSequence, anchors: np.ndarray, params: ModelParams,
                      cfg: AttentionConfig, layer: int = 0) -> TokenSequence:
     """Aggregate-then-broadcast two-phase attention through m anchors."""
@@ -439,6 +459,7 @@ def anchor_attention(x: TokenSequence, anchors: np.ndarray, params: ModelParams,
     return TokenSequence(out, x.tags)
 
 
+@blas_single_thread
 def anchor_broadcast(x: TokenSequence, anchor_states: np.ndarray, params: ModelParams,
                      cfg: AttentionConfig, layer: int = 0) -> TokenSequence:
     """Broadcast phase alone against externally supplied anchor states
@@ -507,20 +528,67 @@ def _decode_t(tokens: Tensor, pt: dict[str, Tensor], cfg: AttentionConfig) -> Te
     return ad.reshape(x, (cfg.nlat, cfg.nlon))
 
 
+def _block_t(tokens: Tensor, pt: dict[str, Tensor], cfg: AttentionConfig, layer: int) -> Tensor:
+    tokens = _window_t(tokens, pt, cfg, layer)
+    tokens = _xvar_t(tokens, pt, cfg, layer)
+    tokens = _anchor_t(tokens, pt["anchors"], pt, cfg, layer)
+    return _mlp_t(tokens, pt, cfg, layer)
+
+
+def _trunk_t(pt: dict[str, Tensor], inputs_t: Tensor, cfg: AttentionConfig) -> Tensor:
+    tokens = _embed_tokens(inputs_t, pt, cfg)
+    for layer in range(cfg.effective_noise_layer + 1):
+        tokens = _block_t(tokens, pt, cfg, layer)
+    return tokens
+
+
+def _tail_t(pt: dict[str, Tensor], tokens: Tensor, cfg: AttentionConfig,
+            latent_seed: Optional[int] = None) -> Tensor:
+    if latent_seed is not None and cfg.latent_noise_sigma > 0:
+        rng = np.random.default_rng(latent_seed)
+        noise = rng.normal(0.0, cfg.latent_noise_sigma, size=tokens.data.shape)
+        tokens = ad.add(tokens, Tensor(noise))
+    for layer in range(cfg.effective_noise_layer + 1, cfg.num_layers):
+        tokens = _block_t(tokens, pt, cfg, layer)
+    return _decode_t(tokens, pt, cfg)
+
+
 def _forward_t(pt: dict[str, Tensor], inputs_t: Tensor, cfg: AttentionConfig,
                latent_seed: Optional[int] = None) -> Tensor:
-    tokens = _embed_tokens(inputs_t, pt, cfg)
-    for layer in range(cfg.num_layers):
-        tokens = _window_t(tokens, pt, cfg, layer)
-        tokens = _xvar_t(tokens, pt, cfg, layer)
-        tokens = _anchor_t(tokens, pt["anchors"], pt, cfg, layer)
-        tokens = _mlp_t(tokens, pt, cfg, layer)
-        if (latent_seed is not None and cfg.latent_noise_sigma > 0
-                and layer == cfg.effective_noise_layer):
-            rng = np.random.default_rng(latent_seed)
-            noise = rng.normal(0.0, cfg.latent_noise_sigma, size=tokens.data.shape)
-            tokens = ad.add(tokens, Tensor(noise))
-    return _decode_t(tokens, pt, cfg)
+    return _tail_t(pt, _trunk_t(pt, inputs_t, cfg), cfg, latent_seed)
+
+
+@blas_single_thread
+def trunk(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
+    """Embed ``inputs`` and run layers 0..``noise_layer``: the part of
+    :func:`forward` that does not depend on ``latent_seed``. Returns the
+    (seq_len, embed_dim) token values that :func:`tail` continues from."""
+    pt = _wrap(params, requires_grad=False)
+    return _trunk_t(pt, Tensor(np.asarray(inputs, dtype=np.float64)), cfg).data
+
+
+@blas_single_thread
+def tail(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
+         latent_seed: Optional[int] = None,
+         spec: Optional[GridSpec] = None) -> GridField:
+    """Finish :func:`forward` from :func:`trunk` tokens: add the seeded
+    latent noise, run the layers after ``noise_layer`` and decode. The
+    tokens are only read, so one trunk serves any number of seeds."""
+    if spec is None:
+        spec = GridSpec(cfg.nlat, cfg.nlon)
+    elif (spec.nlat, spec.nlon) != (cfg.nlat, cfg.nlon):
+        raise CapeskitError(
+            f"target spec {spec.nlat}x{spec.nlon} does not match config grid "
+            f"{cfg.nlat}x{cfg.nlon}"
+        )
+    tokens = np.asarray(tokens, dtype=np.float64)
+    if tokens.shape != (cfg.seq_len, cfg.embed_dim):
+        raise CapeskitError(
+            f"trunk tokens shape {tokens.shape}, expected {(cfg.seq_len, cfg.embed_dim)}"
+        )
+    pt = _wrap(params, requires_grad=False)
+    out = _tail_t(pt, Tensor(tokens), cfg, latent_seed)
+    return GridField(spec, out.data, units="mm")
 
 
 def forward(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
@@ -529,17 +597,13 @@ def forward(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
     """Run the backbone and decode a precipitation field (mm) at native
     resolution. With latent_seed set and sigma > 0, seeded Gaussian noise
     is injected into all token embeddings after ``noise_layer``; the
-    output is a pure function of (params, inputs, latent_seed)."""
-    pt = _wrap(params, requires_grad=False)
-    out = _forward_t(pt, Tensor(np.asarray(inputs, dtype=np.float64)), cfg, latent_seed)
-    if spec is None:
-        spec = GridSpec(cfg.nlat, cfg.nlon)
-    elif (spec.nlat, spec.nlon) != (cfg.nlat, cfg.nlon):
-        raise CapeskitError(
-            f"target spec {spec.nlat}x{spec.nlon} does not match config grid "
-            f"{cfg.nlat}x{cfg.nlon}"
-        )
-    return GridField(spec, out.data, units="mm")
+    output is a pure function of (params, inputs, latent_seed).
+
+    This is ``tail(trunk(...))``. Layers up to and including
+    ``noise_layer`` do not see the latent seed, so callers that run many
+    seeds on one input (the AI ensemble) compute :func:`trunk` once and
+    share it across those seeds."""
+    return tail(params, trunk(params, inputs, cfg), cfg, latent_seed, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +629,7 @@ def tri_level_flops(cfg: AttentionConfig, L: int) -> int:
     return f["window_flops"] + f["crossvar_flops"] + f["anchor_flops"]
 
 
+@blas_single_thread
 def measure_block_time(cfg: AttentionConfig, seed: int = 0, repeats: int = 3) -> float:
     """Best-of-N wall time of one tri-level block (window + cross-variable
     + anchor) on random tokens at cfg's sequence length."""
@@ -589,6 +654,7 @@ def _loss_value(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -
     return float(np.sum(out.data * out.data))
 
 
+@blas_single_thread
 def grad_check(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
                probe_count: int = 20, step: float = 1e-5, seed: int = 0) -> float:
     """Max relative error between tape gradients of sum(output^2) and
@@ -634,6 +700,7 @@ def grad_check(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
     return max_rel
 
 
+@blas_single_thread
 def train_smoke(params: ModelParams, inputs: np.ndarray, target: np.ndarray,
                 cfg: AttentionConfig, steps: int = 5, lr: float = 1e-3
                 ) -> tuple[ModelParams, list[float]]:

@@ -3,8 +3,10 @@
 A Tensor wraps an ndarray plus the closures needed to push a cotangent
 back to its parents. Graphs are built eagerly by the op functions below;
 ``backward()`` on a scalar output accumulates ``.grad`` on every tensor
-created with ``requires_grad=True``. Ops attach no closures when no input
-requires grad, so inference pays almost nothing for the tape.
+created with ``requires_grad=True``. Every op builds its VJP closures;
+when no input requires grad, ``Tensor.__init__`` drops them and keeps no
+parents, so inference holds no graph but still pays for one ``Tensor``
+and its closures per op.
 
 Only the ops the forecasting backbone needs are provided. All math is
 double precision and single-threaded numpy, so results are bitwise

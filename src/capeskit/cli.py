@@ -35,7 +35,7 @@ from .ensemble import (
     write_ensemble_dir,
 )
 from .errors import CapeskitError
-from .fusion import EnsembleSet, FusionConfig, contribution_scores, fuse, member_metrics
+from .fusion import EnsembleSet, FusionConfig, blend_scores, fuse, member_metrics
 from .grid import (
     AnomalyField,
     Climatology,
@@ -135,8 +135,8 @@ def cmd_fuse(args) -> int:
         raise CapeskitError(f"ensemble directory {args.ensemble_dir} does not exist")
     ensemble = read_ensemble_dir(args.ensemble_dir)
     fcfg = FusionConfig(alpha=args.alpha)
-    weights = contribution_scores(ensemble, fcfg)
     s1, s2 = member_metrics(ensemble)
+    weights = blend_scores(s1, s2, fcfg)
     fused = fuse(ensemble, weights)
     rows = ["member_id,track,s1,s2,weight"]
     for (meta, _), a, b, w in zip(ensemble, s1, s2, weights):

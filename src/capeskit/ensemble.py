@@ -4,7 +4,9 @@ The numerical track is a 174-member manifest: 27 members from 3 start
 dates x 9 physics schemes, plus 147 from the same 3 dates x a 7 x 7
 lattice over two perturbed physical parameters. The AI track applies
 n_latent latent-noise perturbations to each of n_init initial-condition
-perturbations (40 x 40 = 1,600 members by default).
+perturbations (40 x 40 = 1,600 members by default). Latent noise enters
+after the backbone's noise layer, so the layers up to it run once per
+initial-condition field and are shared by its n_latent members.
 
 Initial perturbations are spatially correlated Gaussian fields from
 spectral synthesis (power-law shaped Fourier coefficients); they stand in
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attention import AttentionConfig, ModelParams, forward
+from .attention import AttentionConfig, ModelParams, tail, trunk
 from .errors import CapeskitError
 from .fusion import EnsembleSet, MemberMeta
 from .grid import AnomalyField, Climatology, GridField, GridSpec, anomaly_percent
@@ -190,32 +192,55 @@ def _ai_cfg(cfg: AttentionConfig, pspec: PerturbationSpec) -> AttentionConfig:
     return replace(cfg, latent_noise_sigma=pspec.latent_sigma, noise_layer=pspec.noise_layer)
 
 
-def ai_member(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
-              pspec: PerturbationSpec, clim: Climatology, i: int, j: int
-              ) -> tuple[MemberMeta, AnomalyField]:
-    """Member (i, j) alone: reproduces exactly what the full run produces
-    for that slot (the seed-mixing contract)."""
-    if not (0 <= i < pspec.n_init and 0 <= j < pspec.n_latent):
-        raise CapeskitError(f"member index ({i}, {j}) outside the perturbation grid")
-    run_cfg = _ai_cfg(cfg, pspec)
+def _init_trunk(base_fields: np.ndarray, params: ModelParams, run_cfg: AttentionConfig,
+                pspec: PerturbationSpec, clim: Climatology, i: int) -> tuple[int, np.ndarray]:
+    """Initial-condition perturbation i and the backbone trunk on it,
+    which the n_latent members of init i share."""
     init_seed = mix(pspec.base_seed, "init", i)
-    latent_seed = mix(pspec.base_seed, "latent", i, j)
     pert = correlated_field(clim.spec, init_seed, pspec.field_sigma, pspec.spectral_slope)
     perturbed = np.asarray(base_fields, dtype=np.float64) + pert.values[None, :, :, None]
-    out = forward(params, perturbed, run_cfg, latent_seed=latent_seed, spec=clim.spec)
+    return init_seed, trunk(params, perturbed, run_cfg)
+
+
+def _latent_member(tokens: np.ndarray, init_seed: int, params: ModelParams,
+                   run_cfg: AttentionConfig, pspec: PerturbationSpec, clim: Climatology,
+                   i: int, j: int) -> tuple[MemberMeta, AnomalyField]:
+    """Member (i, j) from the trunk of init i: latent noise, the layers
+    after the noise layer, decode and anomaly."""
+    latent_seed = mix(pspec.base_seed, "latent", i, j)
+    out = tail(params, tokens, run_cfg, latent_seed=latent_seed, spec=clim.spec)
     meta = MemberMeta(id=f"ai-{i:04d}-{j:04d}", track="ai",
                       init_seed=init_seed, latent_seed=latent_seed)
     return meta, anomaly_percent(out, clim)
 
 
+def ai_member(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
+              pspec: PerturbationSpec, clim: Climatology, i: int, j: int
+              ) -> tuple[MemberMeta, AnomalyField]:
+    """Member (i, j) alone: reproduces exactly what the full run produces
+    for that slot (the seed-mixing contract), through the same
+    trunk-then-tail steps."""
+    if not (0 <= i < pspec.n_init and 0 <= j < pspec.n_latent):
+        raise CapeskitError(f"member index ({i}, {j}) outside the perturbation grid")
+    run_cfg = _ai_cfg(cfg, pspec)
+    init_seed, tokens = _init_trunk(base_fields, params, run_cfg, pspec, clim, i)
+    return _latent_member(tokens, init_seed, params, run_cfg, pspec, clim, i, j)
+
+
 def build_ai_ensemble(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
                       pspec: PerturbationSpec, clim: Climatology) -> EnsembleSet:
-    """All n_init x n_latent members, ids enumerating (i, j) lexicographically."""
-    members = [
-        ai_member(base_fields, params, cfg, pspec, clim, i, j)
-        for i in range(pspec.n_init)
-        for j in range(pspec.n_latent)
-    ]
+    """All n_init x n_latent members, ids enumerating (i, j) lexicographically.
+
+    The perturbed input and the backbone trunk are computed once per init
+    and shared by its n_latent members; only the tail runs per member."""
+    run_cfg = _ai_cfg(cfg, pspec)
+    members = []
+    for i in range(pspec.n_init):
+        init_seed, tokens = _init_trunk(base_fields, params, run_cfg, pspec, clim, i)
+        members.extend(
+            _latent_member(tokens, init_seed, params, run_cfg, pspec, clim, i, j)
+            for j in range(pspec.n_latent)
+        )
     return EnsembleSet(members)
 
 

@@ -169,9 +169,9 @@ def write_grid(field: GridField, path) -> None:
         f"GRD1 {s.nlat} {s.nlon} {_format_value(s.lat0)} {_format_value(s.dlat)} "
         f"{_format_value(s.lon0)} {_format_value(s.dlon)} {field.units}\n"
     )
-    rows = "".join(
-        " ".join(_format_value(v) for v in row) + "\n" for row in field.values
-    )
+    # repr of a Python float is the shortest round-trip decimal, as in
+    # _format_value; tolist() converts the whole field in one call
+    rows = "".join(" ".join(map(repr, row)) + "\n" for row in field.values.tolist())
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".grd1-")

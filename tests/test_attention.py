@@ -316,6 +316,30 @@ class TestForward:
         out_stk = forward(init_params(stk, 40), inputs, stk)
         assert np.abs(out_seq.values - out_stk.values).max() > 0
 
+    @pytest.mark.parametrize("num_layers,noise_layer", [(1, None), (2, 0), (2, None), (3, 1)])
+    def test_trunk_then_tail_matches_single_loop_reference(self, num_layers, noise_layer):
+        # reference: one loop over all layers, noise added after noise_layer
+        cfg = attn.with_noise(AttentionConfig(num_layers=num_layers), 0.1, noise_layer)
+        params = init_params(cfg, 41)
+        inputs = make_inputs(cfg, 42)
+        pt = attn._wrap(params, requires_grad=False)
+        tokens = attn._embed_tokens(Tensor(inputs), pt, cfg)
+        for layer in range(cfg.num_layers):
+            tokens = attn._window_t(tokens, pt, cfg, layer)
+            tokens = attn._xvar_t(tokens, pt, cfg, layer)
+            tokens = attn._anchor_t(tokens, pt["anchors"], pt, cfg, layer)
+            tokens = attn._mlp_t(tokens, pt, cfg, layer)
+            if layer == cfg.effective_noise_layer:
+                noise = np.random.default_rng(5).normal(0.0, 0.1, size=tokens.data.shape)
+                tokens = Tensor(tokens.data + noise)
+        expected = attn._decode_t(tokens, pt, cfg).data
+        shared = attn.trunk(params, inputs, cfg)
+        assert np.array_equal(forward(params, inputs, cfg, latent_seed=5).values, expected)
+        assert np.array_equal(attn.tail(params, shared, cfg, latent_seed=5).values, expected)
+        # the trunk is only read: a second seed from it leaves the first intact
+        attn.tail(params, shared, cfg, latent_seed=6)
+        assert np.array_equal(attn.tail(params, shared, cfg, latent_seed=5).values, expected)
+
     def test_init_params_deterministic(self):
         a, b = init_params(TOY, 40), init_params(TOY, 40)
         assert all(np.array_equal(a[n], b[n]) for n in a.names())

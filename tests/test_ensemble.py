@@ -199,6 +199,54 @@ class TestAiEnsemble:
         pairs = n * (n - 1) // 2
         assert distinct >= 0.99 * pairs
 
+    def test_noise_layer_before_last_matches_isolation_and_forward(self):
+        # noise after layer 0 of 2: the shared trunk is layer 0 and every
+        # member's tail runs layer 1 after its own latent noise
+        cfg = attn.AttentionConfig(num_layers=2)
+        params = attn.init_params(cfg, 21)
+        base = np.random.default_rng(22).standard_normal((3, 32, 32, 4))
+        clim = flat_clim(SPEC)
+        pspec = PerturbationSpec(n_init=2, n_latent=3, base_seed=23, noise_layer=0)
+        run_cfg = attn.with_noise(cfg, pspec.latent_sigma, 0)
+        e = build_ai_ensemble(base, params, cfg, pspec, clim)
+        for k, (meta, fld) in enumerate(e):
+            i, j = divmod(k, pspec.n_latent)
+            solo_meta, solo = ai_member(base, params, cfg, pspec, clim, i, j)
+            assert solo_meta == meta
+            assert np.array_equal(solo.values, fld.values)
+            pert = correlated_field(SPEC, meta.init_seed, pspec.field_sigma,
+                                    pspec.spectral_slope)
+            inputs = base + pert.values[None, :, :, None]
+            direct = attn.forward(params, inputs, run_cfg, latent_seed=meta.latent_seed,
+                                  spec=SPEC)
+            assert np.array_equal(anomaly_percent(direct, clim).values, fld.values)
+        assert len({fld.values.tobytes() for _, fld in e}) == len(e)
+
+    def test_trunk_computed_once_per_init(self, monkeypatch):
+        import capeskit.ensemble as ens
+
+        counts = {"correlated_field": 0, "trunk": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(ens, name, counting(name, getattr(ens, name)))
+        params = attn.init_params(TOYCFG, 31)
+        base = np.random.default_rng(32).standard_normal((3, 32, 32, 4))
+        pspec = PerturbationSpec(n_init=3, n_latent=4, base_seed=33)
+        e = build_ai_ensemble(base, params, TOYCFG, pspec, flat_clim(SPEC))
+        assert len(e) == 12
+        assert counts == {"correlated_field": pspec.n_init, "trunk": pspec.n_init}
+
+    def test_tail_rejects_wrong_token_shape(self):
+        params = attn.init_params(TOYCFG, 34)
+        with pytest.raises(CapeskitError, match="trunk tokens"):
+            attn.tail(params, np.zeros((TOYCFG.seq_len + 1, TOYCFG.embed_dim)), TOYCFG)
+
     def test_rejects_out_of_range_member(self):
         params = attn.init_params(TOYCFG, 9)
         base = np.zeros((3, 32, 32, 4))

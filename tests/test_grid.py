@@ -118,6 +118,20 @@ class TestGrd1:
             write_grid(f, path)
             assert np.array_equal(read_grid(path).values, f.values)
 
+    def test_writer_matches_per_value_formatting(self, tmp_path):
+        # the reference layout: header, then one line per row of
+        # repr(float(v)) values, including -0.0 and extreme magnitudes
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal((6, 7)) * 10.0 ** rng.integers(-300, 300, (6, 7))
+        vals[0, :3] = (-0.0, 0.0, 1e-320)
+        f = GridField(GridSpec(6, 7, lat0=-1.5, dlat=0.25), vals, units="percent")
+        path = tmp_path / "f.grd"
+        write_grid(f, path)
+        expected = "GRD1 6 7 -1.5 0.25 0.0 1.0 percent\n" + "".join(
+            " ".join(repr(float(v)) for v in row) + "\n" for row in f.values
+        )
+        assert path.read_text(encoding="ascii") == expected
+
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.grd"
         path.write_text("GRD1 2 2 0.0 1.0 0.0 1.0 mm\n1 2 3\n")
