@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
+from . import config as cfgmod
 from .autodiff import Tensor
 from .errors import CapeskitError
 from .grid import GridField, GridSpec
@@ -65,6 +66,10 @@ class AttentionConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        for name in ("embed_dim", "num_heads", "num_layers", "patch_size", "window_size",
+                     "num_anchors", "num_domains", "channels"):
+            if getattr(self, name) < 1:
+                raise CapeskitError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.layout not in LAYOUTS:
             raise CapeskitError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
         if self.embed_dim % self.num_heads != 0:
@@ -80,10 +85,6 @@ class AttentionConfig:
             raise CapeskitError(
                 f"patch grid {pr}x{pc} not divisible by window size {self.window_size}"
             )
-        if self.num_anchors < 1:
-            raise CapeskitError("num_anchors must be >= 1")
-        if self.num_domains < 1 or self.num_layers < 1 or self.channels < 1:
-            raise CapeskitError("num_domains, num_layers and channels must be >= 1")
         if self.latent_noise_sigma < 0:
             raise CapeskitError("latent_noise_sigma must be >= 0")
         if self.noise_layer is not None and not 0 <= self.noise_layer < self.num_layers:
@@ -662,6 +663,9 @@ def grad_check(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
     entries. Requires the deterministic path (latent_noise_sigma = 0)."""
     if cfg.latent_noise_sigma != 0:
         raise CapeskitError("grad_check requires latent_noise_sigma = 0")
+    if probe_count < 1 or not step > 0:
+        raise CapeskitError(f"grad_check needs probe_count >= 1 and step > 0, "
+                            f"got {probe_count} and {step}")
     inputs = np.asarray(inputs, dtype=np.float64)
     pt = _wrap(params, requires_grad=True)
     inputs_t = Tensor(inputs, requires_grad=True)
@@ -728,41 +732,10 @@ def train_smoke(params: ModelParams, inputs: np.ndarray, target: np.ndarray,
 _MAGIC = b"TLA1"
 
 
-def _cfg_to_text(cfg: AttentionConfig) -> str:
-    lines = []
-    for f in dc_fields(cfg):
-        v = getattr(cfg, f.name)
-        lines.append(f"{f.name}={'none' if v is None else v}")
-    return "\n".join(lines) + "\n"
-
-
-def _cfg_from_text(text: str) -> AttentionConfig:
-    raw = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
-    kwargs = {}
-    for f in dc_fields(AttentionConfig):
-        if f.name not in raw:
-            raise CapeskitError(f"config block missing {f.name!r}")
-        value = raw[f.name]
-        if f.name == "noise_layer":
-            kwargs[f.name] = None if value == "none" else int(value)
-        elif f.name == "layout":
-            kwargs[f.name] = value
-        elif f.name == "latent_noise_sigma":
-            kwargs[f.name] = float(value)
-        else:
-            kwargs[f.name] = int(value)
-    return AttentionConfig(**kwargs)
-
-
 def save_params(params: ModelParams, path) -> None:
     """Write the sectioned binary container: magic, config block, then
     named row-major float64 tensors."""
-    cfg_bytes = _cfg_to_text(params.cfg).encode("utf-8")
+    cfg_bytes = cfgmod.to_text(params.cfg).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(cfg_bytes)))
@@ -783,31 +756,32 @@ def load_params(path) -> ModelParams:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise CapeskitError(f"{path}: not a TLA1 container")
-    off = 4
-    (cfg_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    cfg = _cfg_from_text(blob[off:off + cfg_len].decode("utf-8"))
-    off += cfg_len
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    tensors = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        size = int(np.prod(shape)) * 8
-        tensors[name] = np.frombuffer(blob[off:off + size], dtype="<f8").reshape(shape).copy()
-        off += size
+    try:
+        off = 4
+        (cfg_len,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        cfg = cfgmod.from_text(AttentionConfig, blob[off:off + cfg_len].decode("utf-8"),
+                               source=f"{path}: config block")
+        off += cfg_len
+        (count,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        tensors = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", blob, off)
+            off += 2
+            name = blob[off:off + nlen].decode("utf-8")
+            off += nlen
+            (ndim,) = struct.unpack_from("<B", blob, off)
+            off += 1
+            shape = struct.unpack_from(f"<{ndim}I", blob, off)
+            off += 4 * ndim
+            size = int(np.prod(shape)) * 8
+            tensors[name] = np.frombuffer(blob[off:off + size], dtype="<f8").reshape(shape).copy()
+            off += size
+    except CapeskitError:
+        raise
+    except (struct.error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CapeskitError(f"{path}: truncated or corrupt TLA1 container: {exc}") from None
     if off != len(blob):
         raise CapeskitError(f"{path}: trailing bytes in TLA1 container")
     return ModelParams(cfg, tensors)
-
-
-def with_noise(cfg: AttentionConfig, sigma: float, noise_layer: Optional[int]) -> AttentionConfig:
-    """cfg with the latent-noise settings replaced."""
-    return replace(cfg, latent_noise_sigma=sigma, noise_layer=noise_layer)

@@ -37,6 +37,7 @@ from .ensemble import (
 from .errors import CapeskitError
 from .fusion import EnsembleSet, FusionConfig, blend_scores, fuse, member_metrics
 from .grid import (
+    DEFAULT_CLIM_FLOOR,
     AnomalyField,
     Climatology,
     GridField,
@@ -45,9 +46,10 @@ from .grid import (
     read_grid,
     read_mask,
     write_anomaly,
+    write_text_atomic,
 )
 from .render import svg_heatmap, svg_line_chart
-from .scaling import BenchmarkConfig, ScalingConfig, skill_curve, synthetic_benchmark
+from .scaling import BenchmarkConfig, ScalingConfig, skill_curve, synthetic_benchmark, truth_pattern
 from .seeds import mix
 from .verify import acc, ps_breakdown, ps_score, rmse
 
@@ -61,13 +63,6 @@ def _read_grid_at(path) -> GridField:
         raise CapeskitError(f"{path}: {exc}") from None
 
 
-def _write_text(path, text: str) -> None:
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_run_manifest(primary_output, command: str, config: dict,
                         seed, outputs: list, t0: float) -> None:
     manifest = {
@@ -79,15 +74,7 @@ def _write_run_manifest(primary_output, command: str, config: dict,
         "wall_time_s": time.perf_counter() - t0,
     }
     path = f"{os.fspath(primary_output).rstrip('/')}.manifest.json"
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _load_cmd_config(path, allowed) -> dict[str, str]:
-    if path is None:
-        return {}
-    raw = cfgmod.load_config(path)
-    cfgmod.ensure_known(raw, allowed, source=str(path))
-    return raw
+    write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +83,6 @@ def _load_cmd_config(path, allowed) -> dict[str, str]:
 
 def cmd_score(args) -> int:
     t0 = time.perf_counter()
-    if args.clim_floor <= 0:
-        raise CapeskitError(f"--clim-floor must be positive, got {args.clim_floor}")
     forecast = _read_grid_at(args.forecast)
     obs = _read_grid_at(args.obs)
     clim = Climatology(_read_grid_at(args.clim), floor=args.clim_floor)
@@ -116,7 +101,7 @@ def cmd_score(args) -> int:
         "N,N0,N1,N2,M,PS,ACC,RMSE\n"
         f"{b.N},{b.N0},{b.N1},{b.N2},{b.M},{ps:.3f},{a:.3f},{r:.3f}\n"
     )
-    _write_text(args.out, csv)
+    write_text_atomic(args.out, csv)
     _write_run_manifest(args.out, "score", {
         "forecast": args.forecast, "obs": args.obs, "clim": args.clim,
         "mask": args.mask, "clim_floor": clim.floor,
@@ -143,7 +128,7 @@ def cmd_fuse(args) -> int:
         # weights at full round-trip precision so they stay usable as
         # fuse() inputs; s1/s2 are diagnostics
         rows.append(f"{meta.id},{meta.track},{a:.6f},{b:.6f},{float(w)!r}")
-    _write_text(args.out_weights, "\n".join(rows) + "\n")
+    write_text_atomic(args.out_weights, "\n".join(rows) + "\n")
     write_anomaly(fused, args.out_field)
     _write_run_manifest(args.out_field, "fuse", {
         "ensemble_dir": args.ensemble_dir, "alpha": args.alpha,
@@ -157,87 +142,46 @@ def cmd_fuse(args) -> int:
 # generate
 
 
-_GENERATE_KEYS = (
-    "nlat", "nlon", "clim_mm", "n_init", "n_latent", "field_sigma",
-    "spectral_slope", "latent_sigma", "start_dates", "schemes", "param_grid",
-    "truth_amplitude", "truth_slope", "bias_sigma", "noise_sigma",
-    "embed_dim", "num_heads", "num_layers", "patch_size", "window_size",
-    "num_anchors", "num_domains", "channels", "layout",
-)
+# Config keys of each command, bound to the fields that hold their defaults.
+_GRID = cfgmod.Binding(BenchmarkConfig, "nlat", "nlon", "clim_mm",
+                       truth_amplitude="amplitude", truth_slope="slope")
+_PERTURBATION = cfgmod.Binding(PerturbationSpec, "n_init", "n_latent", "field_sigma",
+                               "spectral_slope", "latent_sigma")
+_MANIFEST = cfgmod.Binding(NumericalManifest, "start_dates", "schemes",
+                           param_grid="param_shape")
+_NUM_SKILL = cfgmod.Binding(TrackSkill, "bias_sigma", "noise_sigma")
+_BACKBONE = cfgmod.Binding(attn.AttentionConfig, "embed_dim", "num_heads", "patch_size",
+                           "window_size", "num_anchors", "num_domains", "channels", "layout")
+_LAYERS = cfgmod.Binding(attn.AttentionConfig, "num_layers")
+GENERATE = (_GRID, _PERTURBATION, _MANIFEST, _NUM_SKILL, _BACKBONE, _LAYERS)
 
 
-def _generate_settings(raw: dict[str, str]) -> dict:
-    g = {
-        "nlat": cfgmod.cfg_int(raw, "nlat", 32),
-        "nlon": cfgmod.cfg_int(raw, "nlon", 32),
-        "clim_mm": cfgmod.cfg_float(raw, "clim_mm", 300.0),
-        "n_init": cfgmod.cfg_int(raw, "n_init", 40),
-        "n_latent": cfgmod.cfg_int(raw, "n_latent", 40),
-        "field_sigma": cfgmod.cfg_float(raw, "field_sigma", 5.0),
-        "spectral_slope": cfgmod.cfg_float(raw, "spectral_slope", 3.0),
-        "latent_sigma": cfgmod.cfg_float(raw, "latent_sigma", 0.1),
-        "start_dates": cfgmod.cfg_str_list(raw, "start_dates", ("0301", "0311", "0321")),
-        "schemes": cfgmod.cfg_str_list(raw, "schemes", tuple(f"s{i}" for i in range(9))),
-        "param_grid": cfgmod.cfg_pair(raw, "param_grid", (7, 7), "x"),
-        "truth_amplitude": cfgmod.cfg_float(raw, "truth_amplitude", 130.0),
-        "truth_slope": cfgmod.cfg_float(raw, "truth_slope", 3.0),
-        "bias_sigma": cfgmod.cfg_float(raw, "bias_sigma", 15.0),
-        "noise_sigma": cfgmod.cfg_float(raw, "noise_sigma", 40.0),
-        "embed_dim": cfgmod.cfg_int(raw, "embed_dim", 32),
-        "num_heads": cfgmod.cfg_int(raw, "num_heads", 4),
-        "num_layers": cfgmod.cfg_int(raw, "num_layers", 2),
-        "patch_size": cfgmod.cfg_int(raw, "patch_size", 8),
-        "window_size": cfgmod.cfg_int(raw, "window_size", 2),
-        "num_anchors": cfgmod.cfg_int(raw, "num_anchors", 8),
-        "num_domains": cfgmod.cfg_int(raw, "num_domains", 3),
-        "channels": cfgmod.cfg_int(raw, "channels", 4),
-        "layout": cfgmod.cfg_str(raw, "layout", "sequence_concat"),
-    }
-    return g
-
-
-def _benchmark_truth(spec: GridSpec, seed: int, amplitude: float, slope: float) -> AnomalyField:
-    from .scaling import truth_pattern
-
-    return truth_pattern(spec, mix(seed, "truth"), amplitude, slope)
+def _backbone_cfg(g: dict) -> attn.AttentionConfig:
+    return _BACKBONE.build(g, num_layers=g["num_layers"], nlat=g["nlat"], nlon=g["nlon"])
 
 
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
-    g = _generate_settings(_load_cmd_config(args.config, _GENERATE_KEYS))
+    g = cfgmod.load(GENERATE, args.config)
     spec = GridSpec(g["nlat"], g["nlon"])
     clim = Climatology(GridField(spec, np.full((g["nlat"], g["nlon"]), g["clim_mm"]), "mm"))
     members = []
     manifest_cfg = None
 
     if args.mode in ("numerical", "hybrid"):
-        manifest_cfg = NumericalManifest(
-            start_dates=g["start_dates"], schemes=g["schemes"], param_shape=g["param_grid"]
-        )
-        truth = _benchmark_truth(spec, args.seed, g["truth_amplitude"], g["truth_slope"])
-        skill = SkillConfig(numerical=TrackSkill(
-            bias_sigma=g["bias_sigma"], noise_sigma=g["noise_sigma"]
-        ))
+        manifest_cfg = _MANIFEST.build(g)
+        truth = truth_pattern(spec, mix(args.seed, "truth"), g["truth_amplitude"], g["truth_slope"])
+        skill = SkillConfig(numerical=_NUM_SKILL.build(g))
         num_seed = mix(args.seed, "numerical")
         for meta in build_numerical_manifest(manifest_cfg):
             members.append((meta, surrogate_numerical_member(meta, truth, skill, num_seed)))
 
     if args.mode in ("ai", "hybrid"):
-        acfg = attn.AttentionConfig(
-            embed_dim=g["embed_dim"], num_heads=g["num_heads"],
-            num_layers=g["num_layers"], patch_size=g["patch_size"],
-            window_size=g["window_size"], num_anchors=g["num_anchors"],
-            num_domains=g["num_domains"], nlat=g["nlat"], nlon=g["nlon"],
-            channels=g["channels"], layout=g["layout"],
-        )
+        acfg = _backbone_cfg(g)
         params = attn.init_params(acfg, mix(args.seed, "model"))
         base_rng = np.random.default_rng(mix(args.seed, "base-fields"))
         base = base_rng.standard_normal((g["num_domains"], g["nlat"], g["nlon"], g["channels"]))
-        pspec = PerturbationSpec(
-            n_init=g["n_init"], n_latent=g["n_latent"], base_seed=mix(args.seed, "ai"),
-            field_sigma=g["field_sigma"], spectral_slope=g["spectral_slope"],
-            latent_sigma=g["latent_sigma"],
-        )
+        pspec = _PERTURBATION.build(g, base_seed=mix(args.seed, "ai"))
         ai = build_ai_ensemble(base, params, acfg, pspec, clim)
         members.extend(ai.members)
 
@@ -254,25 +198,11 @@ def cmd_generate(args) -> int:
 # attn-bench / grad-check
 
 
-_BENCH_KEYS = ("embed_dim", "num_heads", "patch_size", "window_size",
-               "num_anchors", "num_domains", "channels", "layout")
+ATTN_BENCH = (_BACKBONE,)
 
 
-def _bench_base(raw: dict[str, str]) -> dict:
-    return {
-        "embed_dim": cfgmod.cfg_int(raw, "embed_dim", 32),
-        "num_heads": cfgmod.cfg_int(raw, "num_heads", 4),
-        "patch_size": cfgmod.cfg_int(raw, "patch_size", 8),
-        "window_size": cfgmod.cfg_int(raw, "window_size", 2),
-        "num_anchors": cfgmod.cfg_int(raw, "num_anchors", 8),
-        "num_domains": cfgmod.cfg_int(raw, "num_domains", 3),
-        "channels": cfgmod.cfg_int(raw, "channels", 4),
-        "layout": cfgmod.cfg_str(raw, "layout", "sequence_concat"),
-    }
-
-
-def _grid_for_length(length: int, base: dict) -> tuple[int, int]:
-    """Find (nlat, nlon) realizing a sequence length with the base cfg."""
+def _cfg_for_length(length: int, base: dict) -> attn.AttentionConfig:
+    """One-layer config whose (nlat, nlon) realize a sequence length."""
     v = base["num_domains"] if base["layout"] == "sequence_concat" else 1
     w, p = base["window_size"], base["patch_size"]
     if length % v:
@@ -291,17 +221,12 @@ def _grid_for_length(length: int, base: dict) -> tuple[int, int]:
         raise CapeskitError(
             f"length {length} cannot be tiled into {w}-divisible patch grids"
         )
-    return best[0] * p, best[1] * p
-
-
-def _cfg_for_length(length: int, base: dict) -> attn.AttentionConfig:
-    nlat, nlon = _grid_for_length(length, base)
-    return attn.AttentionConfig(nlat=nlat, nlon=nlon, num_layers=1, **base)
+    return attn.AttentionConfig(nlat=best[0] * p, nlon=best[1] * p, num_layers=1, **base)
 
 
 def cmd_attn_bench(args) -> int:
     t0 = time.perf_counter()
-    base = _bench_base(_load_cmd_config(args.config, _BENCH_KEYS))
+    base = cfgmod.load(ATTN_BENCH, args.config)
     lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
     if not lengths:
         raise CapeskitError("--lengths must list at least one sequence length")
@@ -319,7 +244,7 @@ def cmd_attn_bench(args) -> int:
         rows.append(f"anchor,{length},{f['anchor_flops']}")
         rows.append(f"tri_level,{length},{attn.tri_level_flops(probe, length)}")
         rows.append(f"dense,{length},{f['dense_flops']}")
-    _write_text(args.out, "\n".join(rows) + "\n")
+    write_text_atomic(args.out, "\n".join(rows) + "\n")
     for length, cfg in timing_cfgs:
         dt = attn.measure_block_time(cfg, seed=args.seed)
         print(f"L={length} tri-level block time {dt * 1e3:.3f} ms")
@@ -329,25 +254,20 @@ def cmd_attn_bench(args) -> int:
     return 0
 
 
-_GRADCHECK_KEYS = _BENCH_KEYS + ("nlat", "nlon", "num_layers", "probes", "step")
+#: grad-check runs on a 16 x 16 grid, not AttentionConfig's 32 x 32
+_GRAD_CHECK_GRID = cfgmod.Binding(attn.AttentionConfig, "nlat", "nlon", default=16)
+_PROBES = cfgmod.Binding(attn.grad_check, "step", probes="probe_count")
+GRAD_CHECK = (_BACKBONE, _LAYERS, _GRAD_CHECK_GRID, _PROBES)
 
 
 def cmd_grad_check(args) -> int:
-    raw = _load_cmd_config(args.config, _GRADCHECK_KEYS)
-    base = _bench_base(raw)
-    cfg = attn.AttentionConfig(
-        nlat=cfgmod.cfg_int(raw, "nlat", 16),
-        nlon=cfgmod.cfg_int(raw, "nlon", 16),
-        num_layers=cfgmod.cfg_int(raw, "num_layers", 2),
-        **base,
-    )
-    probes = cfgmod.cfg_int(raw, "probes", 20)
-    step = cfgmod.cfg_float(raw, "step", 1e-5)
+    g = cfgmod.load(GRAD_CHECK, args.config)
+    cfg = _backbone_cfg(g)
     params = attn.init_params(cfg, args.seed)
     rng = np.random.default_rng(mix(args.seed, "grad-check-inputs"))
     inputs = rng.standard_normal((cfg.num_domains, cfg.nlat, cfg.nlon, cfg.channels))
-    err = attn.grad_check(params, inputs, cfg, probe_count=probes, step=step, seed=args.seed)
-    print(f"L={cfg.seq_len} probes={probes} max relative error {err:.3e}")
+    err = _PROBES.build(g, params, inputs, cfg, seed=args.seed)
+    print(f"L={cfg.seq_len} probes={g['probes']} max relative error {err:.3e}")
     if err >= 1e-6:
         print("gradient check FAILED (>= 1e-6)", file=sys.stderr)
         return 1
@@ -358,46 +278,24 @@ def cmd_grad_check(args) -> int:
 # scaling
 
 
-_SCALING_KEYS = (
-    "sizes", "ratio", "trials", "nlat", "nlon", "clim_mm", "amplitude",
-    "slope", "n_numerical", "n_ai", "alpha",
-    "bias_sigma_numerical", "noise_sigma_numerical", "bias_sigma_ai", "noise_sigma_ai",
-)
+_CURVE = cfgmod.Binding(ScalingConfig, "sizes", "ratio", "trials")
+_BENCHMARK = cfgmod.Binding(BenchmarkConfig, "nlat", "nlon", "clim_mm", "amplitude", "slope",
+                            "n_numerical", "n_ai")
+_FUSION = cfgmod.Binding(FusionConfig, "alpha")
+_SKILL_NUMERICAL = cfgmod.Binding(TrackSkill, bias_sigma_numerical="bias_sigma",
+                                  noise_sigma_numerical="noise_sigma")
+_SKILL_AI = cfgmod.Binding(TrackSkill, bias_sigma_ai="bias_sigma", noise_sigma_ai="noise_sigma")
+SCALING = (_CURVE, _BENCHMARK, _FUSION, _SKILL_NUMERICAL, _SKILL_AI)
 
 
-def _scaling_config(raw: dict[str, str]) -> ScalingConfig:
-    skill = SkillConfig(
-        numerical=TrackSkill(
-            bias_sigma=cfgmod.cfg_float(raw, "bias_sigma_numerical", 15.0),
-            noise_sigma=cfgmod.cfg_float(raw, "noise_sigma_numerical", 40.0),
-        ),
-        ai=TrackSkill(
-            bias_sigma=cfgmod.cfg_float(raw, "bias_sigma_ai", 15.0),
-            noise_sigma=cfgmod.cfg_float(raw, "noise_sigma_ai", 40.0),
-        ),
-    )
-    benchmark = BenchmarkConfig(
-        nlat=cfgmod.cfg_int(raw, "nlat", 32),
-        nlon=cfgmod.cfg_int(raw, "nlon", 32),
-        clim_mm=cfgmod.cfg_float(raw, "clim_mm", 300.0),
-        amplitude=cfgmod.cfg_float(raw, "amplitude", 130.0),
-        slope=cfgmod.cfg_float(raw, "slope", 3.0),
-        n_numerical=cfgmod.cfg_int(raw, "n_numerical", 174),
-        n_ai=cfgmod.cfg_int(raw, "n_ai", 1600),
-        skill=skill,
-    )
-    return ScalingConfig(
-        sizes=cfgmod.cfg_int_list(raw, "sizes", (11, 22, 44, 88, 176)),
-        ratio=cfgmod.cfg_pair(raw, "ratio", (1, 10), ":"),
-        trials=cfgmod.cfg_int(raw, "trials", 50),
-        benchmark=benchmark,
-        fusion=FusionConfig(alpha=cfgmod.cfg_float(raw, "alpha", 0.5)),
-    )
+def _scaling_config(v: dict) -> ScalingConfig:
+    skill = SkillConfig(numerical=_SKILL_NUMERICAL.build(v), ai=_SKILL_AI.build(v))
+    return _CURVE.build(v, benchmark=_BENCHMARK.build(v, skill=skill), fusion=_FUSION.build(v))
 
 
 def cmd_scaling(args) -> int:
     t0 = time.perf_counter()
-    cfg = _scaling_config(_load_cmd_config(args.config, _SCALING_KEYS))
+    cfg = _scaling_config(cfgmod.load(SCALING, args.config))
     truth, clim, pool = synthetic_benchmark(cfg.benchmark, args.seed)
     rows = skill_curve(pool, truth, clim, cfg, args.seed)
     lines = ["size,n_num,n_ai,trials,ps_mean,ps_std,acc_mean,acc_std"]
@@ -406,14 +304,14 @@ def cmd_scaling(args) -> int:
             f"{r.size},{r.n_num},{r.n_ai},{r.trials},"
             f"{r.ps_mean:.4f},{r.ps_std:.4f},{r.acc_mean:.4f},{r.acc_std:.4f}"
         )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_text_atomic(args.out, "\n".join(lines) + "\n")
     outputs = [args.out]
     if args.svg:
         chart = svg_line_chart(
             [r.size for r in rows], [r.ps_mean for r in rows],
             x_label="ensemble size", y_label="mean PS",
         )
-        _write_text(args.svg, chart)
+        write_text_atomic(args.svg, chart)
         outputs.append(args.svg)
     _write_run_manifest(args.out, "scaling",
                         {"snapshot": dataclasses.asdict(cfg)}, args.seed, outputs, t0)
@@ -430,7 +328,7 @@ def cmd_render(args) -> int:
     t0 = time.perf_counter()
     f = _read_grid_at(args.field)
     anom = AnomalyField.from_grid(f)
-    _write_text(args.svg, svg_heatmap(anom))
+    write_text_atomic(args.svg, svg_heatmap(anom))
     _write_run_manifest(args.svg, "render", {"field": args.field}, None, [args.svg], t0)
     print(f"heatmap -> {args.svg}")
     return 0
@@ -453,15 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True, help="observed GRD1 (mm)")
     p.add_argument("--clim", required=True, help="climatology GRD1 (mm)")
     p.add_argument("--mask", help="optional unitless GRD1 cell mask (nonzero = scored)")
-    p.add_argument("--clim-floor", type=float, default=0.1,
-                   help="climatology floor in mm guarding division (default 0.1)")
+    p.add_argument("--clim-floor", type=float, default=DEFAULT_CLIM_FLOOR,
+                   help="climatology floor in mm guarding division (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("fuse", help="contribution-weighted fusion of an ensemble directory")
     p.add_argument("--ensemble-dir", required=True)
-    p.add_argument("--alpha", type=float, default=0.5,
-                   help="blend of sign consistency vs anomaly magnitude (default 0.5)")
+    p.add_argument("--alpha", type=float, default=FusionConfig.alpha,
+                   help="blend of sign consistency vs anomaly magnitude (default %(default)s)")
     p.add_argument("--out-field", required=True, help="fused anomaly GRD1")
     p.add_argument("--out-weights", required=True, help="weights CSV")
     p.set_defaults(func=cmd_fuse)

@@ -1,8 +1,38 @@
-"""Flat ``key = value`` config files with ``#`` comments."""
+"""Flat ``key = value`` config text, bound to dataclass fields.
+
+Config files are ``key = value`` lines with ``#`` comments. Each command
+declares one schema: a tuple of :class:`Binding`, each binding some config
+keys to the fields of one dataclass, or to the keyword parameters of one
+function. The schema contract:
+
+- A key's name is its field's name unless the binding renames it
+  (``Binding(TrackSkill, bias_sigma_ai="bias_sigma")``).
+- The field's default is the key's default; ``Binding(..., default=v)``
+  overrides it, for a command whose default differs from its dataclass.
+- The field's type hint picks the parser: ``int``; ``float`` (finite
+  only); ``str``; ``Optional[int]`` (``none`` for None); ``tuple[int,
+  ...]`` and ``tuple[str, ...]`` as comma lists; ``tuple[int, int]`` as
+  two integers joined by the separator in the field's ``sep`` metadata
+  (``7x7``, ``1:10``).
+- A command accepts exactly its schema's keys; an unknown key, a bad
+  value or a value its dataclass rejects is a :class:`CapeskitError`.
+
+:func:`to_text` and :func:`from_text` write and read every field of one
+dataclass instance as ``name=value`` lines, the config block of the TLA1
+model container.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+import math
+import typing
+from typing import Any, Callable, Optional
+
 from .errors import CapeskitError
+
+_FIELD_DEFAULT = object()
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -23,55 +53,116 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
-def load_config(path) -> dict[str, str]:
+def load(schema, path=None) -> dict[str, Any]:
+    """Every key of the schema, from the config file at ``path`` or its default."""
+    if path is None:
+        return read(schema, {})
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CapeskitError(f"cannot read config {path}: {exc}") from None
-    return parse_config_text(text, source=str(path))
+    return read(schema, parse_config_text(text, str(path)), str(path))
 
 
-def ensure_known(cfg: dict[str, str], allowed, source: str = "config") -> None:
-    unknown = sorted(set(cfg) - set(allowed))
+def _finite(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(s)
+    return v
+
+
+#: Field type hint -> (text parser, what it expects).
+_PARSERS = {
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    float: (_finite, "a finite number"),
+    Optional[int]: (lambda s: None if s == "none" else int(s), "an integer or 'none'"),
+    tuple[int, ...]: (lambda s: tuple(int(t) for t in s.split(",") if t.strip()),
+                      "a comma-separated integer list"),
+    tuple[str, ...]: (lambda s: tuple(t.strip() for t in s.split(",") if t.strip()),
+                      "a comma-separated list"),
+}
+
+
+def _parser(hint, sep: Optional[str]) -> tuple[Callable[[str], Any], str]:
+    if hint == tuple[int, int] and sep:
+        def pair(s):
+            a, _, b = s.partition(sep)
+            return int(a), int(b)
+        return pair, f"two integers separated by {sep!r}"
+    return _PARSERS[hint]
+
+
+@dataclasses.dataclass(frozen=True)
+class Key:
+    field: str
+    default: Any
+    parse: Callable[[str], Any]
+    kind: str
+
+
+class Binding:
+    """Config keys bound to fields of ``target``: a dataclass, or a
+    function whose keyword parameters take the values."""
+
+    def __init__(self, target, *names: str, default=_FIELD_DEFAULT, **renamed: str):
+        hints = typing.get_type_hints(target)
+        params = inspect.signature(target).parameters
+        seps = ({f.name: f.metadata.get("sep") for f in dataclasses.fields(target)}
+                if dataclasses.is_dataclass(target) else {})
+        self.target = target
+        self.keys: dict[str, Key] = {}
+        for key, name in [*zip(names, names), *renamed.items()]:
+            parse, kind = _parser(hints[name], seps.get(name))
+            value = params[name].default if default is _FIELD_DEFAULT else default
+            self.keys[key] = Key(name, value, parse, kind)
+
+    def build(self, values: dict[str, Any], *args, **kwargs):
+        """Call the target with its bound ``values`` plus ``args``/``kwargs``."""
+        bound = {k.field: values[key] for key, k in self.keys.items()}
+        return self.target(*args, **bound, **kwargs)
+
+
+def keys(schema) -> dict[str, Key]:
+    return {name: k for binding in schema for name, k in binding.keys.items()}
+
+
+def read(schema, raw: dict[str, str], source: str = "config") -> dict[str, Any]:
+    """Every key of the schema: its value parsed from ``raw``, or its default."""
+    known = keys(schema)
+    unknown = sorted(set(raw) - set(known))
     if unknown:
         raise CapeskitError(f"{source}: unknown keys {unknown}")
+    values = {}
+    for name, k in known.items():
+        if name not in raw:
+            values[name] = k.default
+            continue
+        try:
+            values[name] = k.parse(raw[name])
+        except ValueError:
+            raise CapeskitError(
+                f"{source}: config key {name!r}: expected {k.kind}, got {raw[name]!r}"
+            ) from None
+    return values
 
 
-def _get(cfg, key, default, conv, kind):
-    if key not in cfg:
-        return default
-    try:
-        return conv(cfg[key])
-    except (TypeError, ValueError):
-        raise CapeskitError(f"config key {key!r}: expected {kind}, got {cfg[key]!r}") from None
+def to_text(obj) -> str:
+    """``name=value`` line per field of a dataclass instance with scalar
+    fields, ``none`` for None."""
+    lines = []
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        lines.append(f"{f.name}={'none' if v is None else v}\n")
+    return "".join(lines)
 
 
-def cfg_int(cfg, key, default):
-    return _get(cfg, key, default, int, "an integer")
-
-
-def cfg_float(cfg, key, default):
-    return _get(cfg, key, default, float, "a number")
-
-
-def cfg_str(cfg, key, default):
-    return cfg.get(key, default)
-
-
-def cfg_int_list(cfg, key, default):
-    conv = lambda s: tuple(int(tok) for tok in s.split(",") if tok.strip())  # noqa: E731
-    return _get(cfg, key, default, conv, "a comma-separated integer list")
-
-
-def cfg_str_list(cfg, key, default):
-    conv = lambda s: tuple(tok.strip() for tok in s.split(",") if tok.strip())  # noqa: E731
-    return _get(cfg, key, default, conv, "a comma-separated list")
-
-
-def cfg_pair(cfg, key, default, sep):
-    def conv(s):
-        a, _, b = s.partition(sep)
-        return int(a), int(b)
-
-    return _get(cfg, key, default, conv, f"two integers separated by {sep!r}")
+def from_text(cls, text: str, source: str = "config block"):
+    """Inverse of :func:`to_text`: every field of ``cls`` is required."""
+    binding = Binding(cls, *(f.name for f in dataclasses.fields(cls)))
+    raw = parse_config_text(text, source)
+    missing = sorted(set(binding.keys) - set(raw))
+    if missing:
+        raise CapeskitError(f"{source}: missing keys {missing}")
+    return binding.build(read((binding,), raw, source))

@@ -23,7 +23,7 @@ behavior can be studied without the coupled model.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from .attention import AttentionConfig, ModelParams, tail, trunk
 from .errors import CapeskitError
 from .fusion import EnsembleSet, MemberMeta
-from .grid import AnomalyField, Climatology, GridField, GridSpec, anomaly_percent
+from .grid import AnomalyField, Climatology, GridField, GridSpec, anomaly_percent, write_text_atomic
 from .seeds import mix
 
 
@@ -78,7 +78,7 @@ class NumericalManifest:
     start_dates: tuple[str, ...] = ("0301", "0311", "0321")
     schemes: tuple[str, ...] = tuple(f"s{i}" for i in range(9))
     param_axes: tuple[str, str] = ("param-a", "param-b")
-    param_shape: tuple[int, int] = (7, 7)
+    param_shape: tuple[int, int] = field(default=(7, 7), metadata={"sep": "x"})
 
     def __post_init__(self):
         if not self.start_dates or not self.schemes:
@@ -274,10 +274,7 @@ def write_manifest(path, metas: Sequence[MemberMeta],
     for meta in metas:
         kv = ",".join(f"{k}={v}" for k, v in _meta_pairs(meta, manifest))
         lines.append(f"{meta.id}\t{meta.track}\t{kv}")
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 _INT_KEYS = ("start_date_index", "scheme_index", "param_i", "param_j",

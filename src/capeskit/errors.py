@@ -2,11 +2,12 @@
 
 CapeskitError covers everything caused by bad input (files, configs,
 incompatible grids); the CLI maps it to exit code 2. Anything else that
-escapes is an internal failure and maps to exit code 1.
+escapes is an internal failure and maps to exit code 1. It subclasses
+ValueError, so validators that raise it still raise a ValueError.
 """
 
 
-class CapeskitError(Exception):
+class CapeskitError(ValueError):
     """Base class for user/input errors."""
 
 

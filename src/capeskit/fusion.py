@@ -98,9 +98,9 @@ class FusionConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
+            raise CapeskitError(f"alpha must be in [0,1], got {self.alpha}")
         if not 0.0 <= self.degenerate_fill <= 1.0:
-            raise ValueError(f"degenerate_fill must be in [0,1], got {self.degenerate_fill}")
+            raise CapeskitError(f"degenerate_fill must be in [0,1], got {self.degenerate_fill}")
 
 
 def ensemble_median(e: EnsembleSet) -> AnomalyField:
@@ -110,15 +110,11 @@ def ensemble_median(e: EnsembleSet) -> AnomalyField:
     return AnomalyField(e.spec, med)
 
 
-def _sign(a: np.ndarray) -> np.ndarray:
-    return np.sign(a)
-
-
 def sign_consistency(member: AnomalyField, median: AnomalyField) -> float:
     """Fraction of cells where the member's anomaly sign matches the
     ensemble median's (zero matches only zero)."""
     member.require_compatible(median)
-    agree = _sign(member.values) == _sign(median.values)
+    agree = np.sign(member.values) == np.sign(median.values)
     return float(np.count_nonzero(agree)) / member.spec.ncells
 
 

@@ -17,12 +17,11 @@ write/read cycle reproduces the field bit for bit.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridFormatError, SpecMismatchError, UnitError
+from .errors import CapeskitError, GridFormatError, SpecMismatchError, UnitError
 
 UNITS = ("mm", "percent", "unitless")
 
@@ -47,9 +46,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.nlat < 1 or self.nlon < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.nlat}x{self.nlon}")
+            raise CapeskitError(f"grid must be at least 1x1, got {self.nlat}x{self.nlon}")
         if self.dlat == 0 or self.dlon == 0:
-            raise ValueError("dlat and dlon must be nonzero")
+            raise CapeskitError("dlat and dlon must be nonzero")
 
     @property
     def ncells(self) -> int:
@@ -125,8 +124,8 @@ class Climatology:
     floor: float = DEFAULT_CLIM_FLOOR
 
     def __post_init__(self):
-        if self.floor <= 0:
-            raise ValueError(f"climatology floor must be positive, got {self.floor}")
+        if not self.floor > 0:
+            raise CapeskitError(f"climatology floor must be positive, got {self.floor}")
         if self.field.units != "mm":
             raise UnitError(f"climatology must be in mm, got {self.field.units!r}")
         floored = GridField(
@@ -162,6 +161,24 @@ def _format_value(v: float) -> str:
     return repr(float(v))
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` as UTF-8 with ``\\n`` newlines, atomically: into a temp
+    file beside ``path`` named for this process, created exclusively with
+    the mode the process umask gives, then renamed over ``path``. On any
+    failure the temp file is removed and ``path`` is left as it was."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_grid(field: GridField, path) -> None:
     """Write a field as GRD1 text, atomically (write temp, then rename)."""
     s = field.spec
@@ -172,18 +189,7 @@ def write_grid(field: GridField, path) -> None:
     # repr of a Python float is the shortest round-trip decimal, as in
     # _format_value; tolist() converts the whole field in one call
     rows = "".join(" ".join(map(repr, row)) + "\n" for row in field.values.tolist())
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".grd1-")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(header)
-            fh.write(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text_atomic(path, header + rows)
 
 
 def read_grid(path) -> GridField:

@@ -10,7 +10,7 @@ law (mean PS rising with ensemble size), not any absolute score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class BenchmarkConfig:
 @dataclass(frozen=True)
 class ScalingConfig:
     sizes: tuple[int, ...] = (11, 22, 44, 88, 176)
-    ratio: tuple[int, int] = (1, 10)   # numerical : AI
+    ratio: tuple[int, int] = field(default=(1, 10), metadata={"sep": ":"})   # numerical : AI
     trials: int = 50
     benchmark: BenchmarkConfig = BenchmarkConfig()
     fusion: FusionConfig = FusionConfig()
@@ -58,6 +58,8 @@ class ScalingConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise CapeskitError("trials must be >= 1")
+        if not self.sizes:
+            raise CapeskitError("sizes must list at least one ensemble size")
         if min(self.ratio) < 0 or max(self.ratio) < 1:
             raise CapeskitError(f"bad ratio {self.ratio}")
         for size in self.sizes:

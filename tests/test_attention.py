@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -276,7 +278,7 @@ class TestForward:
         assert a.values.shape == (32, 32)
 
     def test_same_latent_seed_bitwise_equal(self):
-        cfg = attn.with_noise(TOY, sigma=0.1, noise_layer=None)
+        cfg = replace(TOY, latent_noise_sigma=0.1, noise_layer=None)
         params = init_params(cfg, 31)
         inputs = make_inputs(cfg, 32)
         a = forward(params, inputs, cfg, latent_seed=777)
@@ -284,7 +286,7 @@ class TestForward:
         assert np.array_equal(a.values, b.values)
 
     def test_different_latent_seeds_differ(self):
-        cfg = attn.with_noise(TOY, sigma=0.1, noise_layer=None)
+        cfg = replace(TOY, latent_noise_sigma=0.1, noise_layer=None)
         params = init_params(cfg, 33)
         inputs = make_inputs(cfg, 34)
         a = forward(params, inputs, cfg, latent_seed=1)
@@ -319,7 +321,8 @@ class TestForward:
     @pytest.mark.parametrize("num_layers,noise_layer", [(1, None), (2, 0), (2, None), (3, 1)])
     def test_trunk_then_tail_matches_single_loop_reference(self, num_layers, noise_layer):
         # reference: one loop over all layers, noise added after noise_layer
-        cfg = attn.with_noise(AttentionConfig(num_layers=num_layers), 0.1, noise_layer)
+        cfg = replace(AttentionConfig(num_layers=num_layers), latent_noise_sigma=0.1,
+                      noise_layer=noise_layer)
         params = init_params(cfg, 41)
         inputs = make_inputs(cfg, 42)
         pt = attn._wrap(params, requires_grad=False)
@@ -388,7 +391,7 @@ class TestGradCheck:
         assert err < 1e-10
 
     def test_requires_sigma_zero(self):
-        cfg = attn.with_noise(AttentionConfig(nlat=16, nlon=16), 0.5, None)
+        cfg = replace(AttentionConfig(nlat=16, nlon=16), latent_noise_sigma=0.5, noise_layer=None)
         params = init_params(cfg, 46)
         with pytest.raises(CapeskitError):
             grad_check(params, make_inputs(cfg, 47), cfg, probe_count=1)
@@ -455,6 +458,68 @@ class TestSerialization:
         path = tmp_path / "bad.tla1"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(CapeskitError):
+            load_params(path)
+
+    def test_config_block_text_is_pinned(self):
+        from capeskit.config import to_text
+
+        assert to_text(AttentionConfig()) == (
+            "embed_dim=32\nnum_heads=4\nnum_layers=2\npatch_size=8\nwindow_size=2\n"
+            "num_anchors=8\nnum_domains=3\nnlat=32\nnlon=32\nchannels=4\n"
+            "latent_noise_sigma=0.0\nnoise_layer=none\nlayout=sequence_concat\nmlp_ratio=4\n"
+        )
+
+    def test_noisy_config_round_trips(self, tmp_path):
+        from capeskit.config import from_text, to_text
+
+        cfg = replace(TOY, noise_layer=0, latent_noise_sigma=0.25)
+        text = to_text(cfg)
+        assert "noise_layer=0\n" in text and "latent_noise_sigma=0.25\n" in text
+        assert from_text(AttentionConfig, text) == cfg
+        save_params(init_params(cfg, 1), tmp_path / "m.tla1")
+        assert load_params(tmp_path / "m.tla1").cfg == cfg
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("channels=4\n", ""),                # missing key
+        lambda t: t + "dropout=0.1\n",                          # unknown key
+        lambda t: t + "channels=4\n",                           # duplicate key
+        lambda t: t.replace("num_heads=4", "num_heads=four"),   # unparseable value
+        lambda t: t.replace("noise_layer=none", "noise_layer="),
+        lambda t: t.replace("latent_noise_sigma=0.0", "latent_noise_sigma=nan"),
+    ], ids=["missing", "unknown", "duplicate", "bad-int", "bad-optional", "nan"])
+    def test_bad_config_block_rejected(self, tmp_path, edit):
+        from capeskit.config import from_text, to_text
+
+        text = edit(to_text(TOY))
+        with pytest.raises(CapeskitError):
+            from_text(AttentionConfig, text)
+        # the same block inside a TLA1 container
+        good = tmp_path / "good.tla1"
+        save_params(init_params(TOY, 2), good)
+        blob = good.read_bytes()
+        old_len = int.from_bytes(blob[4:8], "little")
+        block = text.encode()
+        bad = tmp_path / "bad.tla1"
+        bad.write_bytes(blob[:4] + len(block).to_bytes(4, "little") + block
+                        + blob[8 + old_len:])
+        with pytest.raises(CapeskitError):
+            load_params(bad)
+
+    @pytest.mark.parametrize("cut", [6, 40, 300, -3])
+    def test_truncated_container_rejected(self, tmp_path, cut):
+        path = tmp_path / "m.tla1"
+        save_params(init_params(TOY, 3), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CapeskitError):
+            load_params(path)
+
+    def test_corrupt_config_block_rejected(self, tmp_path):
+        path = tmp_path / "m.tla1"
+        save_params(init_params(TOY, 4), path)
+        blob = bytearray(path.read_bytes())
+        blob[8] = 0xFF  # not UTF-8
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CapeskitError, match="truncated or corrupt"):
             load_params(path)
 
     def test_loaded_params_forward_identically(self, tmp_path):

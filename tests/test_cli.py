@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from capeskit.cli import main
+from capeskit.cli import ATTN_BENCH, GENERATE, GRAD_CHECK, SCALING, main
 from capeskit.grid import (
     AnomalyField,
     GridField,
@@ -394,3 +394,233 @@ class TestConfigParsing:
 
         with pytest.raises(CapeskitError):
             parse_config_text("just-a-token\n")
+
+
+# Each command's config keys, as the schema in capeskit.cli binds them.
+KEY_SETS = {
+    "generate": {
+        "nlat", "nlon", "clim_mm", "n_init", "n_latent", "field_sigma",
+        "spectral_slope", "latent_sigma", "start_dates", "schemes", "param_grid",
+        "truth_amplitude", "truth_slope", "bias_sigma", "noise_sigma",
+        "embed_dim", "num_heads", "num_layers", "patch_size", "window_size",
+        "num_anchors", "num_domains", "channels", "layout",
+    },
+    "attn-bench": {
+        "embed_dim", "num_heads", "patch_size", "window_size",
+        "num_anchors", "num_domains", "channels", "layout",
+    },
+    "grad-check": {
+        "embed_dim", "num_heads", "patch_size", "window_size", "num_anchors",
+        "num_domains", "channels", "layout", "nlat", "nlon", "num_layers", "probes", "step",
+    },
+    "scaling": {
+        "sizes", "ratio", "trials", "nlat", "nlon", "clim_mm", "amplitude",
+        "slope", "n_numerical", "n_ai", "alpha", "bias_sigma_numerical",
+        "noise_sigma_numerical", "bias_sigma_ai", "noise_sigma_ai",
+    },
+}
+
+SCHEMAS = {"generate": GENERATE, "attn-bench": ATTN_BENCH,
+           "grad-check": GRAD_CHECK, "scaling": SCALING}
+
+# Small base configs, and every other accepted key written out at its default.
+BASE_AND_DEFAULTS = {
+    "generate": (
+        "nlat = 16\nnlon = 16\nn_init = 2\nn_latent = 2\n",
+        """
+clim_mm = 300.0
+field_sigma = 5.0
+spectral_slope = 3.0
+latent_sigma = 0.1
+start_dates = 0301,0311,0321
+schemes = s0,s1,s2,s3,s4,s5,s6,s7,s8
+param_grid = 7x7
+truth_amplitude = 130.0
+truth_slope = 3.0
+bias_sigma = 15.0
+noise_sigma = 40.0
+embed_dim = 32
+num_heads = 4
+num_layers = 2
+patch_size = 8
+window_size = 2
+num_anchors = 8
+num_domains = 3
+channels = 4
+layout = sequence_concat
+""",
+    ),
+    "scaling": (
+        SCALING_CONFIG,
+        """
+ratio = 1:10
+nlat = 32
+nlon = 32
+clim_mm = 300.0
+amplitude = 130.0
+slope = 3.0
+alpha = 0.5
+bias_sigma_numerical = 15.0
+noise_sigma_numerical = 40.0
+bias_sigma_ai = 15.0
+noise_sigma_ai = 40.0
+""",
+    ),
+    "attn-bench": (
+        "",
+        """
+embed_dim = 32
+num_heads = 4
+patch_size = 8
+window_size = 2
+num_anchors = 8
+num_domains = 3
+channels = 4
+layout = sequence_concat
+""",
+    ),
+    "grad-check": (
+        "",
+        """
+embed_dim = 32
+num_heads = 4
+patch_size = 8
+window_size = 2
+num_anchors = 8
+num_domains = 3
+channels = 4
+layout = sequence_concat
+nlat = 16
+nlon = 16
+num_layers = 2
+probes = 20
+step = 1e-05
+""",
+    ),
+}
+
+
+def _command_argv(command, out):
+    """argv of one small run of ``command`` writing under ``out``."""
+    return {
+        "generate": ["generate", "--mode", "hybrid", "--seed", "5", "--out-dir", str(out / "ens")],
+        "scaling": ["scaling", "--seed", "2", "--out", str(out / "c.csv"),
+                    "--svg", str(out / "c.svg")],
+        "attn-bench": ["attn-bench", "--lengths", "48,96", "--out", str(out / "f.csv")],
+        "grad-check": ["grad-check", "--seed", "3"],
+    }[command]
+
+
+def _run_outputs(command, out, cfg_text, capsys):
+    """Exit code, output file bytes, manifest config and stdout of one run."""
+    out.mkdir()
+    cfgp = out / "run.cfg"
+    cfgp.write_text(cfg_text)
+    rc = main(_command_argv(command, out) + ["--config", str(cfgp)])
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    files, config = {}, None
+    for p in sorted(out.rglob("*")):
+        if p.name.endswith(".manifest.json"):
+            config = json.loads(p.read_text())["config"]
+        elif p.is_file() and p != cfgp:
+            files[p.relative_to(out).as_posix()] = p.read_bytes()
+    if command == "attn-bench":
+        stdout = None  # block timings vary run to run
+    return rc, files, config, stdout
+
+
+class TestConfigSchemas:
+    @pytest.mark.parametrize("command", sorted(KEY_SETS))
+    def test_pinned_key_sets(self, command):
+        from capeskit.config import keys
+
+        names = set(keys(SCHEMAS[command]))
+        assert names == KEY_SETS[command]
+        assert len(names) == {"generate": 24, "attn-bench": 8,
+                              "grad-check": 13, "scaling": 15}[command]
+
+    @pytest.mark.parametrize("command", sorted(KEY_SETS))
+    def test_unknown_key_exit_2(self, tmp_path, command, capsys):
+        cfgp = tmp_path / "u.cfg"
+        cfgp.write_text("not_a_key = 1\n")
+        rc = main(_command_argv(command, tmp_path) + ["--config", str(cfgp)])
+        assert rc == 2
+        assert "unknown keys ['not_a_key']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(BASE_AND_DEFAULTS))
+    def test_defaults_written_out_change_nothing(self, tmp_path, command, capsys):
+        from capeskit.config import parse_config_text
+
+        base, defaults = BASE_AND_DEFAULTS[command]
+        assert set(parse_config_text(base + defaults)) == KEY_SETS[command]
+        a = _run_outputs(command, tmp_path / "base", base, capsys)
+        b = _run_outputs(command, tmp_path / "full", base + defaults, capsys)
+        assert a[0] == 0
+        assert a == b
+
+    def test_numerical_mode_does_not_build_the_backbone(self, tmp_path):
+        # 20 is not divisible by the patch size; only the AI track needs that
+        cfgp = tmp_path / "n.cfg"
+        cfgp.write_text("nlat = 20\nnlon = 20\nstart_dates = d0\nschemes = s0\nparam_grid = 1x1\n")
+        rc = main(["generate", "--mode", "numerical", "--config", str(cfgp),
+                   "--out-dir", str(tmp_path / "ens")])
+        assert rc == 0
+        assert len(list((tmp_path / "ens").glob("*.grd"))) == 2
+
+
+# (argv, config text) pairs that must exit 2: bad values reaching a validator.
+# "{cfg}" is the config file path, "{tmp}" the test's scratch directory.
+BAD_VALUES = [
+    (["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"], "nlat = 0\n"),
+    (["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"], "clim_mm = nan\n"),
+    (["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
+     "field_sigma = nan\n"),
+    (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"], "alpha = 2\n"),
+    (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv", "--svg", "{tmp}/c.svg"],
+     "sizes = ,\n"),
+    (["fuse", "--ensemble-dir", "{tmp}/ens", "--alpha", "2",
+      "--out-field", "{tmp}/f.grd", "--out-weights", "{tmp}/w.csv"], ""),
+    (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
+     "num_heads = 0\n"),
+    (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
+     "patch_size = 0\n"),
+    (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
+     "window_size = 0\n"),
+    (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
+     "embed_dim = 0\n"),
+    (["grad-check", "--config", "{cfg}"], "step = 0\n"),
+    (["grad-check", "--config", "{cfg}"], "probes = 0\n"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv,cfg_text", BAD_VALUES,
+                             ids=[f"{a[0]}:{t.strip() or '--alpha 2'}" for a, t in BAD_VALUES])
+    def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv, cfg_text):
+        make_member_dir(tmp_path, [np.array([[30.0, -40.0], [5.0, 90.0]])])
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text(cfg_text)
+        argv = [a.replace("{cfg}", str(cfgp)).replace("{tmp}", str(tmp_path)) for a in argv]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestFileModes:
+    def test_member_files_and_csvs_share_one_mode(self, tmp_path):
+        cfgp = tmp_path / "gen.cfg"
+        cfgp.write_text(GEN_CONFIG)
+        old = os.umask(0o022)
+        try:
+            assert main(["generate", "--mode", "hybrid", "--seed", "1",
+                         "--config", str(cfgp), "--out-dir", str(tmp_path / "ens")]) == 0
+            assert main(["fuse", "--ensemble-dir", str(tmp_path / "ens"),
+                         "--out-field", str(tmp_path / "f.grd"),
+                         "--out-weights", str(tmp_path / "w.csv")]) == 0
+        finally:
+            os.umask(old)
+        written = [p for p in tmp_path.rglob("*") if p.is_file() and p != cfgp]
+        assert len(written) == 11  # 6 members, manifest.tsv, fused, weights, 2 sidecars
+        modes = {p.name: p.stat().st_mode & 0o777 for p in written}
+        assert set(modes.values()) == {0o644}, modes

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -207,7 +209,7 @@ class TestAiEnsemble:
         base = np.random.default_rng(22).standard_normal((3, 32, 32, 4))
         clim = flat_clim(SPEC)
         pspec = PerturbationSpec(n_init=2, n_latent=3, base_seed=23, noise_layer=0)
-        run_cfg = attn.with_noise(cfg, pspec.latent_sigma, 0)
+        run_cfg = replace(cfg, latent_noise_sigma=pspec.latent_sigma, noise_layer=0)
         e = build_ai_ensemble(base, params, cfg, pspec, clim)
         for k, (meta, fld) in enumerate(e):
             i, j = divmod(k, pspec.n_latent)

@@ -11,6 +11,7 @@ from capeskit.grid import (
     anomaly_percent,
     read_grid,
     write_grid,
+    write_text_atomic,
 )
 
 
@@ -179,3 +180,29 @@ class TestGrd1:
         a1 = anomaly_percent(f, c)
         a2 = anomaly_percent(read_grid(path), c)
         assert np.array_equal(a1.values, a2.values)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_target_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_text_atomic(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(path, "new\n\ud800")  # fails midway through encoding
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_failed_grid_rename_keeps_target_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        import capeskit.grid as grid
+
+        path = tmp_path / "f.grd"
+        write_grid(mm(SPEC, np.ones((2, 3))), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(grid.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_grid(mm(SPEC, np.zeros((2, 3))), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.grd"]
