@@ -282,27 +282,30 @@ _INT_KEYS = ("start_date_index", "scheme_index", "param_i", "param_j",
 
 
 def read_manifest(path) -> list[MemberMeta]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise CapeskitError(f"{path}: not UTF-8 text ({exc.reason})") from None
     metas = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CapeskitError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            member_id, track, kv = parts
-            try:
-                kwargs = {}
-                for item in kv.split(","):
-                    if not item:
-                        continue
-                    key, _, value = item.partition("=")
-                    if key in _INT_KEYS:
-                        kwargs[key] = int(value)
-                metas.append(MemberMeta(id=member_id, track=track, **kwargs))
-            except ValueError as exc:
-                raise CapeskitError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CapeskitError(f"{path}: line {lineno}: expected 3 tab-separated fields")
+        member_id, track, kv = parts
+        try:
+            kwargs = {}
+            for item in kv.split(","):
+                if not item:
+                    continue
+                key, _, value = item.partition("=")
+                if key in _INT_KEYS:
+                    kwargs[key] = int(value)
+            metas.append(MemberMeta(id=member_id, track=track, **kwargs))
+        except ValueError as exc:
+            raise CapeskitError(f"{path}: line {lineno}: {exc}") from None
     return metas
 
 
@@ -329,7 +332,12 @@ def read_ensemble_dir(dirpath) -> EnsembleSet:
     members = []
     for meta in metas:
         grd = os.path.join(dirpath, f"{meta.id}.grd")
-        if not os.path.exists(grd):
-            raise CapeskitError(f"{dirpath}: member file missing for {meta.id!r}")
-        members.append((meta, read_anomaly(grd)))
+        try:
+            members.append((meta, read_anomaly(grd)))
+        except FileNotFoundError:
+            raise CapeskitError(f"{dirpath}: member file missing for {meta.id!r}") from None
+        except OSError as exc:
+            raise CapeskitError(f"{grd}: cannot read: {exc.strerror}") from None
+        except CapeskitError as exc:
+            raise CapeskitError(f"{grd}: {exc}") from None
     return EnsembleSet(members)

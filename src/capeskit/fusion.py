@@ -10,6 +10,7 @@ forecast is the per-cell weighted sum of member anomalies.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,18 +40,23 @@ class MemberMeta:
     latent_seed: Optional[int] = None
 
     def __post_init__(self):
+        # the id names the member's file inside its ensemble directory;
+        # "/" is os.sep or os.altsep on every platform
+        if (self.id in ("", ".", "..") or "/" in self.id or os.sep in self.id
+                or "\0" in self.id):
+            raise CapeskitError(f"member id {self.id!r} is not a plain file name")
         if self.track not in TRACKS:
-            raise ValueError(f"track must be one of {TRACKS}, got {self.track!r}")
+            raise CapeskitError(f"track must be one of {TRACKS}, got {self.track!r}")
         if self.track == "numerical":
             has_scheme = self.scheme_index is not None
             has_params = self.param_i is not None and self.param_j is not None
             if not (has_scheme or has_params):
-                raise ValueError(
+                raise CapeskitError(
                     f"numerical member {self.id!r} needs a scheme or param indices"
                 )
         else:
             if self.init_seed is None or self.latent_seed is None:
-                raise ValueError(f"ai member {self.id!r} needs both seeds")
+                raise CapeskitError(f"ai member {self.id!r} needs both seeds")
 
 
 class EnsembleSet:

@@ -8,10 +8,14 @@ GRD1 format
 -----------
 Line 1:  ``GRD1 <nlat> <nlon> <lat0> <dlat> <lon0> <dlon> <units>``
 Then exactly nlat*nlon finite decimal values, whitespace-separated,
-row-major with latitude as the slow index. ASCII only; any amount of
-whitespace (including newlines) may separate values. Values written by
-this module use shortest round-trip decimal representation, so a
-write/read cycle reproduces the field bit for bit.
+row-major with latitude as the slow index. The file must be ASCII; any
+amount of whitespace (including newlines; ``\\n``, ``\\r\\n`` and ``\\r``
+each end a line) may separate values. Values written by this module use
+shortest round-trip decimal representation, so a write/read cycle
+reproduces the field bit for bit. A malformed file (non-ASCII byte, bad
+header, unparseable or non-finite value, wrong value count) raises
+:class:`GridFormatError` naming the offending line, which the command
+line reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ def _freeze(values, spec: GridSpec) -> np.ndarray:
                 f"values shape {arr.shape} does not match grid {spec.nlat}x{spec.nlon}"
             )
     if not np.isfinite(arr).all():
-        raise ValueError("field values must be finite (no NaN/Inf)")
+        raise CapeskitError("field values must be finite (no NaN/Inf)")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -108,9 +112,14 @@ class AnomalyField:
 
     @classmethod
     def from_grid(cls, f: GridField) -> "AnomalyField":
+        """The anomaly field of a percent GridField, sharing its values:
+        they are already frozen, so they are not checked or copied again."""
         if f.units != "percent":
             raise UnitError(f"anomaly fields carry percent units, got {f.units!r}")
-        return cls(f.spec, f.values)
+        a = object.__new__(cls)
+        object.__setattr__(a, "spec", f.spec)
+        object.__setattr__(a, "values", f.values)
+        return a
 
 
 @dataclass(frozen=True)
@@ -192,14 +201,55 @@ def write_grid(field: GridField, path) -> None:
     write_text_atomic(path, header + rows)
 
 
+def _read_ascii(path) -> str:
+    """The file as ASCII text with universal newlines (``\\r\\n`` and ``\\r``
+    read as ``\\n``); a non-ASCII byte raises GridFormatError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise GridFormatError(f"non-ASCII byte {data[exc.start]:#04x}", line=line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _body_error(lines: list[str], expected: int) -> GridFormatError:
+    """The error for a body that does not hold exactly ``expected`` finite
+    values: a per-line scan for the first unparseable or non-finite token,
+    the first token past the declared count, or else the count. It counts
+    tokens and keeps none, so a huge declared grid allocates nothing."""
+    count = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        for tok in line.split():
+            try:
+                v = float(tok)
+            except ValueError:
+                return GridFormatError(f"unparseable value {tok!r}", line=lineno)
+            if not np.isfinite(v):
+                return GridFormatError(f"non-finite value {tok!r}", line=lineno)
+            if count >= expected:
+                return GridFormatError(f"more than the declared {expected} values", line=lineno)
+            count += 1
+    return GridFormatError(
+        f"value count mismatch: header declares {expected}, found {count}",
+        line=len(lines),
+    )
+
+
 def read_grid(path) -> GridField:
-    """Read a GRD1 file, rejecting malformed headers, count mismatches and
-    non-finite values (error messages carry the offending line number)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
-    if not lines or not lines[0].strip():
+    """Read a GRD1 file, rejecting non-ASCII bytes, malformed headers, count
+    mismatches and non-finite values (error messages carry the offending
+    line number).
+
+    A well-formed body is parsed in one pass over its tokens, with the
+    same ``float`` per token as the per-line scan that reports errors."""
+    text = _read_ascii(path)
+    header, _, body = text.partition("\n")
+    if not header.strip():
         raise GridFormatError("empty file, expected GRD1 header", line=1)
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 8 or head[0] != "GRD1":
         raise GridFormatError(
             "header must be 'GRD1 <nlat> <nlon> <lat0> <dlat> <lon0> <dlon> <units>'",
@@ -219,28 +269,20 @@ def read_grid(path) -> GridField:
         raise GridFormatError(str(exc), line=1) from None
 
     expected = spec.ncells
-    values = np.empty(expected, dtype=np.float64)
-    count = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        for tok in line.split():
-            try:
-                v = float(tok)
-            except ValueError:
-                raise GridFormatError(f"unparseable value {tok!r}", line=lineno) from None
-            if not np.isfinite(v):
-                raise GridFormatError(f"non-finite value {tok!r}", line=lineno)
-            if count >= expected:
-                raise GridFormatError(
-                    f"more than the declared {expected} values", line=lineno
-                )
-            values[count] = v
-            count += 1
-    if count != expected:
-        raise GridFormatError(
-            f"value count mismatch: header declares {expected}, found {count}",
-            line=len(lines),
-        )
-    return GridField(spec, values.reshape(nlat, nlon), units=units)
+    tokens = body.split()
+    if len(tokens) == expected:
+        try:
+            values = np.fromiter(map(float, tokens), np.float64, count=expected)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                # free the text first, so the field's long-lived frozen copy
+                # can reuse its memory: this keeps the peak RSS of reading
+                # an ensemble directory where the per-token reader had it
+                del text, body, tokens
+                return GridField(spec, values.reshape(nlat, nlon), units=units)
+    raise _body_error(text.split("\n"), expected)
 
 
 def read_anomaly(path) -> AnomalyField:

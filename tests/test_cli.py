@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capeskit.cli import ATTN_BENCH, GENERATE, GRAD_CHECK, SCALING, main
 from capeskit.grid import (
@@ -624,3 +627,94 @@ class TestFileModes:
         assert len(written) == 11  # 6 members, manifest.tsv, fused, weights, 2 sidecars
         modes = {p.name: p.stat().st_mode & 0o777 for p in written}
         assert set(modes.values()) == {0o644}, modes
+
+
+# Bad input files that must exit 2 with one line: name -> (argv, files to
+# write under the test's temporary directory "{tmp}", expected message).
+BIG_SIGMA = "n_init = 1\nn_latent = 1\nnlat = 16\nnlon = 16\nlatent_sigma = 1e308\n"
+BAD_FILES = {
+    "non-ascii-field": (["render", "--field", "{tmp}/a.grd", "--svg", "{tmp}/a.svg"],
+                        {"a.grd": b"GRD1 1 2 0.0 1.0 0.0 1.0 percent\r\n1.0\r\n\xc3\xa9 2.0\r\n"},
+                        "a.grd: line 3: non-ASCII byte 0xc3"),
+    "huge-header": (["render", "--field", "{tmp}/a.grd", "--svg", "{tmp}/a.svg"],
+                    {"a.grd": b"GRD1 100000 100000 0.0 1.0 0.0 1.0 mm\n1.0\n"},
+                    "value count mismatch: header declares 10000000000, found 1"),
+    "escaping-id": (["fuse", "--ensemble-dir", "{tmp}/ens",
+                     "--out-field", "{tmp}/f.grd", "--out-weights", "{tmp}/w.csv"],
+                    {"x.grd": b"GRD1 1 1 0.0 1.0 0.0 1.0 percent\n5.0\n",
+                     "ens/manifest.tsv": b"../x\tai\tinit_seed=1,latent_seed=2\n"},
+                    "line 1: member id '../x' is not a plain file name"),
+    "overflowing-config": (["generate", "--mode", "ai", "--config", "{tmp}/big.cfg",
+                            "--out-dir", "{tmp}/o"],
+                           {"big.cfg": BIG_SIGMA.encode()},
+                           "field values must be finite"),
+}
+
+
+def run_cli(argv):
+    """main(argv) with its output captured: (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestBadInputFiles:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the overflow
+    @pytest.mark.parametrize("name", sorted(BAD_FILES))
+    def test_exits_2_with_one_line(self, tmp_path, name):
+        argv, files, message = BAD_FILES[name]
+        for rel, data in files.items():
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
+            (tmp_path / rel).write_bytes(data)
+        rc, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    # every byte edit of an input file exits 0 or 2, never 1 (internal error)
+    EDITS = st.lists(st.tuples(
+        st.sampled_from(["replace", "insert", "delete", "truncate"]),
+        st.integers(0, 10**6),
+        st.one_of(st.sampled_from(list(b"\n\r\t ./-+_e059nafi\x00\xc3\xff")),
+                  st.integers(0, 255)),
+    ), min_size=1, max_size=4)
+
+    @pytest.mark.parametrize("target", ["render", "score", "fuse-member", "fuse-manifest"])
+    @given(edits=EDITS)
+    @settings(max_examples=80, deadline=None)
+    def test_mutated_inputs_never_exit_1(self, tmp_path_factory, target, edits):
+        tmp = tmp_path_factory.mktemp("mut")
+        ens = make_member_dir(tmp, [np.array([[30.0, -40.0], [5.0, 90.0]]),
+                                    np.array([[-3.0, 41.5], [1e-3, 0.0]])])
+        write_mm(tmp / "clim.grd", [[100.0, 100.0], [100.0, 0.05]])
+        write_mm(tmp / "obs.grd", [[130.0, 40.0], [110.0, 220.0]])
+        write_mm(tmp / "fc.grd", [[125.0, 45.0], [95.0, 140.0]])
+        fuse = ["fuse", "--ensemble-dir", str(ens),
+                "--out-field", str(tmp / "f.grd"), "--out-weights", str(tmp / "w.csv")]
+        victim, argv = {
+            "render": (ens / "ai-0001.grd", ["render", "--field", str(ens / "ai-0001.grd"),
+                                             "--svg", str(tmp / "a.svg")]),
+            "score": (tmp / "clim.grd",
+                      ["score", "--forecast", str(tmp / "fc.grd"), "--obs", str(tmp / "obs.grd"),
+                       "--clim", str(tmp / "clim.grd"), "--out", str(tmp / "s.csv")]),
+            "fuse-member": (ens / "ai-0000.grd", fuse),
+            "fuse-manifest": (ens / "manifest.tsv", fuse),
+        }[target]
+        data = bytearray(victim.read_bytes())
+        for op, pos, byte in edits:
+            i = pos % (len(data) + 1)
+            if op == "insert":
+                data.insert(i, byte)
+            elif op == "truncate":
+                del data[i:]
+            elif i < len(data):
+                if op == "replace":
+                    data[i] = byte
+                else:
+                    del data[i]
+        victim.write_bytes(bytes(data))
+        rc, err = run_cli(argv)
+        assert rc in (0, 2), err
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -21,7 +21,14 @@ from capeskit.ensemble import (
 )
 from capeskit.errors import CapeskitError
 from capeskit.fusion import EnsembleSet, MemberMeta
-from capeskit.grid import AnomalyField, Climatology, GridField, GridSpec, anomaly_percent
+from capeskit.grid import (
+    AnomalyField,
+    Climatology,
+    GridField,
+    GridSpec,
+    anomaly_percent,
+    write_grid,
+)
 from capeskit.seeds import mix
 
 SPEC = GridSpec(32, 32)
@@ -314,3 +321,32 @@ class TestManifestIo:
         path.write_text("m0\tai\tinit_seed=xyz,latent_seed=1\n")
         with pytest.raises(CapeskitError, match="line 1"):
             read_manifest(path)
+
+    def test_member_id_cannot_leave_the_directory(self, tmp_path):
+        d = tmp_path / "ens"
+        d.mkdir()
+        write_grid(GridField(SPEC, np.zeros((32, 32)), units="percent"), tmp_path / "x.grd")
+        (d / "manifest.tsv").write_text(
+            "ai-0000\tai\tinit_seed=0,latent_seed=0\n../x\tai\tinit_seed=1,latent_seed=1\n")
+        with pytest.raises(CapeskitError, match="line 2: member id '../x'"):
+            read_ensemble_dir(d)
+
+    def test_non_utf8_manifest_is_input_error(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"ai-0000\tai\tinit_seed=0,latent_seed=\xff\n")
+        with pytest.raises(CapeskitError, match="not UTF-8"):
+            read_manifest(path)
+
+    def test_bad_member_file_names_the_file(self, tmp_path):
+        d = tmp_path / "ens"
+        write_ensemble_dir(d, EnsembleSet([
+            (MemberMeta(id="ai-0000", track="ai", init_seed=0, latent_seed=0),
+             AnomalyField(SPEC, np.zeros((32, 32))))]))
+        with open(d / "ai-0000.grd", "a") as fh:
+            fh.write("zap\n")
+        with pytest.raises(CapeskitError, match=r"ai-0000\.grd: line 34: unparseable value"):
+            read_ensemble_dir(d)
+        (d / "ai-0000.grd").unlink()
+        (d / "ai-0000.grd").mkdir()
+        with pytest.raises(CapeskitError, match="cannot read"):
+            read_ensemble_dir(d)

@@ -54,6 +54,26 @@ class TestEnsembleSet:
             MemberMeta(id="x", track="numerical")  # no scheme or params
         MemberMeta(id="x", track="numerical", param_i=0, param_j=3)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(id="x", track="ai", init_seed=1),
+        dict(id="x", track="numerical"),
+        dict(id="x", track="rowboat", init_seed=1, latent_seed=1),
+    ], ids=["no-latent-seed", "no-scheme", "bad-track"])
+    def test_meta_rejections_are_input_errors(self, kwargs):
+        with pytest.raises(CapeskitError):
+            MemberMeta(**kwargs)
+
+    @pytest.mark.parametrize("bad", ["", ".", "..", "../x", "a/b", "/abs", "a\0b"])
+    def test_id_must_be_a_plain_file_name(self, bad):
+        with pytest.raises(CapeskitError, match="not a plain file name"):
+            MemberMeta(id=bad, track="ai", init_seed=1, latent_seed=1)
+
+    def test_generated_ids_are_valid(self):
+        MemberMeta(id="num-d0-s0", track="numerical", scheme_index=0)
+        MemberMeta(id="num-d0-p0-0", track="numerical", param_i=0, param_j=0)
+        MemberMeta(id="ai-0000-0000", track="ai", init_seed=0, latent_seed=0)
+        MemberMeta(id=".hidden..id", track="ai", init_seed=0, latent_seed=0)
+
 
 class TestMedian:
     def test_single_member(self):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capeskit.errors import GridFormatError, SpecMismatchError, UnitError
+from capeskit.errors import CapeskitError, GridFormatError, SpecMismatchError, UnitError
 from capeskit.grid import (
     AnomalyField,
     Climatology,
     GridField,
     GridSpec,
     anomaly_percent,
+    read_anomaly,
     read_grid,
     write_grid,
     write_text_atomic,
@@ -206,3 +207,128 @@ class TestAtomicWrite:
             write_grid(mm(SPEC, np.zeros((2, 3))), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.grd"]
+
+
+def reference_read(path):
+    """The per-token reader the vectorized one replaced: universal-newline
+    ASCII text, ``float`` per token, line numbers of the first bad token.
+    Returns the values, or the message of the GridFormatError to expect."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().split("\n")
+    head = lines[0].split()
+    expected = int(head[1]) * int(head[2])
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        for tok in line.split():
+            try:
+                v = float(tok)
+            except ValueError:
+                return f"line {lineno}: unparseable value {tok!r}"
+            if not np.isfinite(v):
+                return f"line {lineno}: non-finite value {tok!r}"
+            if len(values) >= expected:
+                return f"line {lineno}: more than the declared {expected} values"
+            values.append(v)
+    if len(values) != expected:
+        return (f"line {len(lines)}: value count mismatch: header declares {expected}, "
+                f"found {len(values)}")
+    return np.array(values)
+
+
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", " \n\t", "\n\n", "\r\r\n"])
+SEPARATORS = st.one_of(st.sampled_from([" ", "  ", "\t"]), LINE_ENDS)
+# near-float tokens: what float() accepts, rejects, or reads as non-finite
+TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-Infinity", "iNf", "1e400", "-1e999",
+                     "1_0", "1__0", "_1", "1_", "1e+", ".5", "-0", "+.5e3", "0x10", "1d5",
+                     "nan(1)", "--1", "zap", "1.2.3", "e5", "1e-400", "4.9e-324"]),
+)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestGrd1Reader:
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reflowed_round_trip_is_bit_identical(self, tmp_path_factory, nlat, nlon, data):
+        vals = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                           min_size=nlat * nlon, max_size=nlat * nlon)))
+        f = GridField(GridSpec(nlat, nlon, lat0=-3.5), vals.reshape(nlat, nlon),
+                      units="percent")
+        path = tmp_path_factory.mktemp("grd") / "f.grd"
+        write_grid(f, path)
+        header, body = path.read_text(encoding="ascii").split("\n", 1)
+        seps = data.draw(st.lists(SEPARATORS, min_size=len(vals), max_size=len(vals)))
+        text = header + data.draw(LINE_ENDS) + "".join(t + s for s, t in zip(seps, body.split()))
+        path.write_bytes(text.encode("ascii"))
+        g = read_grid(path)
+        assert g.spec == f.spec and g.units == "percent"
+        assert np.array_equal(bits(g.values), bits(f.values))
+
+    @given(st.integers(1, 3), st.integers(1, 3),
+           st.lists(st.lists(TOKENS, max_size=5), max_size=5), LINE_ENDS)
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_and_rejects_like_the_per_token_scan(self, tmp_path_factory, nlat, nlon,
+                                                         rows, newline):
+        path = tmp_path_factory.mktemp("grd") / "f.grd"
+        body = "".join(" ".join(row) + newline for row in rows)
+        path.write_bytes(f"GRD1 {nlat} {nlon} 0.0 1.0 0.0 1.0 mm{newline}{body}".encode())
+        want = reference_read(path)
+        if isinstance(want, str):
+            with pytest.raises(GridFormatError) as exc:
+                read_grid(path)
+            assert str(exc.value) == want
+        else:
+            assert np.array_equal(bits(read_grid(path).values.ravel()), bits(want))
+
+    @pytest.mark.parametrize("newline,line", [("\n", 3), ("\r\n", 3), ("\r", 3)])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, newline, line):
+        path = tmp_path / "bad.grd"
+        nl = newline.encode()
+        path.write_bytes(b"GRD1 2 1 0.0 1.0 0.0 1.0 mm" + nl + b"1.0" + nl + b"2 \xc3\xa9" + nl)
+        with pytest.raises(GridFormatError, match=f"line {line}: non-ASCII byte 0xc3"):
+            read_grid(path)
+
+    def test_huge_declared_grid_counts_before_allocating(self, tmp_path):
+        # 10^10 cells would be a 74.5 GiB array; the error path only counts
+        import tracemalloc
+
+        path = tmp_path / "huge.grd"
+        path.write_text("GRD1 100000 100000 0.0 1.0 0.0 1.0 mm\n1.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridFormatError, match="value count mismatch: header "
+                                                      "declares 10000000000, found 1"):
+                read_grid(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_read_anomaly_shares_the_frozen_values(self, tmp_path):
+        path = tmp_path / "a.grd"
+        write_grid(GridField(SPEC, np.arange(6.0).reshape(2, 3), units="percent"), path)
+        g = read_grid(path)
+        a = AnomalyField.from_grid(g)
+        assert a.values is g.values and not a.values.flags.writeable
+        assert np.array_equal(read_anomaly(path).values, g.values)
+        write_grid(mm(SPEC, np.zeros((2, 3))), path)
+        with pytest.raises(UnitError):
+            read_anomaly(path)
+
+
+class TestFreeze:
+    def test_non_finite_is_an_input_error(self):
+        bad = np.zeros((2, 3))
+        bad[1, 2] = np.inf
+        with pytest.raises(CapeskitError, match="finite"):
+            GridField(SPEC, bad)
+
+    def test_shape_mismatch_stays_an_internal_error(self):
+        with pytest.raises(ValueError) as exc:
+            GridField(SPEC, np.zeros((4, 4)))
+        assert not isinstance(exc.value, CapeskitError)
