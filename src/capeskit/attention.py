@@ -39,7 +39,6 @@ from .autodiff import Tensor
 from .errors import CapeskitError
 from .grid import GridField, GridSpec
 from .parallel import blas_single_thread
-from .pca import PcaBasis, fit_pca, compress_domains  # noqa: F401  (re-export)
 
 LAYOUTS = ("sequence_concat", "channel_stack")
 
@@ -120,24 +119,24 @@ class AttentionConfig:
 
 @dataclass
 class TokenSequence:
-    """L x d token tensor plus per-token (domain, patch row, patch col) tags."""
+    """L x d token array plus per-token (domain, patch row, patch col) tags."""
 
-    tokens: Tensor
+    tokens: np.ndarray  # (L, d); a Tensor passed in is unwrapped
     tags: np.ndarray  # (L, 3) ints
 
     def __post_init__(self):
-        self.tokens = ad.as_tensor(self.tokens)
+        self.tokens = ad.data(self.tokens)
         self.tags = np.asarray(self.tags, dtype=np.int64)
-        if self.tokens.data.ndim != 2 or self.tags.shape != (self.tokens.data.shape[0], 3):
+        if self.tokens.ndim != 2 or self.tags.shape != (self.tokens.shape[0], 3):
             raise CapeskitError(
-                f"tokens {self.tokens.data.shape} and tags {self.tags.shape} inconsistent"
+                f"tokens {self.tokens.shape} and tags {self.tags.shape} inconsistent"
             )
-        if not np.isfinite(self.tokens.data).all():
+        if not np.isfinite(self.tokens).all():
             raise CapeskitError("token values must be finite")
 
     @property
     def values(self) -> np.ndarray:
-        return self.tokens.data
+        return self.tokens
 
 
 def token_tags(cfg: AttentionConfig) -> np.ndarray:
@@ -229,22 +228,11 @@ def init_params(cfg: AttentionConfig, seed: int) -> ModelParams:
     return ModelParams(cfg, tensors)
 
 
-class _InferenceTensors(dict):
-    """Parameter name -> constant Tensor, built on first use, so a pass
-    that touches few parameters (a tail) wraps only those."""
-
-    def __init__(self, params: ModelParams):
-        super().__init__()
-        self._params = params
-
-    def __missing__(self, name: str) -> Tensor:
-        t = self[name] = Tensor(self._params.tensors[name])
-        return t
-
-
-def _wrap(params: ModelParams, requires_grad: bool) -> dict[str, Tensor]:
+def _wrap(params: ModelParams, requires_grad: bool) -> dict[str, ad.Value]:
+    """Parameters as the ops take them: the plain arrays for inference,
+    or leaf Tensors that collect gradients."""
     if not requires_grad:
-        return _InferenceTensors(params)
+        return params.tensors
     return {k: Tensor(v, requires_grad=True) for k, v in params.tensors.items()}
 
 
@@ -252,7 +240,7 @@ def _wrap(params: ModelParams, requires_grad: bool) -> dict[str, Tensor]:
 # tokenization
 
 
-def _patchify(field_t: Tensor, cfg: AttentionConfig, nch: int) -> Tensor:
+def _patchify(field_t: ad.Value, cfg: AttentionConfig, nch: int) -> ad.Value:
     """(nlat, nlon, nch) -> (patch_rows*patch_cols, p*p*nch), row-major patches."""
     p, pr, pc = cfg.patch_size, cfg.patch_rows, cfg.patch_cols
     x = ad.reshape(field_t, (pr, p, pc, p, nch))
@@ -260,13 +248,12 @@ def _patchify(field_t: Tensor, cfg: AttentionConfig, nch: int) -> Tensor:
     return ad.reshape(x, (pr * pc, p * p * nch))
 
 
-def _embed_tokens(inputs_t: Tensor, pt: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
+def _embed_tokens(inputs_t: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig) -> ad.Value:
     """(V, nlat, nlon, k) input stack -> (L, d) embedded tokens."""
     v, k = cfg.num_domains, cfg.channels
-    if inputs_t.data.shape != (v, cfg.nlat, cfg.nlon, k):
-        raise CapeskitError(
-            f"inputs shape {inputs_t.data.shape}, expected {(v, cfg.nlat, cfg.nlon, k)}"
-        )
+    shape = ad.data(inputs_t).shape
+    if shape != (v, cfg.nlat, cfg.nlon, k):
+        raise CapeskitError(f"inputs shape {shape}, expected {(v, cfg.nlat, cfg.nlon, k)}")
     if cfg.layout == "sequence_concat":
         per_domain = [
             _patchify(ad.reshape(ad.take_rows(inputs_t, [dv]), (cfg.nlat, cfg.nlon, k)), cfg, k)
@@ -289,7 +276,7 @@ def tokenize(fields: np.ndarray, params: ModelParams, cfg: AttentionConfig) -> T
     channel_stack.
     """
     pt = _wrap(params, requires_grad=False)
-    tokens = _embed_tokens(Tensor(np.asarray(fields, dtype=np.float64)), pt, cfg)
+    tokens = _embed_tokens(np.asarray(fields, dtype=np.float64), pt, cfg)
     return TokenSequence(tokens, token_tags(cfg))
 
 
@@ -341,31 +328,31 @@ def _mask_from_groups(cfg: AttentionConfig, kind: str) -> np.ndarray:
     return mask
 
 
-def _heads(x: Tensor, n: int, h: int, dh: int) -> Tensor:
+def _heads(x: ad.Value, n: int, h: int, dh: int) -> ad.Value:
     """(n, d) -> (h, n, dh)."""
     return ad.transpose(ad.reshape(x, (n, h, dh)), (1, 0, 2))
 
 
-def _unheads(x: Tensor, n: int, d: int) -> Tensor:
+def _unheads(x: ad.Value, n: int, d: int) -> ad.Value:
     """(h, n, dh) -> (n, d)."""
     return ad.reshape(ad.transpose(x, (1, 0, 2)), (n, d))
 
 
-def _proj(x: Tensor, pt: dict[str, Tensor], layer: int, lvl: str, which: str) -> Tensor:
+def _proj(x: ad.Value, pt: dict[str, ad.Value], layer: int, lvl: str, which: str) -> ad.Value:
     pre = f"layer{layer}.{lvl}"
     return ad.add(ad.matmul(x, pt[f"{pre}.W{which}"]), pt[f"{pre}.b{which}"])
 
 
 def _grouped_attention(
-    xn: Tensor, pt: dict[str, Tensor], cfg: AttentionConfig, layer: int, lvl: str, kind: str
-) -> Tensor:
+    xn: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig, layer: int, lvl: str, kind: str
+) -> ad.Value:
     """Multi-head attention restricted to equal-size groups, batched as
     (groups, heads, group, group) score tensors. O(L * group_size * d)."""
     h, dh, d = cfg.num_heads, cfg.head_dim, cfg.embed_dim
     perm, ng, gs = _group_perm(cfg, kind)
     inv = np.argsort(perm)
 
-    def grouped(which: str) -> Tensor:
+    def grouped(which: str) -> ad.Value:
         y = ad.take_rows(_proj(xn, pt, layer, lvl, which), perm)
         y = ad.reshape(y, (ng, gs, h, dh))
         return ad.transpose(y, (0, 2, 1, 3))  # (ng, h, gs, dh)
@@ -380,12 +367,13 @@ def _grouped_attention(
 
 
 def _cross_attention(
-    q_src: Tensor, kv_src: Tensor, pt: dict[str, Tensor], cfg: AttentionConfig, layer: int, lvl: str
-) -> Tensor:
+    q_src: ad.Value, kv_src: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig, layer: int,
+    lvl: str
+) -> ad.Value:
     """Multi-head cross-attention: queries from q_src, keys/values from
     kv_src. O(len(q_src) * len(kv_src) * d)."""
     h, dh, d = cfg.num_heads, cfg.head_dim, cfg.embed_dim
-    nq, nk = q_src.data.shape[0], kv_src.data.shape[0]
+    nq, nk = ad.data(q_src).shape[0], ad.data(kv_src).shape[0]
     q = _heads(_proj(q_src, pt, layer, lvl, "q"), nq, h, dh)
     k = _heads(_proj(kv_src, pt, layer, lvl, "k"), nk, h, dh)
     v = _heads(_proj(kv_src, pt, layer, lvl, "v"), nk, h, dh)
@@ -395,26 +383,26 @@ def _cross_attention(
     return ad.add(ad.matmul(out, pt[f"layer{layer}.{lvl}.Wo"]), pt[f"layer{layer}.{lvl}.bo"])
 
 
-def _ln(x: Tensor, pt: dict[str, Tensor], layer: int, which: str) -> Tensor:
+def _ln(x: ad.Value, pt: dict[str, ad.Value], layer: int, which: str) -> ad.Value:
     return ad.layer_norm(x, pt[f"layer{layer}.{which}.g"], pt[f"layer{layer}.{which}.b"])
 
 
-def _window_t(x: Tensor, pt, cfg, layer) -> Tensor:
+def _window_t(x: ad.Value, pt, cfg, layer) -> ad.Value:
     return ad.add(x, _grouped_attention(_ln(x, pt, layer, "ln_win"), pt, cfg, layer, "win", "window"))
 
 
-def _xvar_t(x: Tensor, pt, cfg, layer) -> Tensor:
+def _xvar_t(x: ad.Value, pt, cfg, layer) -> ad.Value:
     return ad.add(x, _grouped_attention(_ln(x, pt, layer, "ln_xvar"), pt, cfg, layer, "xvar", "crossvar"))
 
 
-def _anchor_t(x: Tensor, anchors: Tensor, pt, cfg, layer) -> Tensor:
+def _anchor_t(x: ad.Value, anchors: ad.Value, pt, cfg, layer) -> ad.Value:
     xn = _ln(x, pt, layer, "ln_anc")
     state = _cross_attention(anchors, xn, pt, cfg, layer, "agg")   # (m, d)
     out = _cross_attention(xn, state, pt, cfg, layer, "brd")       # (L, d)
     return ad.add(x, out)
 
 
-def _mlp_t(x: Tensor, pt, cfg, layer) -> Tensor:
+def _mlp_t(x: ad.Value, pt, cfg, layer) -> ad.Value:
     xn = _ln(x, pt, layer, "ln_mlp")
     hid = ad.gelu(ad.add(ad.matmul(xn, pt[f"layer{layer}.mlp.W1"]), pt[f"layer{layer}.mlp.b1"]))
     out = ad.add(ad.matmul(hid, pt[f"layer{layer}.mlp.W2"]), pt[f"layer{layer}.mlp.b2"])
@@ -456,8 +444,7 @@ def anchor_attention(x: TokenSequence, anchors: np.ndarray, params: ModelParams,
     """Aggregate-then-broadcast two-phase attention through m anchors."""
     _check_tokens(x, cfg)
     pt = _wrap(params, requires_grad=False)
-    out = _anchor_t(x.tokens, ad.as_tensor(anchors), pt, cfg, layer)
-    return TokenSequence(out, x.tags)
+    return TokenSequence(_anchor_t(x.tokens, anchors, pt, cfg, layer), x.tags)
 
 
 @blas_single_thread
@@ -467,7 +454,7 @@ def anchor_broadcast(x: TokenSequence, anchor_states: np.ndarray, params: ModelP
     (sanity configuration; the aggregate phase is bypassed)."""
     pt = _wrap(params, requires_grad=False)
     xn = _ln(x.tokens, pt, layer, "ln_anc")
-    out = _cross_attention(xn, ad.as_tensor(anchor_states), pt, cfg, layer, "brd")
+    out = _cross_attention(xn, anchor_states, pt, cfg, layer, "brd")
     return TokenSequence(ad.add(x.tokens, out), x.tags)
 
 
@@ -512,14 +499,14 @@ def dense_attention_oracle(x: TokenSequence, mask: np.ndarray, params: ModelPara
         w = e / e.sum(axis=1, keepdims=True)
         heads.append(w @ v[:, sl])
     out = np.concatenate(heads, axis=1) @ p[f"{pre}.{level}.Wo"] + p[f"{pre}.{level}.bo"]
-    return TokenSequence(Tensor(x.values + out), x.tags)
+    return TokenSequence(x.values + out, x.tags)
 
 
 # ---------------------------------------------------------------------------
 # forward / decode
 
 
-def _decode_t(tokens: Tensor, pt: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
+def _decode_t(tokens: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig) -> ad.Value:
     """Atmosphere-domain tokens -> (nlat, nlon) grid."""
     p, pr, pc = cfg.patch_size, cfg.patch_rows, cfg.patch_cols
     atm = ad.take_rows(tokens, np.arange(pr * pc, dtype=np.intp))
@@ -529,33 +516,34 @@ def _decode_t(tokens: Tensor, pt: dict[str, Tensor], cfg: AttentionConfig) -> Te
     return ad.reshape(x, (cfg.nlat, cfg.nlon))
 
 
-def _block_t(tokens: Tensor, pt: dict[str, Tensor], cfg: AttentionConfig, layer: int) -> Tensor:
+def _block_t(tokens: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig,
+             layer: int) -> ad.Value:
     tokens = _window_t(tokens, pt, cfg, layer)
     tokens = _xvar_t(tokens, pt, cfg, layer)
     tokens = _anchor_t(tokens, pt["anchors"], pt, cfg, layer)
     return _mlp_t(tokens, pt, cfg, layer)
 
 
-def _trunk_t(pt: dict[str, Tensor], inputs_t: Tensor, cfg: AttentionConfig) -> Tensor:
+def _trunk_t(pt: dict[str, ad.Value], inputs_t: ad.Value, cfg: AttentionConfig) -> ad.Value:
     tokens = _embed_tokens(inputs_t, pt, cfg)
     for layer in range(cfg.effective_noise_layer + 1):
         tokens = _block_t(tokens, pt, cfg, layer)
     return tokens
 
 
-def _tail_t(pt: dict[str, Tensor], tokens: Tensor, cfg: AttentionConfig,
-            latent_seed: Optional[int] = None) -> Tensor:
+def _tail_t(pt: dict[str, ad.Value], tokens: ad.Value, cfg: AttentionConfig,
+            latent_seed: Optional[int] = None) -> ad.Value:
     if latent_seed is not None and cfg.latent_noise_sigma > 0:
         rng = np.random.default_rng(latent_seed)
-        noise = rng.normal(0.0, cfg.latent_noise_sigma, size=tokens.data.shape)
-        tokens = ad.add(tokens, Tensor(noise))
+        noise = rng.normal(0.0, cfg.latent_noise_sigma, size=ad.data(tokens).shape)
+        tokens = ad.add(tokens, noise)
     for layer in range(cfg.effective_noise_layer + 1, cfg.num_layers):
         tokens = _block_t(tokens, pt, cfg, layer)
     return _decode_t(tokens, pt, cfg)
 
 
-def _forward_t(pt: dict[str, Tensor], inputs_t: Tensor, cfg: AttentionConfig,
-               latent_seed: Optional[int] = None) -> Tensor:
+def _forward_t(pt: dict[str, ad.Value], inputs_t: ad.Value, cfg: AttentionConfig,
+               latent_seed: Optional[int] = None) -> ad.Value:
     return _tail_t(pt, _trunk_t(pt, inputs_t, cfg), cfg, latent_seed)
 
 
@@ -565,7 +553,7 @@ def trunk(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -> np.n
     :func:`forward` that does not depend on ``latent_seed``. Returns the
     (seq_len, embed_dim) token values that :func:`tail` continues from."""
     pt = _wrap(params, requires_grad=False)
-    return _trunk_t(pt, Tensor(np.asarray(inputs, dtype=np.float64)), cfg).data
+    return _trunk_t(pt, np.asarray(inputs, dtype=np.float64), cfg)
 
 
 @blas_single_thread
@@ -588,8 +576,7 @@ def tail(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
             f"trunk tokens shape {tokens.shape}, expected {(cfg.seq_len, cfg.embed_dim)}"
         )
     pt = _wrap(params, requires_grad=False)
-    out = _tail_t(pt, Tensor(tokens), cfg, latent_seed)
-    return GridField(spec, out.data, units="mm")
+    return GridField(spec, _tail_t(pt, tokens, cfg, latent_seed), units="mm")
 
 
 def forward(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
@@ -637,7 +624,7 @@ def measure_block_time(cfg: AttentionConfig, seed: int = 0, repeats: int = 3) ->
     params = init_params(cfg, seed)
     pt = _wrap(params, requires_grad=False)
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal((cfg.seq_len, cfg.embed_dim)))
+    x = rng.standard_normal((cfg.seq_len, cfg.embed_dim))
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -651,8 +638,8 @@ def measure_block_time(cfg: AttentionConfig, seed: int = 0, repeats: int = 3) ->
 
 def _loss_value(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -> float:
     pt = _wrap(params, requires_grad=False)
-    out = _forward_t(pt, Tensor(inputs), cfg, latent_seed=None)
-    return float(np.sum(out.data * out.data))
+    out = _forward_t(pt, inputs, cfg, latent_seed=None)
+    return float(np.sum(out * out))
 
 
 @blas_single_thread
@@ -715,8 +702,8 @@ def train_smoke(params: ModelParams, inputs: np.ndarray, target: np.ndarray,
     losses = []
     for _ in range(steps):
         pt = _wrap(params, requires_grad=True)
-        out = _forward_t(pt, Tensor(np.asarray(inputs, dtype=np.float64)), cfg)
-        diff = ad.sub(out, Tensor(target))
+        out = _forward_t(pt, np.asarray(inputs, dtype=np.float64), cfg)
+        diff = ad.sub(out, target)
         loss = ad.scale(ad.sum_all(ad.mul(diff, diff)), 1.0 / target.size)
         loss.backward()
         for name, t in pt.items():

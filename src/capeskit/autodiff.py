@@ -1,12 +1,13 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-A Tensor wraps an ndarray plus the closures needed to push a cotangent
-back to its parents. Graphs are built eagerly by the op functions below;
+Each op takes plain arrays or Tensors. Given only arrays it returns a
+plain array and builds no ``Tensor`` and no graph, so inference runs on
+ndarrays. Given at least one Tensor it returns a Tensor on the tape: a
+Tensor wraps an ndarray plus the closures that push a cotangent back to
+its Tensor parents (array operands are constants and get no edge).
 ``backward()`` on a scalar output accumulates ``.grad`` on every tensor
-created with ``requires_grad=True``. Every op builds its VJP closures;
-when no input requires grad, ``Tensor.__init__`` drops them and keeps no
-parents, so inference holds no graph but still pays for one ``Tensor``
-and its closures per op.
+created with ``requires_grad=True``; a Tensor whose inputs do not
+require grad keeps no parents, so it holds no graph either.
 
 Only the ops the forecasting backbone needs are provided. All math is
 double precision and single-threaded numpy, so results are bitwise
@@ -16,6 +17,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+from typing import Union
 
 import numpy as np
 
@@ -72,8 +74,21 @@ class Tensor:
                     grads[id(p)] = contrib
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+#: An op's operand or result: a plain array, or a Tensor on the tape.
+Value = Union[np.ndarray, Tensor]
+
+
+def data(x) -> np.ndarray:
+    """The float64 ndarray of a Tensor, or ``x`` as one."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _node(out: np.ndarray, *edges) -> Value:
+    """An op's result: ``out`` itself when no operand is a Tensor, else a
+    Tensor with an edge to each Tensor operand. ``edges`` holds (operand,
+    vjp) pairs; array operands are constants and get no edge."""
+    parents = tuple((p, vjp) for p, vjp in edges if isinstance(p, Tensor))
+    return Tensor(out, parents=parents) if parents else out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -86,142 +101,125 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
-    return Tensor(out, parents=(
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
-    ))
+def add(a, b) -> Value:
+    x, y = data(a), data(b)
+    return _node(x + y,
+                 (a, lambda g: _unbroadcast(g, x.shape)),
+                 (b, lambda g: _unbroadcast(g, y.shape)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-    return Tensor(out, parents=(
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(-g, b.data.shape)),
-    ))
+def sub(a, b) -> Value:
+    x, y = data(a), data(b)
+    return _node(x - y,
+                 (a, lambda g: _unbroadcast(g, x.shape)),
+                 (b, lambda g: _unbroadcast(-g, y.shape)))
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-    return Tensor(out, parents=(
-        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
-    ))
+def mul(a, b) -> Value:
+    x, y = data(a), data(b)
+    return _node(x * y,
+                 (a, lambda g: _unbroadcast(g * y, x.shape)),
+                 (b, lambda g: _unbroadcast(g * x, y.shape)))
 
 
-def scale(a, s: float) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(a.data * s, parents=((a, lambda g: g * s),))
+def scale(a, s: float) -> Value:
+    return _node(data(a) * s, (a, lambda g: g * s))
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b) -> Value:
     """Batched matrix product; operands must be at least 2-D."""
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data @ b.data
-    return Tensor(out, parents=(
-        (a, lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)),
-        (b, lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)),
-    ))
+    x, y = data(a), data(b)
+    return _node(x @ y,
+                 (a, lambda g: _unbroadcast(g @ y.swapaxes(-1, -2), x.shape)),
+                 (b, lambda g: _unbroadcast(x.swapaxes(-1, -2) @ g, y.shape)))
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    old = a.data.shape
-    return Tensor(a.data.reshape(shape), parents=((a, lambda g: g.reshape(old)),))
+def reshape(a, shape) -> Value:
+    x = data(a)
+    return _node(x.reshape(shape), (a, lambda g: g.reshape(x.shape)))
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
+def transpose(a, axes) -> Value:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return Tensor(a.data.transpose(axes), parents=((a, lambda g: g.transpose(inv)),))
+    return _node(data(a).transpose(axes), (a, lambda g: g.transpose(inv)))
 
 
-def take_rows(a, indices) -> Tensor:
+def take_rows(a, indices) -> Value:
     """Gather rows along axis 0; backward scatter-adds."""
-    a = as_tensor(a)
+    x = data(a)
     idx = np.asarray(indices, dtype=np.intp)
 
     def vjp(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros_like(x)
         np.add.at(out, idx, g)
         return out
 
-    return Tensor(a.data[idx], parents=((a, vjp),))
+    return _node(x[idx], (a, vjp))
 
 
-def concat_rows(tensors) -> Tensor:
-    """Concatenate along axis 0."""
-    ts = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[0] for t in ts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    out = np.concatenate([t.data for t in ts], axis=0)
+def concat_rows(parts: list) -> Value:
+    """Concatenate a list of operands along axis 0."""
+    xs = [data(p) for p in parts]
+    offsets = np.concatenate([[0], np.cumsum([x.shape[0] for x in xs])])
 
     def make_vjp(i):
         lo, hi = offsets[i], offsets[i + 1]
         return lambda g: g[lo:hi]
 
-    return Tensor(out, parents=tuple((t, make_vjp(i)) for i, t in enumerate(ts)))
+    return _node(np.concatenate(xs, axis=0), *((p, make_vjp(i)) for i, p in enumerate(parts)))
 
 
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    shape = a.data.shape
-    return Tensor(np.sum(a.data), parents=((a, lambda g: np.broadcast_to(g, shape).copy()),))
+def sum_all(a) -> Value:
+    x = data(a)
+    return _node(np.sum(x), (a, lambda g: np.broadcast_to(g, x.shape).copy()))
 
 
-def sum_last(a, keepdims=True) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=-1, keepdims=keepdims)
+def sum_last(a, keepdims=True) -> Value:
+    x = data(a)
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, -1)
-        return np.broadcast_to(g, a.data.shape).copy()
+        return np.broadcast_to(g, x.shape).copy()
 
-    return Tensor(out, parents=((a, vjp),))
+    return _node(x.sum(axis=-1, keepdims=keepdims), (a, vjp))
 
 
-def mean_last(a, keepdims=True) -> Tensor:
-    n = as_tensor(a).data.shape[-1]
+def mean_last(a, keepdims=True) -> Value:
+    n = data(a).shape[-1]
     return scale(sum_last(a, keepdims=keepdims), 1.0 / n)
 
 
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    out = np.power(a.data, p)
-    return Tensor(out, parents=((a, lambda g: g * p * np.power(a.data, p - 1.0)),))
+def power(a, p: float) -> Value:
+    x = data(a)
+    return _node(np.power(x, p), (a, lambda g: g * p * np.power(x, p - 1.0)))
 
 
-def softmax_last(a) -> Tensor:
+def softmax_last(a) -> Value:
     """Numerically stable softmax along the last axis.
 
     Supports -inf entries (from attention masks): those positions get
     exactly zero weight and zero gradient.
     """
-    a = as_tensor(a)
-    m = np.max(a.data, axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
+    x = data(a)
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - m)
     y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = np.sum(g * y, axis=-1, keepdims=True)
         return y * (g - dot)
 
-    return Tensor(y, parents=((a, vjp),))
+    return _node(y, (a, vjp))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(a) -> Tensor:
+def gelu(a) -> Value:
     """tanh-approximation GELU with its exact derivative."""
-    a = as_tensor(a)
-    x = a.data
+    x = data(a)
     inner = _GELU_C * (x + 0.044715 * x**3)
     t = np.tanh(inner)
     y = 0.5 * x * (1.0 + t)
@@ -231,13 +229,13 @@ def gelu(a) -> Tensor:
         d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
         return g * d
 
-    return Tensor(y, parents=((a, vjp),))
+    return _node(y, (a, vjp))
 
 
-def layer_norm(x, gain, offset, eps: float = 1e-6) -> Tensor:
+def layer_norm(x, gain, offset, eps: float = 1e-6) -> Value:
     """Layer normalization over the last axis, composed from primitives."""
     mu = mean_last(x)
     xc = sub(x, mu)
     var = mean_last(mul(xc, xc))
-    rstd = power(add(var, Tensor(np.array(eps))), -0.5)
+    rstd = power(add(var, eps), -0.5)
     return add(mul(mul(xc, rstd), gain), offset)

@@ -54,11 +54,12 @@ from .seeds import mix
 from .verify import acc, ps_breakdown, ps_score, rmse
 
 
-def _read_grid_at(path) -> GridField:
-    if not os.path.exists(path):
-        raise CapeskitError(f"cannot read {path}: no such file")
+def _read_at(read, path):
+    """``read(path)`` with every read or format error naming ``path``."""
     try:
-        return read_grid(path)
+        return read(path)
+    except OSError as exc:
+        raise CapeskitError(f"cannot read {path}: {exc.strerror}") from None
     except CapeskitError as exc:
         raise CapeskitError(f"{path}: {exc}") from None
 
@@ -83,14 +84,10 @@ def _write_run_manifest(primary_output, command: str, config: dict,
 
 def cmd_score(args) -> int:
     t0 = time.perf_counter()
-    forecast = _read_grid_at(args.forecast)
-    obs = _read_grid_at(args.obs)
-    clim = Climatology(_read_grid_at(args.clim), floor=args.clim_floor)
-    mask = None
-    if args.mask:
-        if not os.path.exists(args.mask):
-            raise CapeskitError(f"cannot read {args.mask}: no such file")
-        mask = read_mask(args.mask)
+    forecast = _read_at(read_grid, args.forecast)
+    obs = _read_at(read_grid, args.obs)
+    clim = Climatology(_read_at(read_grid, args.clim), floor=args.clim_floor)
+    mask = _read_at(read_mask, args.mask) if args.mask else None
     fa = anomaly_percent(forecast, clim)
     oa = anomaly_percent(obs, clim)
     b = ps_breakdown(fa, oa, mask)
@@ -116,8 +113,6 @@ def cmd_score(args) -> int:
 
 def cmd_fuse(args) -> int:
     t0 = time.perf_counter()
-    if not os.path.isdir(args.ensemble_dir):
-        raise CapeskitError(f"ensemble directory {args.ensemble_dir} does not exist")
     ensemble = read_ensemble_dir(args.ensemble_dir)
     fcfg = FusionConfig(alpha=args.alpha)
     s1, s2 = member_metrics(ensemble)
@@ -326,7 +321,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_render(args) -> int:
     t0 = time.perf_counter()
-    f = _read_grid_at(args.field)
+    f = _read_at(read_grid, args.field)
     anom = AnomalyField.from_grid(f)
     write_text_atomic(args.svg, svg_heatmap(anom))
     _write_run_manifest(args.svg, "render", {"field": args.field}, None, [args.svg], t0)
@@ -402,7 +397,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow is reported once, by the check that rejects the
+        # non-finite field, not first as a numpy warning on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CapeskitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,16 @@ import numpy as np
 from .attention import AttentionConfig, ModelParams, tail, trunk
 from .errors import CapeskitError
 from .fusion import EnsembleSet, MemberMeta
-from .grid import AnomalyField, Climatology, GridField, GridSpec, anomaly_percent, write_text_atomic
+from .grid import (
+    AnomalyField,
+    Climatology,
+    GridField,
+    GridSpec,
+    anomaly_percent,
+    read_anomaly,
+    write_anomaly,
+    write_text_atomic,
+)
 from .seeds import mix
 
 
@@ -248,10 +257,14 @@ def build_ai_ensemble(base_fields: np.ndarray, params: ModelParams, cfg: Attenti
 # manifest + member files
 
 
+#: MemberMeta's integer fields, in manifest order
+_INT_KEYS = ("start_date_index", "scheme_index", "param_i", "param_j",
+             "init_seed", "latent_seed")
+
+
 def _meta_pairs(meta: MemberMeta, manifest: Optional[NumericalManifest]) -> list[tuple[str, str]]:
     pairs = []
-    for key in ("start_date_index", "scheme_index", "param_i", "param_j",
-                "init_seed", "latent_seed"):
+    for key in _INT_KEYS:
         v = getattr(meta, key)
         if v is not None:
             pairs.append((key, str(v)))
@@ -277,16 +290,14 @@ def write_manifest(path, metas: Sequence[MemberMeta],
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-_INT_KEYS = ("start_date_index", "scheme_index", "param_i", "param_j",
-             "init_seed", "latent_seed")
-
-
 def read_manifest(path) -> list[MemberMeta]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise CapeskitError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise CapeskitError(f"{path}: cannot read: {exc.strerror}") from None
     metas = []
     for lineno, line in enumerate(lines, start=1):
         if not line:
@@ -312,8 +323,6 @@ def read_manifest(path) -> list[MemberMeta]:
 def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
                        manifest: Optional[NumericalManifest] = None) -> None:
     """Manifest plus one ``<id>.grd`` anomaly file per member."""
-    from .grid import write_anomaly
-
     os.makedirs(dirpath, exist_ok=True)
     write_manifest(os.path.join(dirpath, "manifest.tsv"), ensemble.metas(), manifest)
     for meta, fld in ensemble:
@@ -321,8 +330,6 @@ def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
 
 
 def read_ensemble_dir(dirpath) -> EnsembleSet:
-    from .grid import read_anomaly
-
     manifest_path = os.path.join(dirpath, "manifest.tsv")
     if not os.path.exists(manifest_path):
         raise CapeskitError(f"{dirpath}: no manifest.tsv (not an ensemble directory?)")

@@ -22,12 +22,12 @@ class PcaBasis:
         mean = np.asarray(self.mean, dtype=np.float64)
         comp = np.asarray(self.components, dtype=np.float64)
         if comp.ndim != 2 or mean.ndim != 1 or comp.shape[1] != mean.shape[0]:
-            raise ValueError(
+            raise CapeskitError(
                 f"inconsistent shapes: mean {mean.shape}, components {comp.shape}"
             )
         gram = comp @ comp.T
         if not np.allclose(gram, np.eye(comp.shape[0]), atol=1e-10):
-            raise ValueError("components must be orthonormal to 1e-10")
+            raise CapeskitError("components must be orthonormal to 1e-10")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "components", comp)
 

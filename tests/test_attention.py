@@ -348,6 +348,46 @@ class TestForward:
         assert all(np.array_equal(a[n], b[n]) for n in a.names())
 
 
+
+class TestArrayPath:
+    """Inference runs on plain arrays; a Tensor appears only when an input is one."""
+
+    def test_inference_builds_no_tensor(self, monkeypatch):
+        params = init_params(TOY, 70)
+        inputs = make_inputs(TOY, 71)
+        x = TokenSequence(np.random.default_rng(72).standard_normal((TOY.seq_len, TOY.embed_dim)),
+                          token_tags(TOY))
+        built = []
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        cfg = replace(TOY, latent_noise_sigma=0.1)
+        forward(params, inputs, cfg, latent_seed=3)
+        attn.tail(params, attn.trunk(params, inputs, cfg), cfg, latent_seed=4)
+        tokenize(inputs, params, TOY)
+        window_attention(x, params, TOY)
+        cross_variable_attention(x, params, TOY)
+        anchor_attention(x, params["anchors"], params, TOY)
+        assert len(built) == 0
+
+    @pytest.mark.parametrize("layout", ["sequence_concat", "channel_stack"])
+    @pytest.mark.parametrize("noise_layer", [0, None])
+    def test_array_path_equals_tensor_path_bitwise(self, layout, noise_layer):
+        cfg = AttentionConfig(layout=layout, latent_noise_sigma=0.1, noise_layer=noise_layer)
+        params = init_params(cfg, 73)
+        inputs = make_inputs(cfg, 74)
+        pt = {k: Tensor(v) for k, v in params.tensors.items()}
+        for seed in (None, 5):
+            want = attn._forward_t(pt, Tensor(inputs), cfg, latent_seed=seed)
+            assert isinstance(want, Tensor)
+            got = forward(params, inputs, cfg, latent_seed=seed).values
+            assert np.array_equal(got, want.data)
+
+
 class TestFlops:
     def test_linear_scaling_exact(self):
         base = tri_level_flops(TOY, 48)

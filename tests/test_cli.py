@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -631,6 +632,7 @@ class TestFileModes:
 
 # Bad input files that must exit 2 with one line: name -> (argv, files to
 # write under the test's temporary directory "{tmp}", expected message).
+GRD_MM = b"GRD1 1 1 0.0 1.0 0.0 1.0 mm\n100.0\n"
 BIG_SIGMA = "n_init = 1\nn_latent = 1\nnlat = 16\nnlon = 16\nlatent_sigma = 1e308\n"
 BAD_FILES = {
     "non-ascii-field": (["render", "--field", "{tmp}/a.grd", "--svg", "{tmp}/a.svg"],
@@ -648,6 +650,26 @@ BAD_FILES = {
                             "--out-dir", "{tmp}/o"],
                            {"big.cfg": BIG_SIGMA.encode()},
                            "field values must be finite"),
+    # a directory where a file is expected ("d/x" makes "d" a directory)
+    "directory-field": (["render", "--field", "{tmp}/d", "--svg", "{tmp}/a.svg"],
+                        {"d/x": b""}, "/d: Is a directory"),
+    "directory-forecast": (["score", "--forecast", "{tmp}/d", "--obs", "{tmp}/g.grd",
+                            "--clim", "{tmp}/g.grd", "--out", "{tmp}/s.csv"],
+                           {"d/x": b""}, "/d: Is a directory"),
+    "directory-mask": (["score", "--forecast", "{tmp}/g.grd", "--obs", "{tmp}/g.grd",
+                        "--clim", "{tmp}/g.grd", "--mask", "{tmp}/d", "--out", "{tmp}/s.csv"],
+                       {"g.grd": GRD_MM, "d/x": b""}, "/d: Is a directory"),
+    "bad-mask": (["score", "--forecast", "{tmp}/g.grd", "--obs", "{tmp}/g.grd",
+                  "--clim", "{tmp}/g.grd", "--mask", "{tmp}/m.grd", "--out", "{tmp}/s.csv"],
+                 {"g.grd": GRD_MM, "m.grd": b"GRD1 1 2 0.0 1.0 0.0 1.0 unitless\n1\nzap\n"},
+                 "m.grd: line 3: unparseable value 'zap'"),
+    "directory-manifest": (["fuse", "--ensemble-dir", "{tmp}/ens",
+                            "--out-field", "{tmp}/f.grd", "--out-weights", "{tmp}/w.csv"],
+                           {"ens/a.grd": b"", "ens/manifest.tsv/x": b""},
+                           "manifest.tsv: cannot read: Is a directory"),
+    "file-as-ensemble-dir": (["fuse", "--ensemble-dir", "{tmp}/e",
+                              "--out-field", "{tmp}/f.grd", "--out-weights", "{tmp}/w.csv"],
+                             {"e": b""}, "/e: no manifest.tsv"),
 }
 
 
@@ -660,7 +682,6 @@ def run_cli(argv):
 
 
 class TestBadInputFiles:
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the overflow
     @pytest.mark.parametrize("name", sorted(BAD_FILES))
     def test_exits_2_with_one_line(self, tmp_path, name):
         argv, files, message = BAD_FILES[name]
@@ -671,6 +692,15 @@ class TestBadInputFiles:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_overflow_emits_no_warning(self, tmp_path):
+        (tmp_path / "big.cfg").write_text(BIG_SIGMA)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _ = run_cli(["generate", "--mode", "ai", "--config", str(tmp_path / "big.cfg"),
+                             "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert [str(w.message) for w in caught] == []
 
     # every byte edit of an input file exits 0 or 2, never 1 (internal error)
     EDITS = st.lists(st.tuples(

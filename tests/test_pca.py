@@ -74,6 +74,12 @@ class TestFitPca:
         with pytest.raises(ValueError):
             PcaBasis(mean=np.zeros(2), components=np.array([[1.0, 1.0]]))
 
+    def test_basis_rejections_are_user_errors(self):
+        with pytest.raises(CapeskitError, match="orthonormal"):
+            PcaBasis(mean=np.zeros(2), components=np.array([[1.0, 1.0]]))
+        with pytest.raises(CapeskitError, match="inconsistent shapes"):
+            PcaBasis(mean=np.zeros(3), components=np.eye(2))
+
 
 class TestCompressDomains:
     def test_shapes_and_per_domain_fit(self):
