@@ -26,6 +26,7 @@ verifies them against central finite differences.
 
 from __future__ import annotations
 
+import functools
 import struct
 import time
 from dataclasses import dataclass
@@ -284,10 +285,13 @@ def tokenize(fields: np.ndarray, params: ModelParams, cfg: AttentionConfig) -> T
 # attention groups
 
 
-def _group_perm(cfg: AttentionConfig, kind: str) -> tuple[np.ndarray, int, int]:
+@functools.lru_cache(maxsize=None)
+def _group_perm(cfg: AttentionConfig, kind: str) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Token permutation gathering attention groups contiguously.
 
-    Returns (perm, n_groups, group_size); perm is ordered group-by-group.
+    Returns (perm, inv, n_groups, group_size); perm is ordered
+    group-by-group and inv is its inverse. Cached per (cfg, kind), so
+    both arrays are read-only.
     """
     veff, pr, pc, w = cfg.effective_domains, cfg.patch_rows, cfg.patch_cols, cfg.window_size
     tok = lambda v, r, c: (v * pr + r) * pc + c  # noqa: E731
@@ -306,7 +310,10 @@ def _group_perm(cfg: AttentionConfig, kind: str) -> tuple[np.ndarray, int, int]:
     else:
         raise ValueError(kind)
     perm = np.array([t for g in groups for t in g], dtype=np.intp)
-    return perm, len(groups), len(groups[0])
+    inv = np.argsort(perm)
+    perm.flags.writeable = False
+    inv.flags.writeable = False
+    return perm, inv, len(groups), len(groups[0])
 
 
 def window_mask(cfg: AttentionConfig) -> np.ndarray:
@@ -320,7 +327,7 @@ def cross_variable_mask(cfg: AttentionConfig) -> np.ndarray:
 
 
 def _mask_from_groups(cfg: AttentionConfig, kind: str) -> np.ndarray:
-    perm, n_groups, gsize = _group_perm(cfg, kind)
+    perm, _, n_groups, gsize = _group_perm(cfg, kind)
     mask = np.zeros((cfg.seq_len, cfg.seq_len), dtype=bool)
     for g in range(n_groups):
         idx = perm[g * gsize:(g + 1) * gsize]
@@ -349,8 +356,7 @@ def _grouped_attention(
     """Multi-head attention restricted to equal-size groups, batched as
     (groups, heads, group, group) score tensors. O(L * group_size * d)."""
     h, dh, d = cfg.num_heads, cfg.head_dim, cfg.embed_dim
-    perm, ng, gs = _group_perm(cfg, kind)
-    inv = np.argsort(perm)
+    perm, inv, ng, gs = _group_perm(cfg, kind)
 
     def grouped(which: str) -> ad.Value:
         y = ad.take_rows(_proj(xn, pt, layer, lvl, which), perm)

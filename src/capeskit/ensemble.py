@@ -38,7 +38,7 @@ from .grid import (
     GridSpec,
     anomaly_percent,
     read_anomaly,
-    write_anomaly,
+    write_anomalies,
     write_text_atomic,
 )
 from .seeds import mix
@@ -162,11 +162,14 @@ def surrogate_numerical_member(meta: MemberMeta, truth: AnomalyField,
     noise, deterministic per (meta, seed). Used for both tracks when the
     real forecasting paths are not wanted."""
     skill = skill_cfg.for_track(meta.track)
-    bias = correlated_field(truth.spec, mix(seed, "surrogate-bias", meta.id),
-                            skill.bias_sigma, skill.bias_slope)
-    noise = correlated_field(truth.spec, mix(seed, "surrogate-noise", meta.id),
-                             skill.noise_sigma, skill.noise_slope)
-    return AnomalyField(truth.spec, truth.values + bias.values + noise.values)
+    try:
+        bias = correlated_field(truth.spec, mix(seed, "surrogate-bias", meta.id),
+                                skill.bias_sigma, skill.bias_slope)
+        noise = correlated_field(truth.spec, mix(seed, "surrogate-noise", meta.id),
+                                 skill.noise_sigma, skill.noise_slope)
+        return AnomalyField(truth.spec, truth.values + bias.values + noise.values)
+    except CapeskitError as exc:
+        raise CapeskitError(f"{meta.id}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +220,13 @@ def _latent_member(tokens: np.ndarray, init_seed: int, params: ModelParams,
     """Member (i, j) from the trunk of init i: latent noise, the layers
     after the noise layer, decode and anomaly."""
     latent_seed = mix(pspec.base_seed, "latent", i, j)
-    out = tail(params, tokens, run_cfg, latent_seed=latent_seed, spec=clim.spec)
     meta = MemberMeta(id=f"ai-{i:04d}-{j:04d}", track="ai",
                       init_seed=init_seed, latent_seed=latent_seed)
-    return meta, anomaly_percent(out, clim)
+    try:
+        out = tail(params, tokens, run_cfg, latent_seed=latent_seed, spec=clim.spec)
+        return meta, anomaly_percent(out, clim)
+    except CapeskitError as exc:
+        raise CapeskitError(f"{meta.id}: {exc}") from None
 
 
 def ai_member(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
@@ -325,8 +331,8 @@ def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
     """Manifest plus one ``<id>.grd`` anomaly file per member."""
     os.makedirs(dirpath, exist_ok=True)
     write_manifest(os.path.join(dirpath, "manifest.tsv"), ensemble.metas(), manifest)
-    for meta, fld in ensemble:
-        write_anomaly(fld, os.path.join(dirpath, f"{meta.id}.grd"))
+    write_anomalies([fld for _, fld in ensemble],
+                    [os.path.join(dirpath, f"{meta.id}.grd") for meta in ensemble.metas()])
 
 
 def read_ensemble_dir(dirpath) -> EnsembleSet:

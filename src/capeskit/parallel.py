@@ -13,6 +13,7 @@ for that work keeps block time linear in L.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import glob
@@ -38,13 +39,18 @@ def worker_count() -> int:
 
 
 def map_ordered(fn, items):
-    """Apply fn to items, preserving order; threaded when allowed."""
+    """Apply fn to items, preserving order; threaded when allowed.
+
+    Each item runs in a copy of the caller's context, so context-local
+    settings such as ``np.errstate`` hold in the workers too."""
     items = list(items)
     workers = worker_count()
     if workers == 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # one copy per item: a context cannot be entered by two threads at once
+    contexts = [contextvars.copy_context() for _ in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(lambda ctx, it: ctx.run(fn, it), contexts, items))
 
 
 @functools.lru_cache(maxsize=None)

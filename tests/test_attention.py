@@ -139,6 +139,18 @@ class TestWindowAttention:
         np.testing.assert_allclose(got.values, manual, atol=1e-12)
 
 
+class TestGroupPerm:
+    @pytest.mark.parametrize("kind", ["window", "crossvar"])
+    def test_cached_read_only_inverse_pair(self, kind):
+        cfg = AttentionConfig(nlat=32, nlon=64, num_domains=2, window_size=4)
+        perm, inv, ng, gs = attn._group_perm(cfg, kind)
+        assert attn._group_perm(replace(cfg), kind)[0] is perm
+        assert not perm.flags.writeable and not inv.flags.writeable
+        assert ng * gs == cfg.seq_len
+        assert (perm[inv] == np.arange(cfg.seq_len)).all()
+        assert (np.sort(perm) == np.arange(cfg.seq_len)).all()
+
+
 class TestCrossVariableAttention:
     def test_matches_masked_dense_oracle(self):
         params = init_params(TOY, 11)

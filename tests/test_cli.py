@@ -650,6 +650,14 @@ BAD_FILES = {
                             "--out-dir", "{tmp}/o"],
                            {"big.cfg": BIG_SIGMA.encode()},
                            "field values must be finite"),
+    "overflowing-ai-member": (["generate", "--mode", "ai", "--config", "{tmp}/big.cfg",
+                               "--out-dir", "{tmp}/o"],
+                              {"big.cfg": BIG_SIGMA.encode()},
+                              "error: ai-0000-0000: field values must be finite"),
+    "overflowing-numerical-member": (["generate", "--mode", "numerical", "--config",
+                                      "{tmp}/big.cfg", "--out-dir", "{tmp}/o"],
+                                     {"big.cfg": b"nlat = 8\nnlon = 8\nbias_sigma = 1e308\n"},
+                                     "error: num-d0-s0: field values must be finite"),
     # a directory where a file is expected ("d/x" makes "d" a directory)
     "directory-field": (["render", "--field", "{tmp}/d", "--svg", "{tmp}/a.svg"],
                         {"d/x": b""}, "/d: Is a directory"),

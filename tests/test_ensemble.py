@@ -26,6 +26,7 @@ from capeskit.grid import (
     Climatology,
     GridField,
     GridSpec,
+    _CHUNK,
     anomaly_percent,
     write_grid,
 )
@@ -300,6 +301,36 @@ class TestManifestIo:
         assert back.metas() == e.metas()
         for (_, a), (_, b) in zip(back, e):
             assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (80, 80)])
+    def test_member_files_equal_write_grid_and_repr(self, tmp_path, shape):
+        # small members are formatted several per chunk, an 80x80 member in
+        # blocks of rows: negative, scientific and -0.0 values straddle the
+        # chunk boundaries
+        nlat, nlon = shape
+        spec = GridSpec(nlat, nlon, lat0=-10.5, dlat=0.25)
+        rng = np.random.default_rng(11)
+        fields = rng.standard_normal((6, nlat * nlon)) * 10.0 ** rng.integers(-6, 18, (6, 1))
+        specials = [-0.0, -1.5e-7, 3e16, -1e22, -42.125, 5e-324, 0.0, -2.5]
+        if nlat * nlon <= _CHUNK:
+            per = _CHUNK // (nlat * nlon)  # members per chunk
+            fields[per - 1, -4:] = specials[:4]
+            fields[per, :4] = specials[4:]
+        else:
+            cut = _CHUNK // nlon * nlon  # values in the first block of rows
+            fields[0, cut - 4:cut + 4] = specials
+        ens = EnsembleSet([
+            (MemberMeta(id=f"m{i}", track="ai", init_seed=i, latent_seed=i),
+             AnomalyField(spec, f.reshape(nlat, nlon)))
+            for i, f in enumerate(fields)])
+        write_ensemble_dir(tmp_path / "ens", ens)
+        header = f"GRD1 {nlat} {nlon} -10.5 0.25 0.0 1.0 percent\n".encode()
+        for meta, fld in ens:
+            write_grid(fld.as_grid(), tmp_path / "one.grd")
+            got = (tmp_path / "ens" / f"{meta.id}.grd").read_bytes()
+            assert got == (tmp_path / "one.grd").read_bytes()
+            assert got == header + b"".join(
+                (" ".join(map(repr, row)) + "\n").encode() for row in fld.values.tolist())
 
     def test_missing_member_file(self, tmp_path):
         d = tmp_path / "ens"

@@ -1,7 +1,10 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capeskit import grid
 from capeskit.errors import CapeskitError, GridFormatError, SpecMismatchError, UnitError
 from capeskit.grid import (
     AnomalyField,
@@ -332,3 +335,90 @@ class TestFreeze:
         with pytest.raises(ValueError) as exc:
             GridField(SPEC, np.zeros((4, 4)))
         assert not isinstance(exc.value, CapeskitError)
+
+
+def repr_body(values):
+    """The writer's oracle: ``repr`` of each value, a space between values,
+    a newline after each row."""
+    rows = np.asarray(values, dtype=np.float64).tolist()
+    return "".join(" ".join(map(repr, row)) + "\n" for row in rows).encode()
+
+
+def body(values):
+    """The GRD1 body the writer produces for one 2-D array."""
+    return next(grid._bodies([np.asarray(values, dtype=np.float64)]))
+
+
+def random_finite(rng, n):
+    """Finite doubles from uniformly random bit patterns (mostly values that
+    repr writes in scientific notation)."""
+    x = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True).view(np.float64)
+    x = x[np.isfinite(x)]
+    return x[:len(x) // 8 * 8].reshape(-1, 8)
+
+
+def random_positional(rng, n):
+    """Doubles with random signs and significands whose binary exponents
+    span the positional range 1e-4 <= |x| < 1e16 and a little beyond."""
+    bits = rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    bits |= rng.integers(1023 - 20, 1023 + 60, n).astype(np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2, n).astype(np.uint64) << np.uint64(63)
+    return bits.view(np.float64).reshape(-1, 8)
+
+
+EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-4, 9.999999999999999e-05, 1e16,
+         9999999999999998.0, 1e15, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1.7976931348623157e308,
+         1e22, 1e23, 0.1, 0.3, 1 / 3, 0.5, 1.0, 9.5, 123.456, 0.00012345678901234567,
+         999999999999999.9, 1e-323, 2.2250738585072009e-308, 4.35, 0.001]
+
+
+class TestBodyWriter:
+    """The vectorized body formatter against the ``repr`` join it replaced."""
+
+    def test_edge_values(self):
+        edges = np.array(EDGES + [-v for v in EDGES])
+        for v in edges:
+            assert body([[v]]) == repr_body([[v]])
+        assert body(edges.reshape(2, -1)) == repr_body(edges.reshape(2, -1))
+        assert body([[-0.0, 0.0]]) == b"-0.0 0.0\n"
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(2018)
+        for x in (random_finite(rng, 1 << 18), random_positional(rng, 1 << 18)):
+            assert body(x) == repr_body(x)
+
+    @pytest.mark.slow
+    def test_ten_million_bit_patterns(self):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            for x in (random_finite(rng, 1 << 20), random_positional(rng, 1 << 20)):
+                assert body(x) == repr_body(x)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+           st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_floats(self, values, ncol):
+        x = np.array(values * ncol).reshape(-1, ncol)
+        assert body(x) == repr_body(x)
+
+    def test_shortest_digits_of_normal_doubles(self):
+        # every exponent, including the powers of two whose lower neighbour
+        # is twice as close; the writer itself uses repr outside 1e-4..1e16
+        rng = np.random.default_rng(5)
+        bits = rng.integers(1 << 52, 2047 << 52, 1 << 14, dtype=np.uint64)
+        powers = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+        bits = np.concatenate([bits, powers, powers + np.uint64(1), powers - np.uint64(1)])
+        bits = bits[(bits >> np.uint64(52)) > 0]
+        f, e = grid._shortest(bits)
+        for b, fi, ei in zip(bits.view(np.float64).tolist(), f.tolist(), e.tolist()):
+            sign, digits, exp = Decimal(repr(b)).normalize().as_tuple()
+            assert (fi, ei) == (int("".join(map(str, digits))), exp), repr(b)
+
+    def test_rows_wider_than_a_chunk(self):
+        x = random_positional(np.random.default_rng(3), 2 * grid._CHUNK + 8).reshape(2, -1)
+        assert body(x) == repr_body(x)
+
+    def test_bytes_are_written_as_they_are(self, tmp_path):
+        path = tmp_path / "b.bin"
+        write_text_atomic(path, b"a\r\nb\n")
+        assert path.read_bytes() == b"a\r\nb\n"
