@@ -28,10 +28,11 @@ from .ensemble import (
     PerturbationSpec,
     SkillConfig,
     TrackSkill,
-    build_ai_ensemble,
+    ai_members,
     build_numerical_manifest,
+    fill_rows,
     read_ensemble_dir,
-    surrogate_numerical_member,
+    surrogate_members,
     write_ensemble_dir,
 )
 from .errors import CapeskitError
@@ -119,7 +120,7 @@ def cmd_fuse(args) -> int:
     weights = blend_scores(s1, s2, fcfg)
     fused = fuse(ensemble, weights)
     rows = ["member_id,track,s1,s2,weight"]
-    for (meta, _), a, b, w in zip(ensemble, s1, s2, weights):
+    for meta, a, b, w in zip(ensemble.metas(), s1, s2, weights):
         # weights at full round-trip precision so they stay usable as
         # fuse() inputs; s1/s2 are diagnostics
         rows.append(f"{meta.id},{meta.track},{a:.6f},{b:.6f},{float(w)!r}")
@@ -160,27 +161,30 @@ def cmd_generate(args) -> int:
     g = cfgmod.load(GENERATE, args.config)
     spec = GridSpec(g["nlat"], g["nlon"])
     clim = Climatology(GridField(spec, np.full((g["nlat"], g["nlon"]), g["clim_mm"]), "mm"))
-    members = []
-    manifest_cfg = None
-
+    metas = []
+    manifest_cfg = pspec = None
     if args.mode in ("numerical", "hybrid"):
         manifest_cfg = _MANIFEST.build(g)
+        metas = build_numerical_manifest(manifest_cfg)
+    if args.mode in ("ai", "hybrid"):
+        pspec = _PERTURBATION.build(g, base_seed=mix(args.seed, "ai"))
+    n_num = len(metas)
+    # every member is written into its row of one array as it is produced
+    values = EnsembleSet.allocate(spec, n_num + (pspec.member_count if pspec else 0))
+
+    if manifest_cfg is not None:
         truth = truth_pattern(spec, mix(args.seed, "truth"), g["truth_amplitude"], g["truth_slope"])
         skill = SkillConfig(numerical=_NUM_SKILL.build(g))
-        num_seed = mix(args.seed, "numerical")
-        for meta in build_numerical_manifest(manifest_cfg):
-            members.append((meta, surrogate_numerical_member(meta, truth, skill, num_seed)))
+        surrogate_members(metas, truth, skill, mix(args.seed, "numerical"), values[:n_num])
 
-    if args.mode in ("ai", "hybrid"):
+    if pspec is not None:
         acfg = _backbone_cfg(g)
         params = attn.init_params(acfg, mix(args.seed, "model"))
         base_rng = np.random.default_rng(mix(args.seed, "base-fields"))
         base = base_rng.standard_normal((g["num_domains"], g["nlat"], g["nlon"], g["channels"]))
-        pspec = _PERTURBATION.build(g, base_seed=mix(args.seed, "ai"))
-        ai = build_ai_ensemble(base, params, acfg, pspec, clim)
-        members.extend(ai.members)
+        metas += fill_rows(values[n_num:], ai_members(base, params, acfg, pspec, clim))
 
-    ensemble = EnsembleSet(members)
+    ensemble = EnsembleSet(spec, metas, values)
     write_ensemble_dir(args.out_dir, ensemble, manifest_cfg)
     _write_run_manifest(args.out_dir, "generate",
                         {"mode": args.mode, **g}, args.seed,

@@ -17,14 +17,20 @@ reproducible in isolation and generation order never matters.
 
 Numerical integrations are replaced by seeded surrogates (truth +
 member-specific bias field + correlated noise) so fusion and scaling
-behavior can be studied without the coupled model.
+behavior can be studied without the coupled model. Surrogates are built
+in batches: each member draws its own coefficients, and one inverse DFT
+serves the batch.
+
+Each function here that makes or reads an ensemble writes every member
+into its row of one (n, nlat, nlon) array as the member is produced, so
+an ensemble's fields are held once (see :class:`capeskit.fusion.EnsembleSet`).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,22 +60,40 @@ def correlated_field(spec: GridSpec, seed: int, sigma: float, slope: float) -> G
     """
     if sigma < 0:
         raise CapeskitError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        return GridField(spec, np.zeros((spec.nlat, spec.nlon)), units="percent")
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal((spec.nlat, spec.nlon)) + 1j * rng.standard_normal(
-        (spec.nlat, spec.nlon)
-    )
+    return GridField(spec, _correlated_values(spec, [seed], [sigma], [slope])[0], units="percent")
+
+
+def _correlated_values(spec: GridSpec, seeds: Sequence[int], sigmas: Sequence[float],
+                       slopes: Sequence[float]) -> np.ndarray:
+    """The values of correlated_field(spec, seed, sigma, slope) for each
+    (seed, sigma, slope), as one (m, nlat, nlon) array.
+
+    Each field draws its coefficients from its own seed; the inverse DFT
+    and the standard deviations then run once over all m fields, which
+    gives each field the bits it gets alone."""
+    shape = (spec.nlat, spec.nlon)
+    coeff = np.empty((len(seeds),) + shape, np.complex128)
+    for c, seed in zip(coeff, seeds):
+        rng = np.random.default_rng(seed)
+        np.add(rng.standard_normal(shape), 1j * rng.standard_normal(shape), out=c)
     ky = np.fft.fftfreq(spec.nlat) * spec.nlat
     kx = np.fft.fftfreq(spec.nlon) * spec.nlon
     kmag = np.sqrt(ky[:, None] ** 2 + kx[None, :] ** 2)
-    coeff *= np.power(1.0 + kmag, -slope / 2.0)
-    coeff[0, 0] = 0.0
+    filters = {slope: np.power(1.0 + kmag, -slope / 2.0) for slope in set(slopes)}
+    del kmag
+    for c, slope in zip(coeff, slopes):
+        c *= filters[slope]
+    del filters
+    coeff[:, 0, 0] = 0.0
     fld = np.fft.ifft2(coeff).real
-    sd = fld.std()
-    if sd == 0.0:
-        return GridField(spec, np.zeros((spec.nlat, spec.nlon)), units="percent")
-    return GridField(spec, fld * (sigma / sd), units="percent")
+    del coeff
+    sd = fld.std(axis=(1, 2))
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    # a zero sigma, or a field with no spread, gives zeros
+    live = (sigmas != 0) & (sd != 0)
+    fld = fld * np.divide(sigmas, sd, out=np.zeros_like(sd), where=live)[:, None, None]
+    fld[~live] = 0.0
+    return fld
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +196,40 @@ def surrogate_numerical_member(meta: MemberMeta, truth: AnomalyField,
         raise CapeskitError(f"{meta.id}: {exc}") from None
 
 
+#: values per batch of surrogate fields (64 fields of 32 x 32): bounds the
+#: working set of a batch, about 50 B per value
+_BATCH = 1 << 16
+
+
+def surrogate_members(metas: Sequence[MemberMeta], truth: AnomalyField,
+                      skill_cfg: SkillConfig, seed: int, out: np.ndarray) -> None:
+    """Write surrogate_numerical_member(meta, truth, skill_cfg, seed) of
+    each of ``metas`` into the rows of ``out`` (len(metas), nlat, nlon),
+    bit for bit, building the bias and noise fields in batches of about
+    _BATCH values. A member the single-member path rejects raises its
+    error here, and the first such member in order is the one reported."""
+    spec = truth.spec
+    per = max(1, _BATCH // spec.ncells)
+    for a in range(0, len(metas), per):
+        batch = metas[a:a + per]
+        skills = [skill_cfg.for_track(m.track) for m in batch]
+        bias, noise = (
+            _correlated_values(spec, [mix(seed, role, m.id) for m in batch],
+                               [getattr(s, sigma) for s in skills],
+                               [getattr(s, slope) for s in skills])
+            for role, sigma, slope in (("surrogate-bias", "bias_sigma", "bias_slope"),
+                                       ("surrogate-noise", "noise_sigma", "noise_slope")))
+        rows = out[a:a + len(batch)]
+        np.add(truth.values, bias, out=rows)
+        rows += noise
+        del bias, noise
+        ok = np.isfinite(rows).all(axis=(1, 2))
+        ok &= [s.bias_sigma >= 0 and s.noise_sigma >= 0 for s in skills]
+        if not ok.all():
+            surrogate_numerical_member(batch[int(ok.argmin())], truth, skill_cfg, seed)
+            raise AssertionError("a surrogate the batch rejects was accepted alone")
+
+
 # ---------------------------------------------------------------------------
 # AI track
 
@@ -242,21 +300,41 @@ def ai_member(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig
     return _latent_member(tokens, init_seed, params, run_cfg, pspec, clim, i, j)
 
 
-def build_ai_ensemble(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
-                      pspec: PerturbationSpec, clim: Climatology) -> EnsembleSet:
-    """All n_init x n_latent members, ids enumerating (i, j) lexicographically.
+def ai_members(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
+               pspec: PerturbationSpec, clim: Climatology
+               ) -> Iterator[tuple[MemberMeta, AnomalyField]]:
+    """All n_init x n_latent members, one at a time, ids enumerating (i, j)
+    lexicographically.
 
     The perturbed input and the backbone trunk are computed once per init
     and shared by its n_latent members; only the tail runs per member."""
     run_cfg = _ai_cfg(cfg, pspec)
-    members = []
     for i in range(pspec.n_init):
         init_seed, tokens = _init_trunk(base_fields, params, run_cfg, pspec, clim, i)
-        members.extend(
-            _latent_member(tokens, init_seed, params, run_cfg, pspec, clim, i, j)
-            for j in range(pspec.n_latent)
-        )
-    return EnsembleSet(members)
+        for j in range(pspec.n_latent):
+            yield _latent_member(tokens, init_seed, params, run_cfg, pspec, clim, i, j)
+
+
+def build_ai_ensemble(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
+                      pspec: PerturbationSpec, clim: Climatology) -> EnsembleSet:
+    """The members of :func:`ai_members`, each copied into its row of the
+    ensemble array as it is produced."""
+    values = EnsembleSet.allocate(clim.spec, pspec.member_count)
+    metas = fill_rows(values, ai_members(base_fields, params, cfg, pspec, clim))
+    return EnsembleSet(clim.spec, metas, values)
+
+
+def fill_rows(out: np.ndarray, members: Iterator[tuple[MemberMeta, AnomalyField]]
+              ) -> list[MemberMeta]:
+    """Copy each member's field into its row of ``out`` as it is produced,
+    so no field outlives its copy; returns the metas in order."""
+    metas = []
+    for member in members:
+        out[len(metas)] = member[1].values
+        metas.append(member[0])
+        # drop the field before the next one is computed
+        del member
+    return metas
 
 
 # ---------------------------------------------------------------------------
@@ -330,27 +408,37 @@ def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
                        manifest: Optional[NumericalManifest] = None) -> None:
     """Manifest plus one ``<id>.grd`` anomaly file per member."""
     os.makedirs(dirpath, exist_ok=True)
-    write_manifest(os.path.join(dirpath, "manifest.tsv"), ensemble.metas(), manifest)
-    write_anomalies([fld for _, fld in ensemble],
-                    [os.path.join(dirpath, f"{meta.id}.grd") for meta in ensemble.metas()])
+    metas = ensemble.metas()
+    write_manifest(os.path.join(dirpath, "manifest.tsv"), metas, manifest)
+    write_anomalies(ensemble.spec, ensemble.values,
+                    [os.path.join(dirpath, f"{meta.id}.grd") for meta in metas])
 
 
 def read_ensemble_dir(dirpath) -> EnsembleSet:
+    """The ensemble of a directory ``write_ensemble_dir`` wrote. Each member
+    file is read and copied into its row of the ensemble array, so the
+    fields are held once."""
     manifest_path = os.path.join(dirpath, "manifest.tsv")
     if not os.path.exists(manifest_path):
         raise CapeskitError(f"{dirpath}: no manifest.tsv (not an ensemble directory?)")
     metas = read_manifest(manifest_path)
     if not metas:
         raise CapeskitError(f"{dirpath}: manifest lists no members")
-    members = []
-    for meta in metas:
+    values = spec = None
+    for k, meta in enumerate(metas):
         grd = os.path.join(dirpath, f"{meta.id}.grd")
         try:
-            members.append((meta, read_anomaly(grd)))
+            fld = read_anomaly(grd)
         except FileNotFoundError:
             raise CapeskitError(f"{dirpath}: member file missing for {meta.id!r}") from None
         except OSError as exc:
             raise CapeskitError(f"{grd}: cannot read: {exc.strerror}") from None
         except CapeskitError as exc:
             raise CapeskitError(f"{grd}: {exc}") from None
-    return EnsembleSet(members)
+        if values is None:
+            spec = fld.spec
+            values = EnsembleSet.allocate(spec, len(metas))
+        elif fld.spec != spec:
+            raise CapeskitError(f"member {meta.id!r} grid differs from the ensemble grid")
+        values[k] = fld.values
+    return EnsembleSet(spec, metas, values)

@@ -6,10 +6,16 @@ metrics: sign consistency against the ensemble-median anomaly field
 conditions). Both are min-max normalized across the ensemble, blended
 with weight alpha, and renormalized into fusion weights. The fused
 forecast is the per-cell weighted sum of member anomalies.
+
+An :class:`EnsembleSet` keeps its members' fields in one (n, nlat, nlon)
+array, so every step is a reduction over it with no per-member loop: the
+median and the weighted sum run over axis 0, the two metrics over axes
+(1, 2).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -60,37 +66,81 @@ class MemberMeta:
 
 
 class EnsembleSet:
-    """Ordered members (meta, anomaly field) on one shared grid."""
+    """Members on one shared grid: their metas, in order, and their anomaly
+    fields as one read-only, C-contiguous (n, nlat, nlon) float64 array,
+    ``values``, whose row i is member i.
 
-    def __init__(self, members: Sequence[tuple[MemberMeta, AnomalyField]]):
+    An array that already has that layout is taken as it is, not copied,
+    and marked read-only: an ensemble is filled row by row once, then
+    shared (by concurrent trials, too) and never written again.
+    """
+
+    def __init__(self, spec: GridSpec, metas: Sequence[MemberMeta], values):
+        metas = tuple(metas)
+        if not metas:
+            raise CapeskitError("ensemble must contain at least one member")
+        ids = set()
+        for meta in metas:
+            if meta.id in ids:
+                raise CapeskitError(f"duplicate member id {meta.id!r}")
+            ids.add(meta.id)
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        shape = (len(metas), spec.nlat, spec.nlon)
+        if values.shape != shape:
+            raise CapeskitError(f"expected values of shape {shape}, got {values.shape}")
+        # min and max are NaN or infinite when any value is: no temporary array
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise CapeskitError("field values must be finite (no NaN/Inf)")
+        values.flags.writeable = False
+        self.spec = spec
+        self.values = values
+        self._metas = metas
+
+    @classmethod
+    def from_members(cls, members: Sequence[tuple[MemberMeta, AnomalyField]]) -> "EnsembleSet":
+        """The ensemble of (meta, field) pairs on one grid, in order."""
         members = list(members)
         if not members:
             raise CapeskitError("ensemble must contain at least one member")
         spec = members[0][1].spec
-        ids = set()
         for meta, fld in members:
             if fld.spec != spec:
                 raise CapeskitError(
                     f"member {meta.id!r} grid differs from the ensemble grid"
                 )
-            if meta.id in ids:
-                raise CapeskitError(f"duplicate member id {meta.id!r}")
-            ids.add(meta.id)
-        self.members = members
-        self.spec: GridSpec = spec
+        return cls(spec, [m for m, _ in members], np.stack([f.values for _, f in members]))
+
+    @staticmethod
+    def allocate(spec: GridSpec, n: int) -> np.ndarray:
+        """An uninitialized (n, nlat, nlon) array to fill with n members."""
+        try:
+            return np.empty((n, spec.nlat, spec.nlon))
+        except (MemoryError, ValueError):  # ValueError: beyond the address space
+            raise CapeskitError(
+                f"{n} fields of {spec.nlat}x{spec.nlon} do not fit in memory"
+            ) from None
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+        return len(self._metas)
 
     def metas(self) -> list[MemberMeta]:
-        return [m for m, _ in self.members]
+        return list(self._metas)
 
-    def stacked(self) -> np.ndarray:
-        """Member anomaly values as one (n, nlat, nlon) array."""
-        return np.stack([f.values for _, f in self.members])
+    def take(self, idx) -> "EnsembleSet":
+        """The members at indices ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return EnsembleSet(self.spec, [self._metas[i] for i in idx.tolist()], self.values[idx])
+
+    @functools.cached_property
+    def track_index(self) -> dict[str, np.ndarray]:
+        """The indices of each track's members, in id order."""
+        order = sorted(range(len(self)), key=lambda i: self._metas[i].id)
+        index = {}
+        for track in TRACKS:
+            index[track] = np.array([i for i in order if self._metas[i].track == track],
+                                    dtype=np.intp)
+            index[track].flags.writeable = False
+        return index
 
 
 @dataclass(frozen=True)
@@ -112,21 +162,30 @@ class FusionConfig:
 def ensemble_median(e: EnsembleSet) -> AnomalyField:
     """Per-cell median across members; even counts take the midpoint of
     the two central values."""
-    med = np.median(e.stacked(), axis=0)
-    return AnomalyField(e.spec, med)
+    return AnomalyField(e.spec, np.median(e.values, axis=0))
+
+
+def _sign_agreement(values: np.ndarray, median: np.ndarray) -> np.ndarray:
+    """s1 of each field of ``values`` (m, nlat, nlon) against ``median``."""
+    agree = np.sign(values) == np.sign(median)
+    return np.count_nonzero(agree, axis=(1, 2)) / (values.shape[1] * values.shape[2])
+
+
+def _magnitude(values: np.ndarray) -> np.ndarray:
+    """s2 of each field of ``values`` (m, nlat, nlon)."""
+    return np.mean(np.abs(values), axis=(1, 2))
 
 
 def sign_consistency(member: AnomalyField, median: AnomalyField) -> float:
     """Fraction of cells where the member's anomaly sign matches the
     ensemble median's (zero matches only zero)."""
     member.require_compatible(median)
-    agree = np.sign(member.values) == np.sign(median.values)
-    return float(np.count_nonzero(agree)) / member.spec.ncells
+    return float(_sign_agreement(member.values[None], median.values)[0])
 
 
 def anomaly_magnitude(member: AnomalyField) -> float:
     """Mean absolute anomaly percentage over all cells."""
-    return float(np.mean(np.abs(member.values)))
+    return float(_magnitude(member.values[None])[0])
 
 
 def _minmax(values: np.ndarray, fill: float) -> np.ndarray:
@@ -153,10 +212,7 @@ def blend_scores(s1, s2, cfg: FusionConfig = FusionConfig()) -> np.ndarray:
 
 def member_metrics(e: EnsembleSet) -> tuple[np.ndarray, np.ndarray]:
     """Raw (unnormalized) s1, s2 metric vectors in member order."""
-    med = ensemble_median(e)
-    s1 = np.array([sign_consistency(f, med) for _, f in e.members])
-    s2 = np.array([anomaly_magnitude(f) for _, f in e.members])
-    return s1, s2
+    return _sign_agreement(e.values, ensemble_median(e).values), _magnitude(e.values)
 
 
 def contribution_scores(e: EnsembleSet, cfg: FusionConfig = FusionConfig()) -> np.ndarray:
@@ -181,5 +237,5 @@ def fuse(e: EnsembleSet, weights) -> AnomalyField:
         raise CapeskitError("fusion weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-9:
         raise CapeskitError(f"fusion weights must sum to 1, got {w.sum()!r}")
-    fused = np.tensordot(w, e.stacked(), axes=(0, 0))
+    fused = np.tensordot(w, e.values, axes=(0, 0))
     return AnomalyField(e.spec, fused)

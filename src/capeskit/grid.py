@@ -28,13 +28,16 @@ Schubfach (Giulietti 2020) gives each value's shortest decimal f 10^e,
 and the characters are laid out in a byte matrix with the decimal point
 at a fixed column, then compressed into the file's bytes. Values that
 ``repr`` writes in scientific notation (|x| < 1e-4 or >= 1e16) and
-subnormals are rare in fields; they fall back to ``repr`` one by one.
+subnormals are rare in fields; they fall back to ``repr`` one by one, and
+a chunk made only of them is a plain ``repr`` join that skips the digit
+arithmetic.
 Tests compare the writer with the ``repr`` join on random bit patterns.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -203,6 +206,8 @@ _TOP = 7 if sys.byteorder == "little" else 0  # the byte of a uint64 holding bit
 _WIDTH = 40  # bytes per value in the layout matrix
 _POINT = 17  # the column of its decimal point
 _COLS = np.arange(_WIDTH, dtype=np.uint8)
+#: the bits of 1e-4 and 1e16, where repr's notation changes
+_SCI_LO, _SCI_HI = np.array([1e-4, 1e16]).view(_U)
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,19 +318,31 @@ def _format_rows(values: np.ndarray, ncol: int) -> tuple[np.ndarray, np.ndarray]
     right, then the separator, and the sign left of the first digit. One
     mask then keeps each row's span. Values that ``repr`` writes in
     scientific notation (|v| < 1e-4 or >= 1e16) and subnormals are written
-    by ``repr`` into their rows."""
+    by ``repr`` into their rows, and a chunk of only such values is a
+    ``repr`` join."""
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(_U)
     n = bits.size
+    # the values repr writes in scientific notation (subnormals, inf and nan
+    # among them): a double below 1e-4 has a shortest decimal below 1e-4,
+    # and one at or above 1e16 has one at or above 1e16
+    mag = bits & _M63
+    blank = mag == 0
+    sci = ~blank & ((mag < _SCI_LO) | (mag >= _SCI_HI))
+    del mag
+    if sci.all():
+        texts = [repr(v) for v in bits.view(np.float64).tolist()]
+        seps = [" "] * (ncol - 1) + ["\n"]
+        text = "".join(t + sep for t, sep in zip(texts, itertools.cycle(seps)))
+        return np.frombuffer(text.encode(), np.uint8), np.array([len(t) + 1 for t in texts])
+    blank |= sci
+    fallback = np.flatnonzero(sci)
+    del sci
     f, e = _shortest(bits)
     decpt = np.searchsorted(_P10, f, side="right") + e  # digits before the point
-    bq = bits >> 52 & 0x7FF
-    blank = (bq == 0) | (bq == 0x7FF) | (decpt < -3) | (decpt > 16)
-    # the rows repr writes: scientific notation, subnormals, inf and nan
-    fallback = np.flatnonzero(blank & (bits << 1 != 0))
     np.putmask(f, blank, 0)  # a zero is "0.0"
     np.putmask(e, blank, 0)
     np.putmask(decpt, blank, 1)
-    del bq, blank
+    del blank
     fl = np.maximum(-e, 1)  # fraction digits: at least the 0 of "d.0"
     m = _positional(f, e, fl)
     del f, e
@@ -394,16 +411,16 @@ def _positional(f: np.ndarray, e: np.ndarray, fl: np.ndarray) -> np.ndarray:
     return m
 
 
-def _bodies(fields: Sequence[np.ndarray]) -> Iterator[bytes]:
-    """The GRD1 body of each of ``fields`` (2-D arrays of one shape), in
-    order. Small fields are formatted several at a time and a large one
-    in blocks of rows, at most _CHUNK values per call where a row fits."""
-    nrow, ncol = fields[0].shape
+def _bodies(fields: np.ndarray) -> Iterator[bytes]:
+    """The GRD1 body of each field of ``fields`` (n, nrow, ncol), in order.
+    Small fields are formatted several at a time and a large one in
+    blocks of rows, at most _CHUNK values per call where a row fits."""
+    n, nrow, ncol = fields.shape
     ncells = nrow * ncol
     if ncells <= _CHUNK:
         per = _CHUNK // ncells
-        for a in range(0, len(fields), per):
-            text, size = _format_rows(np.stack(fields[a:a + per]), ncol)
+        for a in range(0, n, per):
+            text, size = _format_rows(fields[a:a + per], ncol)
             ends = np.cumsum(size)[ncells - 1::ncells].tolist()
             yield from (text[i:j].tobytes() for i, j in zip([0] + ends, ends))
     else:
@@ -436,19 +453,19 @@ def write_text_atomic(path, text: str | bytes) -> None:
         raise
 
 
-def _write_grids(paths: Sequence, spec: GridSpec, units: str,
-                 arrays: Sequence[np.ndarray]) -> None:
-    """Write each array, a field on ``spec``, as a GRD1 file at its path."""
+def _write_grids(paths: Sequence, spec: GridSpec, units: str, values: np.ndarray) -> None:
+    """Write each field of ``values`` (n, nlat, nlon), on ``spec``, as a
+    GRD1 file at its path."""
     header = (f"GRD1 {spec.nlat} {spec.nlon} {_format_value(spec.lat0)} "
               f"{_format_value(spec.dlat)} {_format_value(spec.lon0)} "
               f"{_format_value(spec.dlon)} {units}\n").encode()
-    for path, body in zip(paths, _bodies(arrays)):
+    for path, body in zip(paths, _bodies(values)):
         write_text_atomic(path, header + body)
 
 
 def write_grid(field: GridField, path) -> None:
     """Write a field as GRD1 text, atomically (write temp, then rename)."""
-    _write_grids([path], field.spec, field.units, [field.values])
+    _write_grids([path], field.spec, field.units, field.values[None])
 
 
 def _read_ascii(path) -> str:
@@ -543,14 +560,11 @@ def write_anomaly(a: AnomalyField, path) -> None:
     write_grid(a.as_grid(), path)
 
 
-def write_anomalies(fields: Sequence[AnomalyField], paths: Sequence) -> None:
-    """Write anomaly fields of one grid as GRD1 files, one per path, with
-    the bytes ``write_anomaly`` writes; small fields are formatted several
-    at a time."""
-    spec = fields[0].spec
-    for a in fields:
-        a.require_compatible(fields[0])
-    _write_grids(paths, spec, "percent", [a.values for a in fields])
+def write_anomalies(spec: GridSpec, values: np.ndarray, paths: Sequence) -> None:
+    """Write the anomaly fields of ``values`` (n, nlat, nlon), on ``spec``,
+    as GRD1 files, one per path, with the bytes ``write_anomaly`` writes;
+    small fields are formatted several at a time."""
+    _write_grids(paths, spec, "percent", values)
 
 
 def read_mask(path) -> np.ndarray:

@@ -19,7 +19,7 @@ from .ensemble import (
     SkillConfig,
     build_numerical_manifest,
     correlated_field,
-    surrogate_numerical_member,
+    surrogate_members,
 )
 from .errors import CapeskitError, DegenerateBenchmarkError
 from .fusion import EnsembleSet, FusionConfig, MemberMeta, contribution_scores, fuse
@@ -95,7 +95,10 @@ def synthetic_benchmark(cfg: BenchmarkConfig, seed: int
 
     The truth is a correlated field rescaled so its peak |anomaly| equals
     cfg.amplitude; generation fails if any category band (normal, first,
-    second) or the extreme range ends up unpopulated.
+    second) or the extreme range ends up unpopulated. The pool is one
+    (n_numerical + n_ai, nlat, nlon) array filled in batches by
+    :func:`capeskit.ensemble.surrogate_members`; trials subsample it by
+    index arrays and share it read-only.
     """
     spec = GridSpec(cfg.nlat, cfg.nlon)
     truth = truth_pattern(spec, mix(seed, "benchmark-truth"), cfg.amplitude, cfg.slope)
@@ -121,12 +124,9 @@ def synthetic_benchmark(cfg: BenchmarkConfig, seed: int
             init_seed=mix(seed, "ai-init", idx),
             latent_seed=mix(seed, "ai-latent", idx),
         ))
-    member_seed = mix(seed, "benchmark-members")
-    members = [
-        (meta, surrogate_numerical_member(meta, truth, cfg.skill, member_seed))
-        for meta in metas
-    ]
-    return truth, clim, EnsembleSet(members)
+    values = EnsembleSet.allocate(spec, len(metas))
+    surrogate_members(metas, truth, cfg.skill, mix(seed, "benchmark-members"), values)
+    return truth, clim, EnsembleSet(spec, metas, values)
 
 
 def subsample(e: EnsembleSet, n_num: int, n_ai: int, seed: int) -> EnsembleSet:
@@ -135,17 +135,13 @@ def subsample(e: EnsembleSet, n_num: int, n_ai: int, seed: int) -> EnsembleSet:
     rng = np.random.default_rng(seed)
     picked = []
     for track, want in (("numerical", n_num), ("ai", n_ai)):
-        pool = sorted(
-            (m for m in e.members if m[0].track == track), key=lambda m: m[0].id
-        )
+        pool = e.track_index[track]
         if want > len(pool):
             raise CapeskitError(
                 f"requested {want} {track} members, only {len(pool)} available"
             )
-        idx = rng.choice(len(pool), size=want, replace=False)
-        chosen = [pool[i] for i in sorted(idx)]
-        picked.extend(chosen)
-    return EnsembleSet(picked)
+        picked.append(pool[np.sort(rng.choice(len(pool), size=want, replace=False))])
+    return e.take(np.concatenate(picked))
 
 
 @dataclass(frozen=True)

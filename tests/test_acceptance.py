@@ -202,17 +202,17 @@ def test_criterion_07_fusion_properties():
         for i in range(6):
             meta = MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i)
             members.append((meta, AnomalyField(spec, rng.uniform(-120, 120, (32, 32)))))
-        e = EnsembleSet(members)
+        e = EnsembleSet.from_members(members)
         w = contribution_scores(e)
         assert (w >= 0).all()
         assert abs(w.sum() - 1.0) <= 1e-12
         perm = rng.permutation(len(e))
-        w_perm = contribution_scores(EnsembleSet([e.members[i] for i in perm]))
+        w_perm = contribution_scores(e.take(perm))
         assert np.allclose(w_perm, w[perm], atol=1e-12)
 
-        ident = EnsembleSet([
+        ident = EnsembleSet.from_members([
             (MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i),
-             e.members[0][1])
+             AnomalyField(spec, e.values[0]))
             for i in range(5)
         ])
         assert np.allclose(contribution_scores(ident), 0.2, atol=1e-12)
@@ -231,7 +231,7 @@ def test_criterion_07_fusion_properties():
                     vals = -vals
                 meta = MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i)
                 ms.append((meta, AnomalyField(spec, vals)))
-            adv = EnsembleSet(ms)
+            adv = EnsembleSet.from_members(ms)
             fused = fuse(adv, contribution_scores(adv, FusionConfig()))
             mean = fuse(adv, np.full(n, 1.0 / n))
             if ps_score(ps_breakdown(fused, truth)) > ps_score(ps_breakdown(mean, truth)):

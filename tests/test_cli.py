@@ -118,7 +118,7 @@ def make_member_dir(tmp_path, fields):
         meta = MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i)
         members.append((meta, AnomalyField(SPEC, vals)))
     d = tmp_path / "ens"
-    write_ensemble_dir(d, EnsembleSet(members))
+    write_ensemble_dir(d, EnsembleSet.from_members(members))
     return d
 
 
@@ -307,6 +307,23 @@ class TestScalingCmd:
         assert main(["scaling", "--config", str(cfgp), "--seed", "2", "--out", str(a)]) == 0
         assert main(["scaling", "--config", str(cfgp), "--seed", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
+        # trials run in worker threads that share the pool's one array
+        cfgp = tmp_path / "s.cfg"
+        cfgp.write_text("sizes = 11,22,44\ntrials = 8\nn_numerical = 8\nn_ai = 80\n")
+        outputs = []
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("CAPESKIT_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("CAPESKIT_THREADS", threads)
+            out = tmp_path / f"threads-{threads}"
+            out.mkdir()
+            assert main(["scaling", "--config", str(cfgp), "--seed", "4",
+                         "--out", str(out / "c.csv"), "--svg", str(out / "c.svg")]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("c.csv", "c.svg")])
+        assert outputs[0] == outputs[1]
 
 
 class TestRender:

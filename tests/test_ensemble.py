@@ -1,9 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import capeskit.attention as attn
+import capeskit.cli as cli
+import capeskit.ensemble as ens
 from capeskit.ensemble import (
     NumericalManifest,
     PerturbationSpec,
@@ -15,6 +18,7 @@ from capeskit.ensemble import (
     correlated_field,
     read_ensemble_dir,
     read_manifest,
+    surrogate_members,
     surrogate_numerical_member,
     write_ensemble_dir,
     write_manifest,
@@ -156,6 +160,173 @@ class TestSurrogate:
         assert mean_abs_err <= 3.0 * sigma / np.sqrt(n)
 
 
+def reference_correlated_field(spec, seed, sigma, slope):
+    """correlated_field as it was written for one field at a time: the
+    oracle of the batched synthesis."""
+    if sigma == 0:
+        return np.zeros((spec.nlat, spec.nlon))
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal((spec.nlat, spec.nlon)) + 1j * rng.standard_normal(
+        (spec.nlat, spec.nlon)
+    )
+    ky = np.fft.fftfreq(spec.nlat) * spec.nlat
+    kx = np.fft.fftfreq(spec.nlon) * spec.nlon
+    kmag = np.sqrt(ky[:, None] ** 2 + kx[None, :] ** 2)
+    coeff *= np.power(1.0 + kmag, -slope / 2.0)
+    coeff[0, 0] = 0.0
+    fld = np.fft.ifft2(coeff).real
+    sd = fld.std()
+    if sd == 0.0:
+        return np.zeros((spec.nlat, spec.nlon))
+    return fld * (sigma / sd)
+
+
+def mixed_metas(n_num, n_ai):
+    """Numerical manifest members, then AI members, interleaved in blocks."""
+    num = build_numerical_manifest(NumericalManifest(param_shape=(7, 9)))[:n_num]
+    ai = [MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i)
+          for i in range(n_ai)]
+    out = []
+    while num or ai:
+        out += num[:5] + ai[:7]
+        num, ai = num[5:], ai[7:]
+    return out
+
+
+TWO_TRACKS = SkillConfig(numerical=TrackSkill(bias_sigma=15.0, noise_sigma=40.0),
+                         ai=TrackSkill(bias_sigma=7.5, noise_sigma=55.0,
+                                       bias_slope=2.5, noise_slope=1.0))
+
+
+class TestBatchedSurrogates:
+    """surrogate_members against surrogate_numerical_member per member,
+    bit for bit, and correlated_field against its one-field-at-a-time
+    oracle."""
+
+    @pytest.mark.parametrize("shape", [(32, 32), (20, 24), (1, 1), (1, 7), (64, 40)])
+    @pytest.mark.parametrize("sigma,slope", [(10.0, 3.0), (0.0, 3.0), (3.5, 0.0), (1e-3, 7.5)])
+    def test_correlated_field_matches_oracle(self, shape, sigma, slope):
+        spec = GridSpec(*shape)
+        for seed in (0, 1, 2**63 + 5):
+            got = correlated_field(spec, seed, sigma, slope).values
+            want = reference_correlated_field(spec, seed, sigma, slope)
+            assert got.tobytes() == want.tobytes()
+
+    def run_batched(self, metas, truth, cfg, seed):
+        out = np.full((len(metas), truth.spec.nlat, truth.spec.nlon), np.nan)
+        surrogate_members(metas, truth, cfg, seed, out)
+        return out
+
+    @pytest.mark.parametrize("batch", [None, 7 * 480, 480])
+    def test_matches_single_member_path(self, monkeypatch, batch):
+        # 20 x 24 cells: the default batch holds 136 members, so 150 members
+        # end in a partial batch; 7 does not divide 150 either
+        if batch is not None:
+            monkeypatch.setattr(ens, "_BATCH", batch)
+        spec = GridSpec(20, 24, lat0=5.0, dlat=0.5)
+        truth = AnomalyField(spec, np.random.default_rng(4).uniform(-120, 120, (20, 24)))
+        metas = mixed_metas(63, 87)
+        assert len(metas) == 150
+        got = self.run_batched(metas, truth, TWO_TRACKS, seed=19)
+        for meta, row in zip(metas, got):
+            want = surrogate_numerical_member(meta, truth, TWO_TRACKS, 19).values
+            assert row.tobytes() == want.tobytes(), meta.id
+
+    def test_zero_bias_sigma_takes_the_zero_field(self):
+        truth = AnomalyField(SPEC, np.random.default_rng(5).uniform(-80, 80, (32, 32)))
+        cfg = SkillConfig(numerical=TrackSkill(bias_sigma=0.0, noise_sigma=20.0),
+                          ai=TrackSkill(bias_sigma=0.0, noise_sigma=0.0))
+        metas = mixed_metas(10, 10)
+        got = self.run_batched(metas, truth, cfg, seed=3)
+        for meta, row in zip(metas, got):
+            assert row.tobytes() == surrogate_numerical_member(meta, truth, cfg, 3).values.tobytes()
+            noise = correlated_field(SPEC, mix(3, "surrogate-noise", meta.id),
+                                     cfg.for_track(meta.track).noise_sigma, 2.0).values
+            assert np.array_equal(row, truth.values + 0.0 + noise)
+        assert all(np.array_equal(row, truth.values + 0.0 + 0.0)
+                   for meta, row in zip(metas, got) if meta.track == "ai")
+
+    def test_single_cell_grid_has_no_spread(self):
+        # one cell: the only coefficient is the zeroed mean, so sd == 0
+        spec = GridSpec(1, 1)
+        truth = AnomalyField(spec, [[42.5]])
+        metas = mixed_metas(4, 4)
+        got = self.run_batched(metas, truth, TWO_TRACKS, seed=8)
+        assert (got == 42.5).all()
+        for meta, row in zip(metas, got):
+            assert row.tobytes() == surrogate_numerical_member(meta, truth, TWO_TRACKS, 8).values.tobytes()
+
+    @pytest.mark.parametrize("skill,message", [
+        (TrackSkill(bias_sigma=-1.0), "num-d0-s0: sigma must be >= 0, got -1.0"),
+        (TrackSkill(noise_sigma=-2.0), "num-d0-s0: sigma must be >= 0, got -2.0"),
+        (TrackSkill(bias_sigma=1e308), "num-d0-s0: field values must be finite"),
+        (TrackSkill(bias_sigma=float("nan")), "num-d0-s0: field values must be finite"),
+    ])
+    def test_rejected_member_names_itself(self, skill, message):
+        truth = AnomalyField(SPEC, np.zeros((32, 32)))
+        metas = mixed_metas(3, 0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(CapeskitError, match=message):
+                self.run_batched(metas, truth, SkillConfig(numerical=skill), seed=1)
+            # the first member in order that the single-member path rejects,
+            # here the first numerical one, in the second batch
+            ai_first = mixed_metas(0, 70) + metas
+            with pytest.raises(CapeskitError, match=message):
+                self.run_batched(ai_first, truth, SkillConfig(numerical=skill), seed=1)
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak traced allocation (bytes) while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEnsembleMemory:
+    """Building or reading an ensemble holds each field once: the peak
+    traced allocation stays under 1.5x the final (n, nlat, nlon) array,
+    where a list of fields stacked into the array would need 2x."""
+
+    N = 300
+
+    def test_read_ensemble_dir(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.uniform(-100, 100, (self.N, 32, 32))
+        metas = [MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i)
+                 for i in range(self.N)]
+        write_ensemble_dir(tmp_path / "ens", EnsembleSet(SPEC, metas, values))
+        back, peak = traced_peak(lambda: read_ensemble_dir(tmp_path / "ens"))
+        assert np.array_equal(back.values, values)
+        assert peak < 1.5 * back.values.nbytes, (peak, back.values.nbytes)
+
+    @pytest.mark.parametrize("mode,config,members", [
+        # 3 dates x (9 schemes + 24 x 24 lattice) numerical members, built in
+        # batches of 64
+        ("numerical", "param_grid = 24x24\n", 1755),
+        # 2 numerical members, then 3 x 200 AI members streamed from the tails
+        ("hybrid", "start_dates = d0\nschemes = s0\nparam_grid = 1x1\n"
+                   "n_init = 3\nn_latent = 200\n", 602),
+    ], ids=["numerical", "hybrid"])
+    def test_generate_build(self, tmp_path, monkeypatch, mode, config, members):
+        cfgp = tmp_path / "gen.cfg"
+        cfgp.write_text(config)
+        built = []
+
+        def keep(dirpath, ensemble, manifest=None):
+            built.append((ensemble, tracemalloc.get_traced_memory()[1]))
+        monkeypatch.setattr(cli, "write_ensemble_dir", keep)
+        rc, _ = traced_peak(lambda: cli.main([
+            "generate", "--mode", mode, "--seed", "2", "--config", str(cfgp),
+            "--out-dir", str(tmp_path / "ens")]))
+        assert rc == 0
+        (ensemble, peak), = built
+        assert len(ensemble) == members
+        assert peak < 1.5 * ensemble.values.nbytes, (peak, ensemble.values.nbytes)
+
+
 TOYCFG = attn.AttentionConfig()
 
 
@@ -181,7 +352,7 @@ class TestAiEnsemble:
                                  field_sigma=0.0, latent_sigma=0.0)
         e = build_ai_ensemble(base, params, TOYCFG, pspec, clim)
         direct = anomaly_percent(attn.forward(params, base, TOYCFG, spec=SPEC), clim)
-        assert np.array_equal(e.members[0][1].values, direct.values)
+        assert np.array_equal(e.values[0], direct.values)
 
     def test_member_isolation_matches_full_run(self):
         params = attn.init_params(TOYCFG, 5)
@@ -191,7 +362,7 @@ class TestAiEnsemble:
         e = build_ai_ensemble(base, params, TOYCFG, pspec, clim)
         meta_solo, field_solo = ai_member(base, params, TOYCFG, pspec, clim, 2, 1)
         idx = [m.id for m in e.metas()].index(meta_solo.id)
-        assert np.array_equal(field_solo.values, e.members[idx][1].values)
+        assert np.array_equal(field_solo.values, e.values[idx])
         assert e.metas()[idx] == meta_solo
 
     def test_members_distinct_under_perturbation(self):
@@ -199,7 +370,7 @@ class TestAiEnsemble:
         base = np.random.default_rng(8).standard_normal((3, 32, 32, 4))
         pspec = PerturbationSpec(n_init=4, n_latent=4, base_seed=11)
         e = build_ai_ensemble(base, params, TOYCFG, pspec, flat_clim(SPEC))
-        fields = e.stacked()
+        fields = e.values
         n = len(e)
         distinct = sum(
             1
@@ -219,18 +390,18 @@ class TestAiEnsemble:
         pspec = PerturbationSpec(n_init=2, n_latent=3, base_seed=23, noise_layer=0)
         run_cfg = replace(cfg, latent_noise_sigma=pspec.latent_sigma, noise_layer=0)
         e = build_ai_ensemble(base, params, cfg, pspec, clim)
-        for k, (meta, fld) in enumerate(e):
+        for k, (meta, values) in enumerate(zip(e.metas(), e.values)):
             i, j = divmod(k, pspec.n_latent)
             solo_meta, solo = ai_member(base, params, cfg, pspec, clim, i, j)
             assert solo_meta == meta
-            assert np.array_equal(solo.values, fld.values)
+            assert np.array_equal(solo.values, values)
             pert = correlated_field(SPEC, meta.init_seed, pspec.field_sigma,
                                     pspec.spectral_slope)
             inputs = base + pert.values[None, :, :, None]
             direct = attn.forward(params, inputs, run_cfg, latent_seed=meta.latent_seed,
                                   spec=SPEC)
-            assert np.array_equal(anomaly_percent(direct, clim).values, fld.values)
-        assert len({fld.values.tobytes() for _, fld in e}) == len(e)
+            assert np.array_equal(anomaly_percent(direct, clim).values, values)
+        assert len({row.tobytes() for row in e.values}) == len(e)
 
     def test_trunk_computed_once_per_init(self, monkeypatch):
         import capeskit.ensemble as ens
@@ -294,13 +465,13 @@ class TestManifestIo:
         for i in range(4):
             meta = MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i)
             members.append((meta, AnomalyField(SPEC, rng.uniform(-90, 90, (32, 32)))))
-        e = EnsembleSet(members)
+        e = EnsembleSet.from_members(members)
         d = tmp_path / "ens"
         write_ensemble_dir(d, e)
         back = read_ensemble_dir(d)
         assert back.metas() == e.metas()
-        for (_, a), (_, b) in zip(back, e):
-            assert np.array_equal(a.values, b.values)
+        for a, b in zip(back.values, e.values):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("shape", [(32, 32), (80, 80)])
     def test_member_files_equal_write_grid_and_repr(self, tmp_path, shape):
@@ -319,18 +490,29 @@ class TestManifestIo:
         else:
             cut = _CHUNK // nlon * nlon  # values in the first block of rows
             fields[0, cut - 4:cut + 4] = specials
-        ens = EnsembleSet([
+        ens = EnsembleSet.from_members([
             (MemberMeta(id=f"m{i}", track="ai", init_seed=i, latent_seed=i),
              AnomalyField(spec, f.reshape(nlat, nlon)))
             for i, f in enumerate(fields)])
         write_ensemble_dir(tmp_path / "ens", ens)
         header = f"GRD1 {nlat} {nlon} -10.5 0.25 0.0 1.0 percent\n".encode()
-        for meta, fld in ens:
+        for meta, values in zip(ens.metas(), ens.values):
+            fld = AnomalyField(spec, values)
             write_grid(fld.as_grid(), tmp_path / "one.grd")
             got = (tmp_path / "ens" / f"{meta.id}.grd").read_bytes()
             assert got == (tmp_path / "one.grd").read_bytes()
             assert got == header + b"".join(
                 (" ".join(map(repr, row)) + "\n").encode() for row in fld.values.tolist())
+
+    def test_member_on_another_grid(self, tmp_path):
+        d = tmp_path / "ens"
+        write_ensemble_dir(d, EnsembleSet.from_members([
+            (MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i),
+             AnomalyField(SPEC, np.zeros((32, 32)))) for i in range(2)]))
+        write_grid(GridField(GridSpec(32, 32, lat0=1.0), np.zeros((32, 32)), units="percent"),
+                   d / "ai-0001.grd")
+        with pytest.raises(CapeskitError, match="'ai-0001' grid differs"):
+            read_ensemble_dir(d)
 
     def test_missing_member_file(self, tmp_path):
         d = tmp_path / "ens"
@@ -370,7 +552,7 @@ class TestManifestIo:
 
     def test_bad_member_file_names_the_file(self, tmp_path):
         d = tmp_path / "ens"
-        write_ensemble_dir(d, EnsembleSet([
+        write_ensemble_dir(d, EnsembleSet.from_members([
             (MemberMeta(id="ai-0000", track="ai", init_seed=0, latent_seed=0),
              AnomalyField(SPEC, np.zeros((32, 32))))]))
         with open(d / "ai-0000.grd", "a") as fh:

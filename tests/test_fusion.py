@@ -27,25 +27,50 @@ def member(i, values, track="ai"):
 
 
 def ensemble(*value_sets):
-    return EnsembleSet([member(i, v) for i, v in enumerate(value_sets)])
+    return EnsembleSet.from_members([member(i, v) for i, v in enumerate(value_sets)])
 
 
 class TestEnsembleSet:
     def test_requires_members(self):
         with pytest.raises(CapeskitError):
-            EnsembleSet([])
+            EnsembleSet.from_members([])
 
     def test_rejects_duplicate_ids(self):
         m = member(0, [1, 2, 3, 4])
         with pytest.raises(CapeskitError):
-            EnsembleSet([m, m])
+            EnsembleSet.from_members([m, m])
 
     def test_rejects_mixed_grids(self):
         meta0, f0 = member(0, [1, 2, 3, 4])
         meta1 = MemberMeta(id="ai-9999", track="ai", init_seed=1, latent_seed=1)
         f1 = AnomalyField(GridSpec(1, 4), np.zeros((1, 4)))
         with pytest.raises(CapeskitError):
-            EnsembleSet([(meta0, f0), (meta1, f1)])
+            EnsembleSet.from_members([(meta0, f0), (meta1, f1)])
+
+    def test_values_are_one_read_only_array(self):
+        e = ensemble([1, 2, 3, 4], [5, 6, 7, 8])
+        assert e.values.shape == (2, 2, 2) and e.values.flags.c_contiguous
+        with pytest.raises(ValueError):
+            e.values[0, 0, 0] = 9.0
+
+    def test_rejects_misshapen_or_non_finite_values(self):
+        metas = [member(0, [1, 2, 3, 4])[0]]
+        with pytest.raises(CapeskitError, match=r"expected values of shape \(1, 2, 2\)"):
+            EnsembleSet(SPEC, metas, np.zeros((2, 2, 2)))
+        with pytest.raises(CapeskitError, match="finite"):
+            EnsembleSet(SPEC, metas, np.full((1, 2, 2), np.nan))
+        with pytest.raises(CapeskitError, match="finite"):
+            EnsembleSet(SPEC, metas, [[[1.0, 2.0], [-np.inf, 0.0]]])
+
+    def test_take_keeps_the_order_given(self):
+        e = ensemble([1] * 4, [2] * 4, [3] * 4)
+        sub = e.take([2, 0])
+        assert [m.id for m in sub.metas()] == ["ai-0002", "ai-0000"]
+        assert sub.values[:, 0, 0].tolist() == [3.0, 1.0]
+
+    def test_allocation_beyond_memory_is_input_error(self):
+        with pytest.raises(CapeskitError, match="do not fit in memory"):
+            EnsembleSet.allocate(GridSpec(10**6, 10**6), 10**9)
 
     def test_meta_invariants(self):
         with pytest.raises(ValueError):
@@ -78,7 +103,7 @@ class TestEnsembleSet:
 class TestMedian:
     def test_single_member(self):
         e = ensemble([1, 2, 3, 4])
-        assert np.array_equal(ensemble_median(e).values, e.members[0][1].values)
+        assert np.array_equal(ensemble_median(e).values, e.values[0])
 
     def test_odd_count(self):
         e = ensemble([1] * 4, [3] * 4, [100] * 4)
@@ -112,6 +137,43 @@ class TestMetrics:
         assert anomaly_magnitude(AnomalyField(SPEC, [[10.0, 30.0], [10.0, 30.0]])) == 20.0
 
 
+def reference_member_metrics(values):
+    """member_metrics as it was written over a member list: the median of
+    the stacked fields, then one sign-consistency and one magnitude call
+    per member."""
+    med = np.median(np.stack(list(values)), axis=0)
+    s1 = np.array([float(np.count_nonzero(np.sign(v) == np.sign(med))) / med.size
+                   for v in values])
+    s2 = np.array([float(np.mean(np.abs(v))) for v in values])
+    return s1, s2
+
+
+class TestMetricsOracle:
+    """The reductions over axes (1, 2) give the per-member loop's bits."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_member_metrics_match_per_member_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 180))
+        nlat, nlon = (int(k) for k in rng.integers(1, 40, 2))
+        spec = GridSpec(nlat, nlon)
+        values = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), (n, nlat, nlon))
+        values[rng.random(values.shape) < 0.1] = 0.0  # zero matches only zero
+        metas = [MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i)
+                 for i in range(n)]
+        e = EnsembleSet(spec, metas, values)
+        s1, s2 = member_metrics(e)
+        r1, r2 = reference_member_metrics(values)
+        assert s1.tobytes() == r1.tobytes()
+        assert s2.tobytes() == r2.tobytes()
+        assert contribution_scores(e).tobytes() == blend_scores(r1, r2).tobytes()
+        med = ensemble_median(e)
+        for k in rng.choice(n, size=min(n, 5), replace=False):
+            fld = AnomalyField(spec, values[k])
+            assert sign_consistency(fld, med) == r1[k]
+            assert anomaly_magnitude(fld) == r2[k]
+
+
 class TestBlend:
     def test_anti_aligned_metrics_balance(self):
         w = blend_scores([1.0, 0.0], [0.0, 1.0], FusionConfig(alpha=0.5))
@@ -133,7 +195,7 @@ class TestBlend:
 def brute_force_scores(e, cfg):
     """Scalar re-implementation: per-cell loops, no vectorization."""
     n = len(e)
-    fields = [f.values for _, f in e.members]
+    fields = list(e.values)
     med = np.empty((2, 2))
     for i in range(2):
         for j in range(2):
@@ -187,7 +249,7 @@ class TestContributionScores:
         e = ensemble(*values)
         w = contribution_scores(e)
         perm = rng.permutation(5)
-        e2 = EnsembleSet([e.members[i] for i in perm])
+        e2 = e.take(perm)
         w2 = contribution_scores(e2)
         np.testing.assert_allclose(w2, w[perm], atol=1e-12)
         np.testing.assert_allclose(fuse(e, w).values, fuse(e2, w2).values, atol=1e-12)
@@ -227,7 +289,7 @@ class TestFuse:
     def test_one_hot_selects_member(self):
         e = ensemble([1, 2, 3, 4], [5, 6, 7, 8])
         fused = fuse(e, [0.0, 1.0])
-        assert np.array_equal(fused.values, e.members[1][1].values)
+        assert np.array_equal(fused.values, e.values[1])
 
     def test_weighted_blend(self):
         a, b = [0, 4, 8, -4], [4, 0, -8, 4]
@@ -241,7 +303,7 @@ class TestFuse:
         e = ensemble(*[rng.uniform(-100, 100, 4) for _ in range(6)])
         w = contribution_scores(e)
         fused = fuse(e, w)
-        stacked = e.stacked()
+        stacked = e.values
         assert (fused.values >= stacked.min(axis=0) - 1e-12).all()
         assert (fused.values <= stacked.max(axis=0) + 1e-12).all()
 

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from capeskit.ensemble import SkillConfig, TrackSkill
 from capeskit.errors import CapeskitError, DegenerateBenchmarkError
+from capeskit.fusion import blend_scores, contribution_scores
 from capeskit.scaling import (
     BenchmarkConfig,
     ScalingConfig,
@@ -13,6 +16,7 @@ from capeskit.scaling import (
     synthetic_benchmark,
 )
 from capeskit.verify import Level, classify
+from test_fusion import reference_member_metrics
 
 
 class TestBenchmark:
@@ -38,7 +42,7 @@ class TestBenchmark:
         t1, _, p1 = synthetic_benchmark(cfg, seed=5)
         t2, _, p2 = synthetic_benchmark(cfg, seed=5)
         assert np.array_equal(t1.values, t2.values)
-        assert np.array_equal(p1.stacked(), p2.stacked())
+        assert np.array_equal(p1.values, p2.values)
 
     def test_track_composition(self):
         cfg = BenchmarkConfig(n_numerical=12, n_ai=30)
@@ -87,6 +91,53 @@ class TestSubsample:
         assert len(sub) == 22
         tracks = [m.track for m in sub.metas()]
         assert tracks.count("numerical") == 2 and tracks.count("ai") == 20
+
+
+def reference_subsample(e, n_num, n_ai, seed):
+    """subsample as it was written over a member list, sorting each track
+    by id on every call: the indices of the chosen members."""
+    rng = np.random.default_rng(seed)
+    metas = e.metas()
+    picked = []
+    for track, want in (("numerical", n_num), ("ai", n_ai)):
+        pool = sorted((i for i, m in enumerate(metas) if m.track == track),
+                      key=lambda i: metas[i].id)
+        idx = rng.choice(len(pool), size=want, replace=False)
+        picked.extend(pool[i] for i in sorted(idx))
+    return picked
+
+
+@pytest.fixture(scope="module")
+def full_pool():
+    return synthetic_benchmark(BenchmarkConfig(), seed=21)[2]
+
+
+class TestSubsampleOracle:
+    """Index-array subsampling picks the members, values and weights of
+    the sort-by-id reference."""
+
+    def check(self, e, n_num, n_ai, seed):
+        sub = subsample(e, n_num, n_ai, seed)
+        picked = reference_subsample(e, n_num, n_ai, seed)
+        assert sub.metas() == [e.metas()[i] for i in picked]
+        values = np.stack([e.values[i] for i in picked])
+        assert sub.values.tobytes() == values.tobytes()
+        weights = blend_scores(*reference_member_metrics(values))
+        assert contribution_scores(sub).tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shuffled_pool(self, pool, seed):
+        rng = np.random.default_rng(seed)
+        shuffled = pool.take(rng.permutation(len(pool)))
+        n_num = int(rng.integers(0, 21))
+        n_ai = int(rng.integers(0 if n_num else 1, 51))
+        self.check(shuffled, n_num, n_ai, seed)
+
+    @pytest.mark.parametrize("size", [11, 22, 44, 88, 176])
+    def test_full_pool(self, full_pool, size):
+        n_num, n_ai = ScalingConfig().split(size)
+        for trial in range(4):
+            self.check(full_pool, n_num, n_ai, 1000 * size + trial)
 
 
 class TestScalingConfig:
@@ -147,6 +198,23 @@ class TestSkillCurve:
         monkeypatch.setenv("CAPESKIT_THREADS", "4")
         par = skill_curve(pool, truth, clim, cfg, seed=12)
         assert seq == par
+
+    def test_threads_sharing_a_fresh_pool(self, monkeypatch):
+        # more workers than cores and a short switch interval: trials race
+        # to build the pool's per-track index and read its one array at once
+        bench = BenchmarkConfig(n_numerical=6, n_ai=60)
+        cfg = ScalingConfig(sizes=(11, 22, 44), trials=12, benchmark=bench)
+        truth, clim, pool = synthetic_benchmark(bench, seed=13)
+        seq = skill_curve(pool, truth, clim, cfg, seed=14)
+        monkeypatch.setenv("CAPESKIT_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                truth, clim, fresh = synthetic_benchmark(bench, seed=13)
+                assert skill_curve(fresh, truth, clim, cfg, seed=14) == seq
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSpearman:
