@@ -30,7 +30,6 @@ from .ensemble import (
     TrackSkill,
     ai_members,
     build_numerical_manifest,
-    fill_rows,
     read_ensemble_dir,
     surrogate_members,
     write_ensemble_dir,
@@ -182,7 +181,7 @@ def cmd_generate(args) -> int:
         params = attn.init_params(acfg, mix(args.seed, "model"))
         base_rng = np.random.default_rng(mix(args.seed, "base-fields"))
         base = base_rng.standard_normal((g["num_domains"], g["nlat"], g["nlon"], g["channels"]))
-        metas += fill_rows(values[n_num:], ai_members(base, params, acfg, pspec, clim))
+        metas += ai_members(base, params, acfg, pspec, clim, values[n_num:])
 
     ensemble = EnsembleSet(spec, metas, values)
     write_ensemble_dir(args.out_dir, ensemble, manifest_cfg)

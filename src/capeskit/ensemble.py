@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -301,40 +301,32 @@ def ai_member(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig
 
 
 def ai_members(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
-               pspec: PerturbationSpec, clim: Climatology
-               ) -> Iterator[tuple[MemberMeta, AnomalyField]]:
-    """All n_init x n_latent members, one at a time, ids enumerating (i, j)
-    lexicographically.
+               pspec: PerturbationSpec, clim: Climatology, out: np.ndarray
+               ) -> list[MemberMeta]:
+    """Write all n_init x n_latent members into the rows of ``out``
+    (member_count, nlat, nlon), each as it is produced, and return their
+    metas; ids enumerate (i, j) lexicographically.
 
     The perturbed input and the backbone trunk are computed once per init
     and shared by its n_latent members; only the tail runs per member."""
     run_cfg = _ai_cfg(cfg, pspec)
+    metas = []
     for i in range(pspec.n_init):
         init_seed, tokens = _init_trunk(base_fields, params, run_cfg, pspec, clim, i)
         for j in range(pspec.n_latent):
-            yield _latent_member(tokens, init_seed, params, run_cfg, pspec, clim, i, j)
+            meta, fld = _latent_member(tokens, init_seed, params, run_cfg, pspec, clim, i, j)
+            out[len(metas)] = fld.values
+            metas.append(meta)
+            del fld  # no field outlives its copy
+    return metas
 
 
 def build_ai_ensemble(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
                       pspec: PerturbationSpec, clim: Climatology) -> EnsembleSet:
-    """The members of :func:`ai_members`, each copied into its row of the
-    ensemble array as it is produced."""
+    """The ensemble of all members :func:`ai_members` writes."""
     values = EnsembleSet.allocate(clim.spec, pspec.member_count)
-    metas = fill_rows(values, ai_members(base_fields, params, cfg, pspec, clim))
+    metas = ai_members(base_fields, params, cfg, pspec, clim, values)
     return EnsembleSet(clim.spec, metas, values)
-
-
-def fill_rows(out: np.ndarray, members: Iterator[tuple[MemberMeta, AnomalyField]]
-              ) -> list[MemberMeta]:
-    """Copy each member's field into its row of ``out`` as it is produced,
-    so no field outlives its copy; returns the metas in order."""
-    metas = []
-    for member in members:
-        out[len(metas)] = member[1].values
-        metas.append(member[0])
-        # drop the field before the next one is computed
-        del member
-    return metas
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,13 @@ Schubfach (Giulietti 2020) gives each value's shortest decimal f 10^e,
 and the characters are laid out in a byte matrix with the decimal point
 at a fixed column, then compressed into the file's bytes. Values that
 ``repr`` writes in scientific notation (|x| < 1e-4 or >= 1e16) and
-subnormals are rare in fields; they fall back to ``repr`` one by one, and
-a chunk made only of them is a plain ``repr`` join that skips the digit
-arithmetic.
+subnormals are rare in fields; they fall back to ``repr`` one by one.
 Tests compare the writer with the ``repr`` join on random bit patterns.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -206,8 +203,6 @@ _TOP = 7 if sys.byteorder == "little" else 0  # the byte of a uint64 holding bit
 _WIDTH = 40  # bytes per value in the layout matrix
 _POINT = 17  # the column of its decimal point
 _COLS = np.arange(_WIDTH, dtype=np.uint8)
-#: the bits of 1e-4 and 1e16, where repr's notation changes
-_SCI_LO, _SCI_HI = np.array([1e-4, 1e16]).view(_U)
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,31 +313,19 @@ def _format_rows(values: np.ndarray, ncol: int) -> tuple[np.ndarray, np.ndarray]
     right, then the separator, and the sign left of the first digit. One
     mask then keeps each row's span. Values that ``repr`` writes in
     scientific notation (|v| < 1e-4 or >= 1e16) and subnormals are written
-    by ``repr`` into their rows, and a chunk of only such values is a
-    ``repr`` join."""
+    by ``repr`` into their rows."""
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(_U)
     n = bits.size
-    # the values repr writes in scientific notation (subnormals, inf and nan
-    # among them): a double below 1e-4 has a shortest decimal below 1e-4,
-    # and one at or above 1e16 has one at or above 1e16
-    mag = bits & _M63
-    blank = mag == 0
-    sci = ~blank & ((mag < _SCI_LO) | (mag >= _SCI_HI))
-    del mag
-    if sci.all():
-        texts = [repr(v) for v in bits.view(np.float64).tolist()]
-        seps = [" "] * (ncol - 1) + ["\n"]
-        text = "".join(t + sep for t, sep in zip(texts, itertools.cycle(seps)))
-        return np.frombuffer(text.encode(), np.uint8), np.array([len(t) + 1 for t in texts])
-    blank |= sci
-    fallback = np.flatnonzero(sci)
-    del sci
     f, e = _shortest(bits)
     decpt = np.searchsorted(_P10, f, side="right") + e  # digits before the point
+    bq = bits >> 52 & 0x7FF
+    blank = (bq == 0) | (bq == 0x7FF) | (decpt < -3) | (decpt > 16)
+    # the rows repr writes: scientific notation, subnormals, inf and nan
+    fallback = np.flatnonzero(blank & (bits << 1 != 0))
     np.putmask(f, blank, 0)  # a zero is "0.0"
     np.putmask(e, blank, 0)
     np.putmask(decpt, blank, 1)
-    del blank
+    del bq, blank
     fl = np.maximum(-e, 1)  # fraction digits: at least the 0 of "d.0"
     m = _positional(f, e, fl)
     del f, e

@@ -203,14 +203,18 @@ class TestBatchedSurrogates:
     bit for bit, and correlated_field against its one-field-at-a-time
     oracle."""
 
-    @pytest.mark.parametrize("shape", [(32, 32), (20, 24), (1, 1), (1, 7), (64, 40)])
+    @pytest.mark.parametrize("shape", [(32, 32), (20, 24), (1, 1), (1, 7), (64, 40), (128, 96)])
     @pytest.mark.parametrize("sigma,slope", [(10.0, 3.0), (0.0, 3.0), (3.5, 0.0), (1e-3, 7.5)])
     def test_correlated_field_matches_oracle(self, shape, sigma, slope):
         spec = GridSpec(*shape)
-        for seed in (0, 1, 2**63 + 5):
+        seeds = (0, 1, 2**63 + 5)
+        # alone, and as the rows of one batch
+        batch = ens._correlated_values(spec, seeds, [sigma] * 3, [slope] * 3)
+        for seed, row in zip(seeds, batch):
             got = correlated_field(spec, seed, sigma, slope).values
             want = reference_correlated_field(spec, seed, sigma, slope)
             assert got.tobytes() == want.tobytes()
+            assert row.tobytes() == want.tobytes()
 
     def run_batched(self, metas, truth, cfg, seed):
         out = np.full((len(metas), truth.spec.nlat, truth.spec.nlon), np.nan)
@@ -230,6 +234,18 @@ class TestBatchedSurrogates:
         got = self.run_batched(metas, truth, TWO_TRACKS, seed=19)
         for meta, row in zip(metas, got):
             want = surrogate_numerical_member(meta, truth, TWO_TRACKS, 19).values
+            assert row.tobytes() == want.tobytes(), meta.id
+
+    @pytest.mark.parametrize("shape", [(128, 96), (90, 100)])
+    def test_fields_above_the_reduction_buffer(self, shape):
+        # more than 8,192 cells per field, several fields per batch (5 and 7)
+        spec = GridSpec(*shape)
+        truth = AnomalyField(spec, np.random.default_rng(6).uniform(-90, 90, shape))
+        metas = mixed_metas(9, 8)
+        assert ens._BATCH // spec.ncells in (5, 7)
+        got = self.run_batched(metas, truth, TWO_TRACKS, seed=23)
+        for meta, row in zip(metas, got):
+            want = surrogate_numerical_member(meta, truth, TWO_TRACKS, 23).values
             assert row.tobytes() == want.tobytes(), meta.id
 
     def test_zero_bias_sigma_takes_the_zero_field(self):

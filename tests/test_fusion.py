@@ -155,7 +155,16 @@ class TestMetricsOracle:
     def test_member_metrics_match_per_member_loop(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 180))
-        nlat, nlon = (int(k) for k in rng.integers(1, 40, 2))
+        self.check(rng, n, *(int(k) for k in rng.integers(1, 40, 2)))
+
+    @pytest.mark.parametrize("nlat,nlon", [(128, 96), (91, 97), (256, 256)])
+    def test_fields_above_the_reduction_buffer(self, nlat, nlon):
+        # more than numpy's 8,192-element buffer per field, several fields
+        for n in (2, 9):
+            self.check(np.random.default_rng(nlat * n), n, nlat, nlon)
+
+    @staticmethod
+    def check(rng, n, nlat, nlon):
         spec = GridSpec(nlat, nlon)
         values = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), (n, nlat, nlon))
         values[rng.random(values.shape) < 0.1] = 0.0  # zero matches only zero

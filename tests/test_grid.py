@@ -418,32 +418,9 @@ class TestBodyWriter:
         x = random_positional(np.random.default_rng(3), 2 * grid._CHUNK + 8).reshape(2, -1)
         assert body(x) == repr_body(x)
 
-    @staticmethod
-    def member_bodies(fields):
-        """The bodies the writer gives fields (n, nlat, nlon) of one ensemble,
-        several fields per chunk."""
-        return list(grid._bodies(np.asarray(fields, dtype=np.float64)))
-
-    @pytest.mark.parametrize("kind", ["tiny", "huge", "subnormal", "boundaries"])
-    def test_scientific_only_chunks_skip_the_digit_stages(self, monkeypatch, kind):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((12, 32, 32))
-        if kind == "tiny":
-            x *= 1e-6
-        elif kind == "huge":
-            x = np.copysign(np.abs(x) * 1e20 + 1e16, x)
-        elif kind == "subnormal":
-            x = rng.integers(1, 1 << 52, x.shape, dtype=np.uint64).view(np.float64)
-            x[::2] *= -1
-        else:
-            # every value just outside the positional range, both signs
-            edges = [np.nextafter(1e-4, 0), 5e-324, 1e16, np.nextafter(1e16, np.inf), 1.7e308]
-            x = rng.choice(edges + [-v for v in edges], x.shape)
-        monkeypatch.setattr(grid, "_shortest", None)  # any call fails
-        assert self.member_bodies(x) == [repr_body(f) for f in x]
-
     def test_mixed_chunks(self):
-        # scientific, subnormal, zero and positional values in every chunk,
+        # several fields per chunk; scientific, subnormal, zero and
+        # positional values in every chunk,
         # and a chunk with a single positional value among scientific ones
         rng = np.random.default_rng(13)
         x = rng.standard_normal((12, 32, 32)) * 10.0 ** rng.integers(-12, 24, (12, 32, 32))
@@ -452,7 +429,7 @@ class TestBodyWriter:
         x[:4] = rng.standard_normal((4, 32, 32)) * 1e20
         x[2, 5, 7] = 1e-4
         x[3, 0, 0] = -9999999999999998.0
-        assert self.member_bodies(x) == [repr_body(f) for f in x]
+        assert list(grid._bodies(x)) == [repr_body(f) for f in x]
 
     def test_bytes_are_written_as_they_are(self, tmp_path):
         path = tmp_path / "b.bin"
