@@ -42,8 +42,12 @@ from .grid import (
     Climatology,
     GridField,
     GridSpec,
+    READ_BYTES,
     anomaly_percent,
-    read_anomaly,
+    grid_error,
+    parse_grid,
+    read_bodies,
+    split_grid,
     write_anomalies,
     write_text_atomic,
 )
@@ -406,10 +410,26 @@ def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
                     [os.path.join(dirpath, f"{meta.id}.grd") for meta in metas])
 
 
+def _parse_batch(batch: list, spec: GridSpec, values: np.ndarray) -> None:
+    """Parse the bodies of ``batch``, members (row, path, data, body) in
+    consecutive rows, into their rows of ``values``, then empty it. A bad
+    body raises the error of the first bad member in order."""
+    if batch and not read_bodies([body for *_, body in batch], spec.ncells,
+                                 values[batch[0][0]:batch[-1][0] + 1]):
+        for row, path, data, body in batch:
+            if not read_bodies([body], spec.ncells, values[row]):
+                raise CapeskitError(f"{path}: {grid_error(data)}") from None
+        raise AssertionError("a batch the reader rejects was accepted member by member")
+    batch.clear()
+
+
 def read_ensemble_dir(dirpath) -> EnsembleSet:
-    """The ensemble of a directory ``write_ensemble_dir`` wrote. Each member
-    file is read and copied into its row of the ensemble array, so the
-    fields are held once."""
+    """The ensemble of a directory ``write_ensemble_dir`` wrote. Member
+    files are read in manifest order, and their bodies are parsed in
+    batches of about ``READ_BYTES`` straight into their rows of the
+    ensemble array. The first member, and any whose header is bad or
+    differs from it, is read alone after the batch before it, so the first
+    bad member in manifest order is the one reported."""
     manifest_path = os.path.join(dirpath, "manifest.tsv")
     if not os.path.exists(manifest_path):
         raise CapeskitError(f"{dirpath}: no manifest.tsv (not an ensemble directory?)")
@@ -417,20 +437,34 @@ def read_ensemble_dir(dirpath) -> EnsembleSet:
     if not metas:
         raise CapeskitError(f"{dirpath}: manifest lists no members")
     values = spec = None
+    batch = []
     for k, meta in enumerate(metas):
         grd = os.path.join(dirpath, f"{meta.id}.grd")
         try:
-            fld = read_anomaly(grd)
-        except FileNotFoundError:
-            raise CapeskitError(f"{dirpath}: member file missing for {meta.id!r}") from None
+            with open(grd, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
+            _parse_batch(batch, spec, values)
+            if isinstance(exc, FileNotFoundError):
+                raise CapeskitError(f"{dirpath}: member file missing for {meta.id!r}") from None
             raise CapeskitError(f"{grd}: cannot read: {exc.strerror}") from None
-        except CapeskitError as exc:
-            raise CapeskitError(f"{grd}: {exc}") from None
-        if values is None:
-            spec = fld.spec
-            values = EnsembleSet.allocate(spec, len(metas))
-        elif fld.spec != spec:
-            raise CapeskitError(f"member {meta.id!r} grid differs from the ensemble grid")
-        values[k] = fld.values
+        head = split_grid(data)
+        if head is None or head[:2] != (spec, "percent"):
+            _parse_batch(batch, spec, values)
+            try:
+                fld = AnomalyField.from_grid(parse_grid(data))
+            except CapeskitError as exc:
+                raise CapeskitError(f"{grd}: {exc}") from None
+            if values is None:
+                spec = fld.spec
+                values = EnsembleSet.allocate(spec, len(metas))
+            elif fld.spec != spec:
+                raise CapeskitError(f"member {meta.id!r} grid differs from the ensemble grid")
+            values[k] = fld.values
+            continue
+        body = head[2]
+        if sum(len(m[3]) for m in batch) + len(body) > READ_BYTES:
+            _parse_batch(batch, spec, values)
+        batch.append((k, grd, data, body))
+    _parse_batch(batch, spec, values)
     return EnsembleSet(spec, metas, values)

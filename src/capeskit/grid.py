@@ -30,12 +30,30 @@ at a fixed column, then compressed into the file's bytes. Values that
 ``repr`` writes in scientific notation (|x| < 1e-4 or >= 1e16) and
 subnormals are rare in fields; they fall back to ``repr`` one by one.
 Tests compare the writer with the ``repr`` join on random bit patterns.
+
+The reader
+----------
+Reading one ``float`` per token made this the largest step of ``fuse``,
+so bodies are parsed with uint64 numpy arithmetic, about 64 KiB of text
+(several files of an ensemble) per call. Tokens are the runs of bytes
+between separators, which are exactly the ASCII whitespace ``str.split``
+splits on. A plain token, an optional ``-``, digits, ``.`` and digits
+(19 digits at most), is read as m 10^-f, eight digits per word (SWAR),
+from words that end at its point and at its end, and converted exactly:
+m / 10^f when m < 2^53 (Clinger 1990), Eisel-Lemire's 128-bit product
+with a power of five otherwise (Lemire 2021). Every other spelling (an
+exponent, ``+``, ``_``, no digit on a side of the point, more digits,
+``inf``, ``nan``) goes to ``float``. A file the parser rejects is scanned
+line by line, token by token, for the error to report. Tests compare the
+reader with ``float`` on random bit patterns and decimals.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -92,8 +110,16 @@ def _freeze(values, spec: GridSpec) -> np.ndarray:
     return arr
 
 
+class _OnGrid:
+    """A field on a GridSpec, ``spec``."""
+
+    def require_compatible(self, other) -> None:
+        if self.spec != other.spec:
+            raise SpecMismatchError(f"grid specs differ: {self.spec} vs {other.spec}")
+
+
 @dataclass(frozen=True)
-class GridField:
+class GridField(_OnGrid):
     """A lat/lon field of values with a units tag (mm, percent, unitless)."""
 
     spec: GridSpec
@@ -105,13 +131,9 @@ class GridField:
             raise UnitError(f"unknown units {self.units!r}, expected one of {UNITS}")
         object.__setattr__(self, "values", _freeze(self.values, self.spec))
 
-    def require_compatible(self, other) -> None:
-        if self.spec != other.spec:
-            raise SpecMismatchError(f"grid specs differ: {self.spec} vs {other.spec}")
-
 
 @dataclass(frozen=True)
-class AnomalyField:
+class AnomalyField(_OnGrid):
     """Per-cell anomaly percentage a = (x - c)/c * 100 relative to climatology."""
 
     spec: GridSpec
@@ -119,10 +141,6 @@ class AnomalyField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values, self.spec))
-
-    def require_compatible(self, other) -> None:
-        if self.spec != other.spec:
-            raise SpecMismatchError(f"grid specs differ: {self.spec} vs {other.spec}")
 
     def as_grid(self) -> GridField:
         return GridField(self.spec, self.values, units="percent")
@@ -451,11 +469,231 @@ def write_grid(field: GridField, path) -> None:
     _write_grids([path], field.spec, field.units, field.values[None])
 
 
-def _read_ascii(path) -> str:
-    """The file as ASCII text with universal newlines (``\\r\\n`` and ``\\r``
+# ---------------------------------------------------------------------------
+# GRD1 body values: plain decimals converted for many tokens at once
+
+#: body bytes parsed per call of _parse (about 3,300 values): bounds its
+#: working set, about 10 B per byte of text, so reading an ensemble barely
+#: moves its peak memory
+READ_BYTES = 1 << 16
+
+#: the ASCII whitespace that str.split splits on: separators of values
+_SEPARATORS = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_SEPARATOR = re.compile(b"[" + re.escape(_SEPARATORS) + b"]")
+#: the classes of non-digit bytes: separators, '.', and any other byte
+_SEP, _DOT, _OTHER = 0, 1, 2
+_KIND = np.full(256, _OTHER, np.uint8)
+_KIND[list(_SEPARATORS)] = _SEP
+_KIND[ord(".")] = _DOT
+_EOL = re.compile(rb"[\r\n]")
+_LEAD = b" " * 24  # so that the 24 bytes before any token lie in the text
+#: _KEEP[k][n]: for the k + 1 words that end where a run of n digits ends,
+#: the shifts that clear the bytes before the run (words are 8 bytes, in
+#: address order; the last holds the last 8 digits)
+_KEEP = [np.array([[64 - 8 * min(max(n - 8 * j, 0), 8) for j in range(k, -1, -1)]
+                   for n in range(20)], _U) for k in range(3)]
+_ZEROS, _LANES = _U(0x3030303030303030), _U(0x000000FF000000FF)
+_F10 = np.array([float(10 ** i) for i in range(20)])
+
+
+@functools.lru_cache(maxsize=None)
+def _pow5_tables() -> tuple[np.ndarray, ...]:
+    """For f in [0, 19]: Eisel-Lemire's 128-bit truncated 5^-f,
+    c = floor(2^(b + 127) / 5^f) + 1 with 2^(b - 1) < 5^f < 2^b, as its
+    halves hi and lo; and 1085 + floor(-f log2(10)), one less than the
+    biased binary exponent that goes with it. Built on first use."""
+    hi, lo, exp = [], [], []
+    for f in range(20):
+        c = (1 << (5 ** f).bit_length() + 127) // 5 ** f + 1 if f else 1 << 127
+        hi.append(c >> 64)
+        lo.append(c & (1 << 64) - 1)
+        exp.append(1085 + (-f * 217_706 >> 16))
+    tables = (np.array(hi, _U), np.array(lo, _U), np.array(exp, _U))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _eisel_lemire(m: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The bits of the doubles nearest m 10^-f, ties to even, for
+    2^53 <= m < 2^64 and 1 <= f <= 19, by Eisel-Lemire (D. Lemire, "Number
+    parsing at a gigabyte per second", Software: Practice and Experience,
+    2021): m, shifted to fill 64 bits, times the 128-bit truncated 5^-f.
+    For decimal exponents in [-27, 55] that product decides every
+    rounding (ibid.), so no value needs a slower path."""
+    hi5, lo5, exp = (t[f] for t in _pow5_tables())
+    # the leading zeros of m, from the exponent of float(m), which may
+    # have rounded up to the next power of two
+    lz = 1086 - (m.astype(np.float64).view(_U) >> 52)
+    lz += (m << lz) < 1 << 63
+    w = m << lz
+    wl, wh = w & _M32, w >> 32
+    hi = _mulhi(wl, wh, hi5 & _M32, hi5 >> 32)
+    lo = w * hi5
+    # the low 9 bits of hi all ones: the lower half of 5^-f may carry into them
+    fix = np.flatnonzero((hi & 0x1FF) == 0x1FF)
+    if fix.size:
+        lo2 = lo[fix] + _mulhi(wl[fix], wh[fix], lo5[fix] & _M32, lo5[fix] >> 32)
+        hi[fix] += lo2 < lo[fix]
+        lo[fix] = lo2
+    up = hi >> 63
+    shift = up + 9
+    mant = hi >> shift  # the significand and one rounding bit
+    # an exact halfway product rounds to even; only f <= 4 can give one
+    tie = np.flatnonzero(lo <= 1)
+    if tie.size:
+        t = mant[tie]
+        mant[tie] -= (f[tie] <= 4) & ((t & 3) == 1) & (t << shift[tie] == hi[tie])
+    mant += mant & 1
+    mant >>= 1
+    # mant, 2^52 to 2^53, carries its leading bit (and a rounding carry) into the exponent
+    return mant + (exp + up - lz << 52)
+
+
+def _digits(w: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """In place, the numbers that the ASCII digits in the last bytes of
+    the little-endian words w write, after clearing the first keep/8 bytes:
+    SWAR, summing digit pairs, then pairs of pairs, then the two halves
+    (Lemire 2021)."""
+    w ^= _ZEROS
+    w >>= keep
+    w <<= keep
+    t = w >> 8
+    w *= 10
+    w += t
+    np.right_shift(w, 16, out=t)
+    t &= _LANES
+    t *= 1 + (10_000 << 32)
+    w &= _LANES
+    w *= 100 + (1_000_000 << 32)
+    w += t
+    w >>= 32
+    return w
+
+
+def _run(buf: bytes, ends: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The numbers that the runs of n <= 19 digits ending before ``ends``
+    in ``buf`` write, from the fewest 8-byte words that hold every run."""
+    width = (int(n.max()) + 7) // 8
+    rows = np.ndarray((len(buf) - 8 * width + 1,), np.dtype((np.void, 8 * width)), buf, 0, (1,))
+    w = _digits(rows[ends - 8 * width].view("<u8").reshape(-1, width),
+                _KEEP[width - 1].take(n, axis=0))
+    m = w[:, 0]
+    for k in range(1, width):
+        m = m * 10 ** 8 + w[:, k]
+    return m
+
+
+def _parse(pieces: Sequence) -> tuple[np.ndarray, list[int]] | None:
+    """The values of the tokens of ``pieces``, bytes-like parts of GRD1
+    bodies that end at separators, and the number of tokens in each piece;
+    None if a token is not a finite float.
+
+    The tokens are those ``str.split`` gives on ASCII text. A plain token,
+    an optional '-', digits, '.' and digits (19 digits at most, one on
+    each side of the point at least), is read as m 10^-f from uint64 words
+    that end at its point and at its end. The double is m / 10^f, which
+    is exact and rounded once (W. Clinger, "How to read floating point
+    numbers accurately", PLDI 1990) when m < 2^53, and Eisel-Lemire's
+    otherwise. Any other token goes to ``float``."""
+    buf = b"\n".join([_LEAD, *pieces, b""])
+    b = np.frombuffer(buf, np.uint8)
+    nd = b - 48
+    nd = np.flatnonzero(np.greater(nd, 9, out=nd.view(bool)))  # the non-digits
+    kind = _KIND.take(b[nd])
+    sep = np.flatnonzero(kind == _SEP)
+    gap = np.flatnonzero(np.diff(nd[sep]) > 1)  # a token lies between sep[gap] and sep[gap + 1]
+    first, last = sep[gap], sep[gap + 1]
+    del sep, gap
+    starts, ends = nd[first] + 1, nd[last]
+    # the tokens before the "\n" after each piece
+    ends_at = itertools.accumulate((len(p) + 1 for p in pieces), initial=len(_LEAD))
+    before = np.searchsorted(starts, list(ends_at)[1:]).tolist()
+    counts = [y - x for x, y in zip([0] + before, before)]
+    if not starts.size:
+        return np.empty(0), counts
+    last -= 1  # the token's last non-digit: its point, if it is plain
+    point = nd[last]
+    neg = b[starts] == ord("-")
+    i = point - starts - neg  # digits before the point
+    f = ends - point - 1  # and after it
+    plain = kind[last] == _DOT
+    plain &= last - first == 1 + neg  # and no other non-digit but the sign
+    plain &= np.minimum(i, f) >= 1
+    plain &= i + f <= 19
+    del nd, kind, first, last
+    odd = np.flatnonzero(~plain)
+    i[odd] = f[odd] = 1
+    m = _run(buf, point, i) * _P10[f] + _run(buf, ends, f)
+    del point, i
+    v = m.astype(np.float64)
+    v /= _F10[f]
+    big = np.flatnonzero(m >= 1 << 53)
+    if big.size:
+        v[big] = _eisel_lemire(m[big], f[big]).view(np.float64)
+    np.negative(v, out=v, where=neg)
+    for j, s, e in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
+        try:
+            v[j] = float(buf[s:e].decode("ascii"))
+        except ValueError:
+            return None
+    if not np.isfinite(v[odd]).all():
+        return None
+    return v, counts
+
+
+def _pieces(body) -> Iterator:
+    """``body`` cut before separators into pieces of about READ_BYTES."""
+    start = 0
+    while len(body) - start > READ_BYTES:
+        cut = _SEPARATOR.search(body, start + READ_BYTES)
+        if cut is None:
+            break
+        yield body[start:cut.start()]
+        start = cut.start()
+    yield body[start:]
+
+
+def _groups(bodies: Sequence) -> Iterator[tuple[list, list]]:
+    """The pieces of ``bodies`` in groups of at most READ_BYTES (or one
+    larger piece), each with the index of each piece's body."""
+    group, owner, size = [], [], 0
+    for k, body in enumerate(bodies):
+        for piece in _pieces(body):
+            if group and size + len(piece) > READ_BYTES:
+                yield group, owner
+                group, owner, size = [], [], 0
+            group.append(piece)
+            owner.append(k)
+            size += len(piece)
+    if group:
+        yield group, owner
+
+
+def read_bodies(bodies: Sequence, ncells: int, out: np.ndarray) -> bool:
+    """Parse GRD1 bodies (bytes-like), each of which must hold exactly
+    ``ncells`` finite values, into the C-contiguous ``out``, one body after
+    the other. Returns False if one does not; :func:`grid_error` then names
+    the error. Bodies are cut into pieces of about READ_BYTES at
+    separators, and as many pieces as fit in READ_BYTES are parsed by one
+    call of the batched parser."""
+    flat = out.reshape(-1)
+    found = np.zeros(len(bodies), np.intp)
+    pos = 0
+    for group, owner in _groups(bodies):
+        parsed = _parse(group)
+        if parsed is None or pos + parsed[0].size > flat.size:
+            return False
+        values, counts = parsed
+        flat[pos:pos + values.size] = values
+        pos += values.size
+        np.add.at(found, owner, counts)
+    return bool((found == ncells).all())
+
+
+def _ascii_text(data: bytes) -> str:
+    """``data`` as ASCII text with universal newlines (``\\r\\n`` and ``\\r``
     read as ``\\n``); a non-ASCII byte raises GridFormatError naming its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -463,6 +701,31 @@ def _read_ascii(path) -> str:
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise GridFormatError(f"non-ASCII byte {data[exc.start]:#04x}", line=line) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _parse_header(header: str) -> tuple[GridSpec, str]:
+    """The spec and units of a GRD1 header line; GridFormatError if it is malformed."""
+    if not header.strip():
+        raise GridFormatError("empty file, expected GRD1 header", line=1)
+    head = header.split()
+    if len(head) != 8 or head[0] != "GRD1":
+        raise GridFormatError(
+            "header must be 'GRD1 <nlat> <nlon> <lat0> <dlat> <lon0> <dlon> <units>'",
+            line=1,
+        )
+    try:
+        nlat, nlon = int(head[1]), int(head[2])
+        lat0, dlat, lon0, dlon = (float(x) for x in head[3:7])
+    except ValueError as exc:
+        raise GridFormatError(f"bad header number: {exc}", line=1) from None
+    units = head[7]
+    if units not in UNITS:
+        raise GridFormatError(f"unknown units {units!r}", line=1)
+    try:
+        spec = GridSpec(nlat, nlon, lat0, dlat, lon0, dlon)
+    except ValueError as exc:
+        raise GridFormatError(str(exc), line=1) from None
+    return spec, units
 
 
 def _body_error(lines: list[str], expected: int) -> GridFormatError:
@@ -488,51 +751,55 @@ def _body_error(lines: list[str], expected: int) -> GridFormatError:
     )
 
 
+def grid_error(data: bytes) -> GridFormatError:
+    """The error of a GRD1 file that the reader rejects, found as the
+    per-token reader found it: the first non-ASCII byte, else a bad
+    header, else the body's first bad token or its value count."""
+    try:
+        text = _ascii_text(data)
+        spec, _ = _parse_header(text.partition("\n")[0])
+    except GridFormatError as exc:
+        return exc
+    return _body_error(text.split("\n"), spec.ncells)
+
+
+def split_grid(data: bytes) -> tuple[GridSpec, str, memoryview] | None:
+    """The spec, units and body of a GRD1 file's bytes whose first line is
+    a valid ASCII header; None otherwise."""
+    eol = _EOL.search(data)
+    end = eol.start() if eol else len(data)
+    try:
+        spec, units = _parse_header(data[:end].decode("ascii"))
+    except ValueError:
+        return None
+    return spec, units, memoryview(data)[end + 1:]
+
+
+def parse_grid(data: bytes) -> GridField:
+    """The field of a GRD1 file's bytes; a malformed file raises the
+    GridFormatError that :func:`read_grid` describes."""
+    head = split_grid(data)
+    if head is not None:
+        spec, units, body = head
+        # a body of b bytes holds at most (b + 1) // 2 values, so a huge
+        # declared grid allocates nothing
+        if spec.ncells <= (len(body) + 1) // 2:
+            values = np.empty((spec.nlat, spec.nlon))
+            if read_bodies([body], spec.ncells, values):
+                return GridField(spec, values, units=units)
+    raise grid_error(data)
+
+
 def read_grid(path) -> GridField:
     """Read a GRD1 file, rejecting non-ASCII bytes, malformed headers, count
     mismatches and non-finite values (error messages carry the offending
     line number).
 
-    A well-formed body is parsed in one pass over its tokens, with the
-    same ``float`` per token as the per-line scan that reports errors."""
-    text = _read_ascii(path)
-    header, _, body = text.partition("\n")
-    if not header.strip():
-        raise GridFormatError("empty file, expected GRD1 header", line=1)
-    head = header.split()
-    if len(head) != 8 or head[0] != "GRD1":
-        raise GridFormatError(
-            "header must be 'GRD1 <nlat> <nlon> <lat0> <dlat> <lon0> <dlon> <units>'",
-            line=1,
-        )
-    try:
-        nlat, nlon = int(head[1]), int(head[2])
-        lat0, dlat, lon0, dlon = (float(x) for x in head[3:7])
-    except ValueError as exc:
-        raise GridFormatError(f"bad header number: {exc}", line=1) from None
-    units = head[7]
-    if units not in UNITS:
-        raise GridFormatError(f"unknown units {units!r}", line=1)
-    try:
-        spec = GridSpec(nlat, nlon, lat0, dlat, lon0, dlon)
-    except ValueError as exc:
-        raise GridFormatError(str(exc), line=1) from None
-
-    expected = spec.ncells
-    tokens = body.split()
-    if len(tokens) == expected:
-        try:
-            values = np.fromiter(map(float, tokens), np.float64, count=expected)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                # free the text first, so the field's long-lived frozen copy
-                # can reuse its memory: this keeps the peak RSS of reading
-                # an ensemble directory where the per-token reader had it
-                del text, body, tokens
-                return GridField(spec, values.reshape(nlat, nlon), units=units)
-    raise _body_error(text.split("\n"), expected)
+    The body is parsed by the batched parser; a file it rejects is scanned
+    token by token for the error to report."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_grid(data)
 
 
 def read_anomaly(path) -> AnomalyField:

@@ -650,6 +650,16 @@ class TestFileModes:
 # Bad input files that must exit 2 with one line: name -> (argv, files to
 # write under the test's temporary directory "{tmp}", expected message).
 GRD_MM = b"GRD1 1 1 0.0 1.0 0.0 1.0 mm\n100.0\n"
+GRD_PCT = b"GRD1 1 1 0.0 1.0 0.0 1.0 percent\n5.0\n"
+GRD_WIDE = b"GRD1 32 32 0.0 1.0 0.0 1.0 percent\n" + b"-12.345678901234567 " * 1024 + b"\n"
+
+
+def member_manifest(n):
+    return "".join(f"m{i}\tai\tinit_seed={i},latent_seed={i}\n" for i in range(n)).encode()
+
+
+FUSE = ["fuse", "--ensemble-dir", "{tmp}/ens", "--out-field", "{tmp}/f.grd",
+        "--out-weights", "{tmp}/w.csv"]
 BIG_SIGMA = "n_init = 1\nn_latent = 1\nnlat = 16\nnlon = 16\nlatent_sigma = 1e308\n"
 BAD_FILES = {
     "non-ascii-field": (["render", "--field", "{tmp}/a.grd", "--svg", "{tmp}/a.svg"],
@@ -692,6 +702,15 @@ BAD_FILES = {
                             "--out-field", "{tmp}/f.grd", "--out-weights", "{tmp}/w.csv"],
                            {"ens/a.grd": b"", "ens/manifest.tsv/x": b""},
                            "manifest.tsv: cannot read: Is a directory"),
+    # member 1 to 3 are parsed as one batch, after member 3 is found missing
+    "bad-member-before-missing-member": (FUSE, {
+        "ens/manifest.tsv": member_manifest(4), "ens/m0.grd": GRD_PCT, "ens/m1.grd": GRD_PCT,
+        "ens/m2.grd": GRD_PCT + b"zap\n"}, "ens/m2.grd: line 3: unparseable value 'zap'"),
+    # members of 20 kB: m5 is in the second batch after m0
+    "member-grid-differs-in-later-batch": (FUSE, {
+        "ens/manifest.tsv": member_manifest(6), **{f"ens/m{i}.grd": GRD_WIDE for i in range(5)},
+        "ens/m5.grd": GRD_WIDE.replace(b"32 32 0.0", b"32 32 1.0")},
+        "member 'm5' grid differs from the ensemble grid"),
     "file-as-ensemble-dir": (["fuse", "--ensemble-dir", "{tmp}/e",
                               "--out-field", "{tmp}/f.grd", "--out-weights", "{tmp}/w.csv"],
                              {"e": b""}, "/e: no manifest.tsv"),

@@ -31,6 +31,7 @@ from capeskit.grid import (
     GridField,
     GridSpec,
     _CHUNK,
+    READ_BYTES,
     anomaly_percent,
     write_grid,
 )
@@ -528,6 +529,37 @@ class TestManifestIo:
         write_grid(GridField(GridSpec(32, 32, lat0=1.0), np.zeros((32, 32)), units="percent"),
                    d / "ai-0001.grd")
         with pytest.raises(CapeskitError, match="'ai-0001' grid differs"):
+            read_ensemble_dir(d)
+
+    def test_bad_body_is_reported_before_a_missing_member_of_its_batch(self, tmp_path):
+        # members 1 to 4 of 32 x 32 zeros fit in one batch: member 2's body
+        # is parsed, and its error reported, before member 3 is found missing
+        d = tmp_path / "ens"
+        write_ensemble_dir(d, EnsembleSet.from_members([
+            (MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i),
+             AnomalyField(SPEC, np.zeros((32, 32)))) for i in range(5)]))
+        assert 4 * (d / "ai-0001.grd").stat().st_size < READ_BYTES
+        with open(d / "ai-0002.grd", "a") as fh:
+            fh.write("zap\n")
+        (d / "ai-0003.grd").unlink()
+        with pytest.raises(CapeskitError, match=r"ai-0002\.grd: line 34: unparseable value 'zap'"):
+            read_ensemble_dir(d)
+
+    def test_member_on_another_grid_in_a_later_batch(self, tmp_path):
+        d = tmp_path / "ens"
+        rng = np.random.default_rng(4)
+        write_ensemble_dir(d, EnsembleSet.from_members([
+            (MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i),
+             AnomalyField(SPEC, rng.uniform(-100, 100, (32, 32)))) for i in range(10)]))
+        assert 8 * (d / "ai-0001.grd").stat().st_size > 2 * READ_BYTES
+        write_grid(GridField(GridSpec(32, 32, dlon=2.0), np.zeros((32, 32)), units="percent"),
+                   d / "ai-0008.grd")
+        with pytest.raises(CapeskitError, match="member 'ai-0008' grid differs from the "
+                                                "ensemble grid"):
+            read_ensemble_dir(d)
+        # a later member in mm is read to its end before its units are refused
+        write_grid(GridField(SPEC, np.zeros((32, 32)), units="mm"), d / "ai-0008.grd")
+        with pytest.raises(CapeskitError, match=r"ai-0008\.grd: anomaly fields carry percent"):
             read_ensemble_dir(d)
 
     def test_missing_member_file(self, tmp_path):

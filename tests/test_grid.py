@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -40,6 +41,8 @@ class TestTypes:
         c = mm(GridSpec(2, 3, lat0=10.5, dlat=0.5, lon0=100.0, dlon=0.5), np.ones((2, 3)))
         with pytest.raises(SpecMismatchError):
             a.require_compatible(c)
+        with pytest.raises(SpecMismatchError, match="grid specs differ: GridSpec"):
+            AnomalyField(SPEC, np.zeros((2, 3))).require_compatible(c)
 
     def test_rejects_non_finite(self):
         bad = np.zeros((2, 3))
@@ -239,14 +242,20 @@ def reference_read(path):
 
 
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", " \n\t", "\n\n", "\r\r\n"])
-SEPARATORS = st.one_of(st.sampled_from([" ", "  ", "\t"]), LINE_ENDS)
+# every separator of str.split on ASCII text; "\x00" and "\x01" are not
+SEPARATORS = st.one_of(st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                        "\x1f", "\x1f \x0b"]), LINE_ENDS)
 # near-float tokens: what float() accepts, rejects, or reads as non-finite
 TOKENS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**20, 10**20).map(str),
     st.sampled_from(["nan", "-nan", "NaN", "inf", "-Infinity", "iNf", "1e400", "-1e999",
                      "1_0", "1__0", "_1", "1_", "1e+", ".5", "-0", "+.5e3", "0x10", "1d5",
-                     "nan(1)", "--1", "zap", "1.2.3", "e5", "1e-400", "4.9e-324"]),
+                     "nan(1)", "--1", "zap", "1.2.3", "e5", "1e-400", "4.9e-324",
+                     "1\x002", "\x001.5", "2.5\x00", "1\x01.5", "\x01", "3.\x7f5", "\x7f",
+                     "+1.5", "1.", "-1.", "-.5", "00012.5", "-0.0", "1e5", "1E-5", "-1.5-",
+                     "1-.5", "9999999999.9999999999", "-99999999999999999.999",
+                     "12345678901234.56789012345", "0.1234567890123456789012345"]),
 )
 
 
@@ -273,12 +282,15 @@ class TestGrd1Reader:
         assert np.array_equal(bits(g.values), bits(f.values))
 
     @given(st.integers(1, 3), st.integers(1, 3),
-           st.lists(st.lists(TOKENS, max_size=5), max_size=5), LINE_ENDS)
+           st.lists(st.lists(st.tuples(TOKENS, SEPARATORS), max_size=5), max_size=5), LINE_ENDS,
+           st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_accepts_and_rejects_like_the_per_token_scan(self, tmp_path_factory, nlat, nlon,
-                                                         rows, newline):
+                                                         rows, newline, exact):
+        if exact and any(rows):  # declare as many values as there are tokens
+            nlat, nlon = 1, sum(map(len, rows))
         path = tmp_path_factory.mktemp("grd") / "f.grd"
-        body = "".join(" ".join(row) + newline for row in rows)
+        body = "".join("".join(t + sep for t, sep in row) + newline for row in rows)
         path.write_bytes(f"GRD1 {nlat} {nlon} 0.0 1.0 0.0 1.0 mm{newline}{body}".encode())
         want = reference_read(path)
         if isinstance(want, str):
@@ -435,3 +447,98 @@ class TestBodyWriter:
         path = tmp_path / "b.bin"
         write_text_atomic(path, b"a\r\nb\n")
         assert path.read_bytes() == b"a\r\nb\n"
+
+
+def assert_reads_like_float(tokens):
+    """The batched parser reads ``tokens``, as one body, as ``float`` does."""
+    values = np.empty(len(tokens))
+    assert grid.read_bodies([" ".join(tokens).encode()], len(tokens), values)
+    wrong = np.flatnonzero(bits(values) != bits([float(t) for t in tokens]))
+    assert not wrong.size, [tokens[i] for i in wrong[:5]]
+
+
+def random_decimals(rng, n):
+    """Plain decimals such as '-12.0345': 2 to 19 random digits, the point
+    anywhere between them, and a random sign."""
+    out = []
+    for row, size, cut, sign in zip(rng.integers(0, 10, (n, 19)).tolist(),
+                                    rng.integers(2, 20, n).tolist(),
+                                    rng.random(n).tolist(), rng.integers(0, 2, n).tolist()):
+        digits = "".join(map(str, row[:size]))
+        k = 1 + int(cut * (size - 1))
+        out.append("-" * sign + digits[:k] + "." + digits[k:])
+    return out
+
+
+class TestBodyReader:
+    """The batched body parser against ``float``, bit for bit."""
+
+    FORMATS = (repr, "%.17g".__mod__, "%.19g".__mod__, "%.25g".__mod__)
+
+    def test_separators_are_those_of_str_split(self):
+        assert grid._SEPARATORS == bytes(c for c in range(128) if not chr(c).split())
+
+    def test_edge_values(self):
+        edges = EDGES + [-v for v in EDGES]
+        assert_reads_like_float([fmt(v) for fmt in self.FORMATS for v in edges])
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(1990)
+        for x in (random_finite(rng, 1 << 14), random_positional(rng, 1 << 16)):
+            for fmt in self.FORMATS:
+                assert_reads_like_float([fmt(v) for v in x.ravel().tolist()])
+
+    def test_random_decimals(self):
+        # up to 19 digits: Clinger's path below 2^53, Eisel-Lemire's above
+        assert_reads_like_float(random_decimals(np.random.default_rng(2021), 1 << 16))
+
+    def test_fast_path_boundaries(self):
+        # 2^53 - 1, 2^53 and 2^53 + 1 written out in full with the point
+        # anywhere; 19 and 20 digits; just below powers of two, which round
+        # up into the next binade
+        tokens = []
+        for m in (2**53 - 1, 2**53, 2**53 + 1, 10**19 - 1, 2**63, 2**64 - 1, 2**64):
+            d = str(m)
+            tokens += [d + ".0", "0." + d] + [d[:k] + "." + d[k:] for k in range(1, len(d))]
+        tokens += [f"{2**k - 1}.9" for k in range(50, 64)]
+        tokens += [f"{2**k - 1}.{'9' * (18 - len(str(2**k)))}" for k in range(40, 60)]
+        assert_reads_like_float(tokens + ["-" + t for t in tokens])
+
+    def test_halfway_decimals(self):
+        # between adjacent doubles in [2^49, 2^54) the midpoints have at most
+        # 4 digits after the point, and most have at most 19 digits: exact
+        # ties, which round to even; then decimals one unit of their last
+        # digit either side, and one tenth of it
+        rng = np.random.default_rng(5)
+        x = rng.uniform(2.0**49, 2.0**54, 4000)
+        x[:8] = [2.0**49, 2.0**50, 2.0**51, 2.0**52, 2.0**53, 2.0**53 - 1, 2.0**54 - 2, 2.0**52 + 1]
+        tokens = []
+        for v in x.tolist():
+            mid = Decimal(v) + Decimal(math.ulp(v)) / 2
+            step = Decimal(1).scaleb(mid.as_tuple().exponent)
+            for off in (0, step, -step, step / 10, -step / 10):
+                tokens.append(format(mid + off, "f"))
+        assert sum(len(t) <= 20 for t in tokens[::5]) > len(x) // 2  # plain ties
+        assert_reads_like_float(tokens + ["-" + t for t in tokens])
+
+    def test_bodies_longer_than_a_read_chunk(self, monkeypatch):
+        # pieces are cut at separators, never inside a token
+        rng = np.random.default_rng(8)
+        tokens = [repr(v) for v in random_positional(rng, 512).ravel().tolist()]
+        seps = [" ", "\n", "\r\n", "\t\x0b", "\x1c"]
+        body = "".join(t + seps[i % 5] for i, t in enumerate(tokens)).encode()
+        for size in (1, 7, 64, 1000):
+            monkeypatch.setattr(grid, "READ_BYTES", size)
+            values = np.empty(len(tokens))
+            assert grid.read_bodies([body, body[:0]], len(tokens), np.empty(0)) is False
+            assert grid.read_bodies([body], len(tokens), values)
+            assert np.array_equal(bits(values), bits([float(t) for t in tokens]))
+
+    @pytest.mark.slow
+    def test_ten_million_bit_patterns(self):
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            x = random_positional(rng, 1 << 20).ravel().tolist()
+            assert_reads_like_float(list(map(repr, x)))
+            assert_reads_like_float(["%.19g" % v for v in x])
+        assert_reads_like_float(random_decimals(rng, 1 << 20))
