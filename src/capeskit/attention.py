@@ -1,11 +1,11 @@
 """Tri-level attention forecasting backbone at toy scale.
 
-Input fields from V Earth-system domains (atmosphere, ocean, land) are
-PCA-compressed to k channels, cut into p x p patches and linearly
-embedded. Under the ``sequence_concat`` layout the domains are
-concatenated along the sequence axis (L = V * patch_rows * patch_cols);
-``channel_stack`` instead stacks domains along channels before patching,
-the ablation baseline.
+Input fields from V Earth-system domains (atmosphere, ocean, land), k
+channels each, are cut into p x p patches and linearly embedded. Under
+the ``sequence_concat`` layout the domains are concatenated along the
+sequence axis (L = V * patch_rows * patch_cols); ``channel_stack``
+instead stacks domains along channels before patching, the ablation
+baseline.
 
 Each block applies three attention levels, each pre-norm with residual:
 
@@ -27,7 +27,6 @@ verifies them against central finite differences.
 from __future__ import annotations
 
 import functools
-import struct
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -35,13 +34,14 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from . import config as cfgmod
 from .autodiff import Tensor
 from .errors import CapeskitError
 from .grid import GridField, GridSpec
 from .parallel import blas_single_thread
 
 LAYOUTS = ("sequence_concat", "channel_stack")
+#: MLP hidden width as a multiple of embed_dim.
+MLP_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,10 @@ class AttentionConfig:
     num_domains: int = 3
     nlat: int = 32
     nlon: int = 32
-    channels: int = 4          # PCA channels per domain
+    channels: int = 4          # input channels per domain
     latent_noise_sigma: float = 0.0
     noise_layer: Optional[int] = None   # defaults to the last layer
     layout: str = "sequence_concat"
-    mlp_ratio: int = 4
 
     def __post_init__(self):
         for name in ("embed_dim", "num_heads", "num_layers", "patch_size", "window_size",
@@ -162,7 +161,7 @@ def _param_shapes(cfg: AttentionConfig) -> dict[str, tuple]:
     d = cfg.embed_dim
     p2 = cfg.patch_size * cfg.patch_size
     in_ch = cfg.channels * (cfg.num_domains if cfg.layout == "channel_stack" else 1)
-    hidden = cfg.mlp_ratio * d
+    hidden = MLP_RATIO * d
     shapes: dict[str, tuple] = {
         "embed.W": (p2 * in_ch, d),
         "embed.b": (d,),
@@ -204,9 +203,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.cfg, {k: v.copy() for k, v in self.tensors.items()})
@@ -269,7 +265,7 @@ def _embed_tokens(inputs_t: ad.Value, pt: dict[str, ad.Value], cfg: AttentionCon
 
 @blas_single_thread
 def tokenize(fields: np.ndarray, params: ModelParams, cfg: AttentionConfig) -> TokenSequence:
-    """Patch-embed PCA-compressed per-domain fields into a token sequence.
+    """Patch-embed per-domain fields into a token sequence.
 
     ``fields`` has shape (V, nlat, nlon, k). Domains are concatenated
     along the sequence in fixed order (atmosphere, ocean, land, ...)
@@ -453,17 +449,6 @@ def anchor_attention(x: TokenSequence, anchors: np.ndarray, params: ModelParams,
     return TokenSequence(_anchor_t(x.tokens, anchors, pt, cfg, layer), x.tags)
 
 
-@blas_single_thread
-def anchor_broadcast(x: TokenSequence, anchor_states: np.ndarray, params: ModelParams,
-                     cfg: AttentionConfig, layer: int = 0) -> TokenSequence:
-    """Broadcast phase alone against externally supplied anchor states
-    (sanity configuration; the aggregate phase is bypassed)."""
-    pt = _wrap(params, requires_grad=False)
-    xn = _ln(x.tokens, pt, layer, "ln_anc")
-    out = _cross_attention(xn, anchor_states, pt, cfg, layer, "brd")
-    return TokenSequence(ad.add(x.tokens, out), x.tags)
-
-
 # ---------------------------------------------------------------------------
 # dense reference
 
@@ -601,7 +586,7 @@ def forward(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
 
 
 # ---------------------------------------------------------------------------
-# accounting, checking, smoke training
+# accounting and checking
 
 
 def flop_count(cfg: AttentionConfig, L: int) -> dict[str, int]:
@@ -695,86 +680,3 @@ def grad_check(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
         max_rel = max(max_rel, rel)
     return max_rel
-
-
-@blas_single_thread
-def train_smoke(params: ModelParams, inputs: np.ndarray, target: np.ndarray,
-                cfg: AttentionConfig, steps: int = 5, lr: float = 1e-3
-                ) -> tuple[ModelParams, list[float]]:
-    """Fixed-step gradient descent on mean squared error against a target
-    grid; exists to exercise the backward pass, not to claim skill."""
-    params = params.copy()
-    target = np.asarray(target, dtype=np.float64)
-    losses = []
-    for _ in range(steps):
-        pt = _wrap(params, requires_grad=True)
-        out = _forward_t(pt, np.asarray(inputs, dtype=np.float64), cfg)
-        diff = ad.sub(out, target)
-        loss = ad.scale(ad.sum_all(ad.mul(diff, diff)), 1.0 / target.size)
-        loss.backward()
-        for name, t in pt.items():
-            if t.grad is not None:
-                params.tensors[name] = params.tensors[name] - lr * t.grad
-        losses.append(float(loss.data))
-    return params, losses
-
-
-# ---------------------------------------------------------------------------
-# serialization (TLA1 container)
-
-_MAGIC = b"TLA1"
-
-
-def save_params(params: ModelParams, path) -> None:
-    """Write the sectioned binary container: magic, config block, then
-    named row-major float64 tensors."""
-    cfg_bytes = cfgmod.to_text(params.cfg).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(cfg_bytes)))
-        fh.write(cfg_bytes)
-        fh.write(struct.pack("<I", len(params.tensors)))
-        for name in params.names():
-            arr = np.ascontiguousarray(params.tensors[name], dtype="<f8")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-
-
-def load_params(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise CapeskitError(f"{path}: not a TLA1 container")
-    try:
-        off = 4
-        (cfg_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        cfg = cfgmod.from_text(AttentionConfig, blob[off:off + cfg_len].decode("utf-8"),
-                               source=f"{path}: config block")
-        off += cfg_len
-        (count,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        tensors = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off:off + nlen].decode("utf-8")
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
-            size = int(np.prod(shape)) * 8
-            tensors[name] = np.frombuffer(blob[off:off + size], dtype="<f8").reshape(shape).copy()
-            off += size
-    except CapeskitError:
-        raise
-    except (struct.error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-        raise CapeskitError(f"{path}: truncated or corrupt TLA1 container: {exc}") from None
-    if off != len(blob):
-        raise CapeskitError(f"{path}: trailing bytes in TLA1 container")
-    return ModelParams(cfg, tensors)

@@ -175,20 +175,16 @@ def sum_all(a) -> Value:
     return _node(np.sum(x), (a, lambda g: np.broadcast_to(g, x.shape).copy()))
 
 
-def sum_last(a, keepdims=True) -> Value:
+def sum_last(a) -> Value:
+    """Sum over the last axis, kept as an axis of length 1."""
     x = data(a)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, -1)
-        return np.broadcast_to(g, x.shape).copy()
-
-    return _node(x.sum(axis=-1, keepdims=keepdims), (a, vjp))
+    return _node(x.sum(axis=-1, keepdims=True),
+                 (a, lambda g: np.broadcast_to(g, x.shape).copy()))
 
 
-def mean_last(a, keepdims=True) -> Value:
+def mean_last(a) -> Value:
     n = data(a).shape[-1]
-    return scale(sum_last(a, keepdims=keepdims), 1.0 / n)
+    return scale(sum_last(a), 1.0 / n)
 
 
 def power(a, p: float) -> Value:

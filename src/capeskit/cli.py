@@ -38,11 +38,11 @@ from .errors import CapeskitError
 from .fusion import EnsembleSet, FusionConfig, blend_scores, fuse, member_metrics
 from .grid import (
     DEFAULT_CLIM_FLOOR,
-    AnomalyField,
     Climatology,
     GridField,
     GridSpec,
     anomaly_percent,
+    read_anomaly,
     read_grid,
     read_mask,
     write_anomaly,
@@ -160,18 +160,19 @@ def cmd_generate(args) -> int:
     g = cfgmod.load(GENERATE, args.config)
     spec = GridSpec(g["nlat"], g["nlon"])
     clim = Climatology(GridField(spec, np.full((g["nlat"], g["nlon"]), g["clim_mm"]), "mm"))
-    metas = []
     manifest_cfg = pspec = None
     if args.mode in ("numerical", "hybrid"):
         manifest_cfg = _MANIFEST.build(g)
-        metas = build_numerical_manifest(manifest_cfg)
     if args.mode in ("ai", "hybrid"):
         pspec = _PERTURBATION.build(g, base_seed=mix(args.seed, "ai"))
-    n_num = len(metas)
-    # every member is written into its row of one array as it is produced
+    n_num = manifest_cfg.member_count if manifest_cfg else 0
+    # every member is written into its row of one array as it is produced;
+    # allocated first, so a count that cannot fit fails before any member
     values = EnsembleSet.allocate(spec, n_num + (pspec.member_count if pspec else 0))
 
+    metas = []
     if manifest_cfg is not None:
+        metas = build_numerical_manifest(manifest_cfg)
         truth = truth_pattern(spec, mix(args.seed, "truth"), g["truth_amplitude"], g["truth_slope"])
         skill = SkillConfig(numerical=_NUM_SKILL.build(g))
         surrogate_members(metas, truth, skill, mix(args.seed, "numerical"), values[:n_num])
@@ -252,10 +253,9 @@ def cmd_attn_bench(args) -> int:
     return 0
 
 
-#: grad-check runs on a 16 x 16 grid, not AttentionConfig's 32 x 32
-_GRAD_CHECK_GRID = cfgmod.Binding(attn.AttentionConfig, "nlat", "nlon", default=16)
+_BACKBONE_GRID = cfgmod.Binding(attn.AttentionConfig, "nlat", "nlon")
 _PROBES = cfgmod.Binding(attn.grad_check, "step", probes="probe_count")
-GRAD_CHECK = (_BACKBONE, _LAYERS, _GRAD_CHECK_GRID, _PROBES)
+GRAD_CHECK = (_BACKBONE, _LAYERS, _BACKBONE_GRID, _PROBES)
 
 
 def cmd_grad_check(args) -> int:
@@ -324,8 +324,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_render(args) -> int:
     t0 = time.perf_counter()
-    f = _read_at(read_grid, args.field)
-    anom = AnomalyField.from_grid(f)
+    anom = _read_at(read_anomaly, args.field)
     write_text_atomic(args.svg, svg_heatmap(anom))
     _write_run_manifest(args.svg, "render", {"field": args.field}, None, [args.svg], t0)
     print(f"heatmap -> {args.svg}")
@@ -406,6 +405,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except CapeskitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a config size no allocation can hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violation
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -7,19 +7,13 @@ function. The schema contract:
 
 - A key's name is its field's name unless the binding renames it
   (``Binding(TrackSkill, bias_sigma_ai="bias_sigma")``).
-- The field's default is the key's default; ``Binding(..., default=v)``
-  overrides it, for a command whose default differs from its dataclass.
+- The field's default is the key's default.
 - The field's type hint picks the parser: ``int``; ``float`` (finite
-  only); ``str``; ``Optional[int]`` (``none`` for None); ``tuple[int,
-  ...]`` and ``tuple[str, ...]`` as comma lists; ``tuple[int, int]`` as
-  two integers joined by the separator in the field's ``sep`` metadata
-  (``7x7``, ``1:10``).
+  only); ``str``; ``tuple[int, ...]`` and ``tuple[str, ...]`` as comma
+  lists; ``tuple[int, int]`` as two integers joined by the separator in
+  the field's ``sep`` metadata (``7x7``, ``1:10``).
 - A command accepts exactly its schema's keys; an unknown key, a bad
   value or a value its dataclass rejects is a :class:`CapeskitError`.
-
-:func:`to_text` and :func:`from_text` write and read every field of one
-dataclass instance as ``name=value`` lines, the config block of the TLA1
-model container.
 """
 
 from __future__ import annotations
@@ -31,8 +25,6 @@ import typing
 from typing import Any, Callable, Optional
 
 from .errors import CapeskitError
-
-_FIELD_DEFAULT = object()
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -77,7 +69,6 @@ _PARSERS = {
     int: (int, "an integer"),
     str: (str, "a string"),
     float: (_finite, "a finite number"),
-    Optional[int]: (lambda s: None if s == "none" else int(s), "an integer or 'none'"),
     tuple[int, ...]: (lambda s: tuple(int(t) for t in s.split(",") if t.strip()),
                       "a comma-separated integer list"),
     tuple[str, ...]: (lambda s: tuple(t.strip() for t in s.split(",") if t.strip()),
@@ -106,7 +97,7 @@ class Binding:
     """Config keys bound to fields of ``target``: a dataclass, or a
     function whose keyword parameters take the values."""
 
-    def __init__(self, target, *names: str, default=_FIELD_DEFAULT, **renamed: str):
+    def __init__(self, target, *names: str, **renamed: str):
         hints = typing.get_type_hints(target)
         params = inspect.signature(target).parameters
         seps = ({f.name: f.metadata.get("sep") for f in dataclasses.fields(target)}
@@ -115,8 +106,7 @@ class Binding:
         self.keys: dict[str, Key] = {}
         for key, name in [*zip(names, names), *renamed.items()]:
             parse, kind = _parser(hints[name], seps.get(name))
-            value = params[name].default if default is _FIELD_DEFAULT else default
-            self.keys[key] = Key(name, value, parse, kind)
+            self.keys[key] = Key(name, params[name].default, parse, kind)
 
     def build(self, values: dict[str, Any], *args, **kwargs):
         """Call the target with its bound ``values`` plus ``args``/``kwargs``."""
@@ -146,23 +136,3 @@ def read(schema, raw: dict[str, str], source: str = "config") -> dict[str, Any]:
                 f"{source}: config key {name!r}: expected {k.kind}, got {raw[name]!r}"
             ) from None
     return values
-
-
-def to_text(obj) -> str:
-    """``name=value`` line per field of a dataclass instance with scalar
-    fields, ``none`` for None."""
-    lines = []
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        lines.append(f"{f.name}={'none' if v is None else v}\n")
-    return "".join(lines)
-
-
-def from_text(cls, text: str, source: str = "config block"):
-    """Inverse of :func:`to_text`: every field of ``cls`` is required."""
-    binding = Binding(cls, *(f.name for f in dataclasses.fields(cls)))
-    raw = parse_config_text(text, source)
-    missing = sorted(set(binding.keys) - set(raw))
-    if missing:
-        raise CapeskitError(f"{source}: missing keys {missing}")
-    return binding.build(read((binding,), raw, source))

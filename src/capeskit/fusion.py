@@ -146,17 +146,13 @@ class EnsembleSet:
 @dataclass(frozen=True)
 class FusionConfig:
     """alpha blends robustness (sign consistency) against anomaly
-    sensitivity; degenerate_fill replaces a metric that cannot
-    discriminate (max = min across members)."""
+    sensitivity."""
 
     alpha: float = 0.5
-    degenerate_fill: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise CapeskitError(f"alpha must be in [0,1], got {self.alpha}")
-        if not 0.0 <= self.degenerate_fill <= 1.0:
-            raise CapeskitError(f"degenerate_fill must be in [0,1], got {self.degenerate_fill}")
 
 
 def ensemble_median(e: EnsembleSet) -> AnomalyField:
@@ -188,10 +184,12 @@ def anomaly_magnitude(member: AnomalyField) -> float:
     return float(_magnitude(member.values[None])[0])
 
 
-def _minmax(values: np.ndarray, fill: float) -> np.ndarray:
+def _minmax(values: np.ndarray) -> np.ndarray:
+    """Min-max normalized ``values``; all 0.5 when they cannot
+    discriminate (max = min across members)."""
     lo, hi = values.min(), values.max()
     if hi == lo:
-        return np.full_like(values, fill)
+        return np.full_like(values, 0.5)
     return (values - lo) / (hi - lo)
 
 
@@ -201,8 +199,8 @@ def blend_scores(s1, s2, cfg: FusionConfig = FusionConfig()) -> np.ndarray:
     to 1 (uniform when everything is zero)."""
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
-    s1n = _minmax(s1, cfg.degenerate_fill)
-    s2n = _minmax(s2, cfg.degenerate_fill)
+    s1n = _minmax(s1)
+    s2n = _minmax(s2)
     raw = cfg.alpha * s1n + (1.0 - cfg.alpha) * s2n
     total = raw.sum()
     if total == 0.0:

@@ -86,6 +86,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nlat < 1 or self.nlon < 1:
             raise CapeskitError(f"grid must be at least 1x1, got {self.nlat}x{self.nlon}")
+        if self.nlat * self.nlon > sys.maxsize // 8:  # no float64 array that large exists
+            raise CapeskitError(f"grid {self.nlat}x{self.nlon} has too many cells")
         if self.dlat == 0 or self.dlon == 0:
             raise CapeskitError("dlat and dlon must be nonzero")
 

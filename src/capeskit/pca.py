@@ -70,20 +70,3 @@ def fit_pca(samples: np.ndarray, k: int = 16) -> PcaBasis:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
     return PcaBasis(mean=mean, components=comp)
-
-
-def compress_domains(raw: np.ndarray, k: int) -> tuple[np.ndarray, list[PcaBasis]]:
-    """Fit one PCA per domain over the per-cell variable vectors and
-    project: (V, nlat, nlon, D) -> (V, nlat, nlon, k)."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 4:
-        raise CapeskitError(f"expected (V, nlat, nlon, D) input, got shape {raw.shape}")
-    nv, nlat, nlon, d = raw.shape
-    out = np.empty((nv, nlat, nlon, k))
-    bases = []
-    for v in range(nv):
-        flat = raw[v].reshape(nlat * nlon, d)
-        basis = fit_pca(flat, k)
-        out[v] = basis.project(flat).reshape(nlat, nlon, k)
-        bases.append(basis)
-    return out, bases

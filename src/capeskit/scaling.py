@@ -118,13 +118,14 @@ def synthetic_benchmark(cfg: BenchmarkConfig, seed: int
             f"n_numerical {cfg.n_numerical} exceeds the {len(metas)}-member manifest"
         )
     metas = metas[:cfg.n_numerical]
+    # allocated first, so a pool that cannot fit fails before any meta is made
+    values = EnsembleSet.allocate(spec, cfg.n_numerical + cfg.n_ai)
     for idx in range(cfg.n_ai):
         metas.append(MemberMeta(
             id=f"ai-{idx:04d}", track="ai",
             init_seed=mix(seed, "ai-init", idx),
             latent_seed=mix(seed, "ai-latent", idx),
         ))
-    values = EnsembleSet.allocate(spec, len(metas))
     surrogate_members(metas, truth, cfg.skill, mix(seed, "benchmark-members"), values)
     return truth, clim, EnsembleSet(spec, metas, values)
 

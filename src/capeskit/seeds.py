@@ -39,8 +39,3 @@ def mix(base_seed: int, *parts) -> int:
     blob = _SEP.join(_encode(p) for p in (base_seed, *parts))
     digest = hashlib.blake2b(blob, digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-def rng_for(base_seed: int, *parts) -> np.random.Generator:
-    """A PCG64 generator keyed by mix(base_seed, *parts)."""
-    return np.random.default_rng(mix(base_seed, *parts))

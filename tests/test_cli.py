@@ -511,8 +511,8 @@ num_anchors = 8
 num_domains = 3
 channels = 4
 layout = sequence_concat
-nlat = 16
-nlon = 16
+nlat = 32
+nlon = 32
 num_layers = 2
 probes = 20
 step = 1e-05
@@ -611,6 +611,20 @@ BAD_VALUES = [
      "embed_dim = 0\n"),
     (["grad-check", "--config", "{cfg}"], "step = 0\n"),
     (["grad-check", "--config", "{cfg}"], "probes = 0\n"),
+    # sizes beyond the address space: every allocation fails at once
+    (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
+     "embed_dim = 1099511627776\nnum_heads = 1\n"),
+    (["grad-check", "--config", "{cfg}"], "embed_dim = 1099511627776\nnum_heads = 1\n"),
+    (["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
+     "channels = 1099511627776\n"),
+    (["generate", "--mode", "numerical", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
+     "nlat = 4294967296\nnlon = 4294967296\n"),
+    (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"],
+     "nlat = 4294967296\nnlon = 4294967296\n"),
+    # member counts whose fields cannot fit: rejected before any member is made
+    (["generate", "--mode", "numerical", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
+     "param_grid = 1048576x1048576\n"),
+    (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"], "n_ai = 1099511627776\n"),
 ]
 
 
@@ -685,6 +699,8 @@ BAD_FILES = {
                                       "{tmp}/big.cfg", "--out-dir", "{tmp}/o"],
                                      {"big.cfg": b"nlat = 8\nnlon = 8\nbias_sigma = 1e308\n"},
                                      "error: num-d0-s0: field values must be finite"),
+    "mm-field": (["render", "--field", "{tmp}/m.grd", "--svg", "{tmp}/a.svg"], {"m.grd": GRD_MM},
+                 "/m.grd: anomaly fields carry percent units, got 'mm'"),
     # a directory where a file is expected ("d/x" makes "d" a directory)
     "directory-field": (["render", "--field", "{tmp}/d", "--svg", "{tmp}/a.svg"],
                         {"d/x": b""}, "/d: Is a directory"),

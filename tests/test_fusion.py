@@ -220,7 +220,7 @@ def brute_force_scores(e, cfg):
     def norm(v):
         lo, hi = min(v), max(v)
         if hi == lo:
-            return [cfg.degenerate_fill] * n
+            return [0.5] * n
         return [(x - lo) / (hi - lo) for x in v]
     raw = [cfg.alpha * a + (1 - cfg.alpha) * b for a, b in zip(norm(s1), norm(s2))]
     tot = sum(raw)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capeskit.errors import CapeskitError
-from capeskit.pca import PcaBasis, compress_domains, fit_pca
+from capeskit.pca import PcaBasis, fit_pca
 
 
 def reconstruction_error(basis, x):
@@ -79,17 +79,3 @@ class TestFitPca:
             PcaBasis(mean=np.zeros(2), components=np.array([[1.0, 1.0]]))
         with pytest.raises(CapeskitError, match="inconsistent shapes"):
             PcaBasis(mean=np.zeros(3), components=np.eye(2))
-
-
-class TestCompressDomains:
-    def test_shapes_and_per_domain_fit(self):
-        rng = np.random.default_rng(3)
-        raw = rng.standard_normal((3, 8, 8, 6))
-        out, bases = compress_domains(raw, k=2)
-        assert out.shape == (3, 8, 8, 2)
-        assert len(bases) == 3
-        # each domain's own basis reconstructs its own data best
-        flat0 = raw[0].reshape(64, 6)
-        np.testing.assert_allclose(
-            out[0].reshape(64, 2), bases[0].project(flat0), atol=1e-12
-        )

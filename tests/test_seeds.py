@@ -1,6 +1,6 @@
 import pytest
 
-from capeskit.seeds import mix, rng_for
+from capeskit.seeds import mix
 
 
 def test_deterministic():
@@ -35,11 +35,3 @@ def test_rejects_bool_and_unknown_types():
         mix(0, True)
     with pytest.raises(TypeError):
         mix(0, 3.14)
-
-
-def test_rng_for_streams_independent():
-    a = rng_for(7, "stream", 0).standard_normal(4)
-    b = rng_for(7, "stream", 1).standard_normal(4)
-    c = rng_for(7, "stream", 0).standard_normal(4)
-    assert (a == c).all()
-    assert (a != b).any()
