@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -201,26 +202,22 @@ ATTN_BENCH = (_BACKBONE,)
 
 
 def _cfg_for_length(length: int, base: dict) -> attn.AttentionConfig:
-    """One-layer config whose (nlat, nlon) realize a sequence length."""
+    """One-layer config whose (nlat, nlon) realize a sequence length: the
+    most square patch grid whose sides are multiples of the window size w.
+    Such a grid is (a*w) x (b*w) with a*b = patches / w**2 and a <= b, so
+    the search runs down from isqrt(a*b), in O(sqrt(L)) steps."""
     v = base["num_domains"] if base["layout"] == "sequence_concat" else 1
     w, p = base["window_size"], base["patch_size"]
     if length % v:
         raise CapeskitError(f"length {length} not divisible by num_domains {v}")
+    if length * base["embed_dim"] > sys.maxsize // 8:  # no float64 token array that large
+        raise CapeskitError(f"{length} tokens of width {base['embed_dim']} do not fit in memory")
     patches = length // v
-    best = None
-    for a in range(w, patches + 1, w):
-        if patches % a:
-            continue
-        b = patches // a
-        if b % w:
-            continue
-        if best is None or abs(a - b) < abs(best[0] - best[1]):
-            best = (a, b)
-    if best is None:
-        raise CapeskitError(
-            f"length {length} cannot be tiled into {w}-divisible patch grids"
-        )
-    return attn.AttentionConfig(nlat=best[0] * p, nlon=best[1] * p, num_layers=1, **base)
+    if patches < 1 or patches % (w * w):
+        raise CapeskitError(f"length {length} cannot be tiled into {w}-divisible patch grids")
+    ab = patches // (w * w)
+    a = next(a for a in range(math.isqrt(ab), 0, -1) if ab % a == 0)
+    return attn.AttentionConfig(nlat=a * w * p, nlon=ab // a * w * p, num_layers=1, **base)
 
 
 def cmd_attn_bench(args) -> int:
@@ -243,10 +240,10 @@ def cmd_attn_bench(args) -> int:
         rows.append(f"anchor,{length},{f['anchor_flops']}")
         rows.append(f"tri_level,{length},{attn.tri_level_flops(probe, length)}")
         rows.append(f"dense,{length},{f['dense_flops']}")
-    write_text_atomic(args.out, "\n".join(rows) + "\n")
     for length, cfg in timing_cfgs:
         dt = attn.measure_block_time(cfg, seed=args.seed)
         print(f"L={length} tri-level block time {dt * 1e3:.3f} ms")
+    write_text_atomic(args.out, "\n".join(rows) + "\n")
     _write_run_manifest(args.out, "attn-bench",
                         {**base, "lengths": lengths}, args.seed, [args.out], t0)
     print(f"flop table -> {args.out}")

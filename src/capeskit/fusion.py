@@ -9,8 +9,10 @@ forecast is the per-cell weighted sum of member anomalies.
 
 An :class:`EnsembleSet` keeps its members' fields in one (n, nlat, nlon)
 array, so every step is a reduction over it with no per-member loop: the
-median and the weighted sum run over axis 0, the two metrics over axes
-(1, 2).
+sign of the median and the weighted sum run over axis 0, the two metrics
+over axes (1, 2). Sign consistency needs only the median's sign, and that
+comes from per-cell counts of positive and negative values; for even n,
+only the cells whose middle pair can straddle zero are sorted.
 """
 
 from __future__ import annotations
@@ -208,9 +210,35 @@ def blend_scores(s1, s2, cfg: FusionConfig = FusionConfig()) -> np.ndarray:
     return raw / total
 
 
+def _median_sign(values: np.ndarray) -> np.ndarray:
+    """np.sign(np.median(values, axis=0)) of an (n, nlat, nlon) array, bit
+    for bit, without sorting every cell.
+
+    More than n // 2 values of one sign fix the median's sign; fewer of
+    both leave it 0. For even n, a cell with exactly n // 2 of one sign
+    has a middle pair that can straddle zero, or whose midpoint underflows
+    to 0, so those cells alone are sorted and their midpoint taken as
+    np.median takes it."""
+    n = values.shape[0]
+    half = n // 2
+    pos = np.count_nonzero(values > 0, axis=0)
+    neg = np.count_nonzero(values < 0, axis=0)
+    sign = (pos > half) - (neg > half).astype(np.float64)
+    if n % 2 == 0:
+        tie = (pos == half) | (neg == half)
+        if tie.any():
+            mid = np.sort(values[:, tie], axis=0)[half - 1:half + 1]
+            sign[tie] = np.sign((mid[0] + mid[1]) / 2)
+    return sign
+
+
 def member_metrics(e: EnsembleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (unnormalized) s1, s2 metric vectors in member order."""
-    return _sign_agreement(e.values, ensemble_median(e).values), _magnitude(e.values)
+    """Raw (unnormalized) s1, s2 metric vectors in member order.
+
+    s1 compares signs only, so it takes the median's sign from per-cell
+    counts (:func:`_median_sign`) instead of a full median; even n sorts
+    only the cells where exactly half the members share a sign."""
+    return _sign_agreement(e.values, _median_sign(e.values)), _magnitude(e.values)
 
 
 def contribution_scores(e: EnsembleSet, cfg: FusionConfig = FusionConfig()) -> np.ndarray:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capeskit.cli import ATTN_BENCH, GENERATE, GRAD_CHECK, SCALING, main
+from capeskit.attention import AttentionConfig
+from capeskit.cli import ATTN_BENCH, GENERATE, GRAD_CHECK, SCALING, _cfg_for_length, main
+from capeskit.errors import CapeskitError
 from capeskit.grid import (
     AnomalyField,
     GridField,
@@ -262,6 +265,34 @@ class TestAttnBench:
     def test_unrealizable_length_exit_2(self, tmp_path):
         rc = main(["attn-bench", "--lengths", "50", "--out", str(tmp_path / "f.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("window,domains,layout", [
+        (1, 3, "sequence_concat"), (2, 3, "sequence_concat"), (3, 2, "sequence_concat"),
+        (2, 3, "channel_stack"), (4, 1, "sequence_concat"),
+    ])
+    def test_tiling_is_the_most_square_grid(self, window, domains, layout):
+        base = {f.name: f.default for f in dataclasses.fields(AttentionConfig)
+                if f.name not in ("nlat", "nlon", "num_layers")}
+        base.update(window_size=window, num_domains=domains, layout=layout)
+        p = base["patch_size"]
+        for length in range(-4, 800):
+            # every multiple-of-window row count, closest to square, first on ties
+            v = domains if layout == "sequence_concat" else 1
+            best = None
+            if length % v == 0:
+                patches = length // v
+                for a in range(window, patches + 1, window):
+                    b = patches // a
+                    if patches % a == 0 and b % window == 0 and (
+                            best is None or abs(a - b) < abs(best[0] - best[1])):
+                        best = (a, b)
+            if best is None:
+                with pytest.raises(CapeskitError):
+                    _cfg_for_length(length, base)
+            else:
+                cfg = _cfg_for_length(length, base)
+                assert (cfg.nlat, cfg.nlon) == (best[0] * p, best[1] * p)
+                assert cfg.seq_len == length
 
 
 class TestGradCheckCmd:
@@ -615,6 +646,10 @@ BAD_VALUES = [
     (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
      "embed_dim = 1099511627776\nnum_heads = 1\n"),
     (["grad-check", "--config", "{cfg}"], "embed_dim = 1099511627776\nnum_heads = 1\n"),
+    # lengths whose tokens cannot fit: one beyond the address space, after a
+    # grid search of O(sqrt(L)) steps, and one beyond any float64 array
+    (["attn-bench", "--lengths", str(3 * 2**40), "--out", "{tmp}/f.csv"], ""),
+    (["attn-bench", "--lengths", str(12 * 10**18), "--out", "{tmp}/f.csv"], ""),
     (["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
      "channels = 1099511627776\n"),
     (["generate", "--mode", "numerical", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
@@ -628,9 +663,18 @@ BAD_VALUES = [
 ]
 
 
+def bad_value_id(argv, cfg_text):
+    """The command and its bad value: the config text, else the first
+    option given a literal value."""
+    if cfg_text.strip():
+        return f"{argv[0]}:{cfg_text.strip()}"
+    i = next(i for i, a in enumerate(argv[:-1]) if a.startswith("--") and "{" not in argv[i + 1])
+    return f"{argv[0]}:{argv[i]} {argv[i + 1]}"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv,cfg_text", BAD_VALUES,
-                             ids=[f"{a[0]}:{t.strip() or '--alpha 2'}" for a, t in BAD_VALUES])
+                             ids=[bad_value_id(a, t) for a, t in BAD_VALUES])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv, cfg_text):
         make_member_dir(tmp_path, [np.array([[30.0, -40.0], [5.0, 90.0]])])
         cfgp = tmp_path / "bad.cfg"
@@ -640,6 +684,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "f.csv").exists()  # a failed attn-bench leaves no table
 
 
 class TestFileModes:

@@ -7,6 +7,7 @@ from capeskit.fusion import (
     EnsembleSet,
     FusionConfig,
     MemberMeta,
+    _median_sign,
     anomaly_magnitude,
     blend_scores,
     contribution_scores,
@@ -148,8 +149,43 @@ def reference_member_metrics(values):
     return s1, s2
 
 
+# exact zeros of both signs and the smallest subnormals: pairs such as
+# -5e-324 and 1e-323 have a midpoint that underflows to 0
+TINY = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 1.5e-323, -1.5e-323])
+
+
+def zero_heavy_values(rng, n, nlat, nlon):
+    """Mostly exact zeros, half of them -0.0, among subnormals and ordinary
+    values."""
+    values = rng.choice(np.concatenate([TINY, TINY[:2], TINY[:2], [-3.5, 2.0, 70.0]]),
+                        (n, nlat, nlon))
+    return values * rng.choice([1.0, 1e-3, 1e3], (1, nlat, nlon))
+
+
+def straddling_values(rng, n, nlat, nlon):
+    """Cells with n // 2 - 1, n // 2 or n // 2 + 1 positive and negative
+    values, the rest +-0, in shuffled order: for even n the middle pair
+    straddles zero, touches it, or shares a sign, and its smallest
+    magnitudes are often the subnormals whose midpoint underflows."""
+    half = n // 2
+    mags = np.array([5e-324, 1e-323, 1.5e-323, 1.0, 40.0])
+    cols = []
+    for _ in range(nlat * nlon):
+        pos = min(n, max(0, half + int(rng.integers(-1, 2))))
+        neg = min(n - pos, max(0, half + int(rng.integers(-1, 2))))
+        col = np.concatenate([rng.choice(mags[rng.integers(0, 3):], pos),
+                              -rng.choice(mags[rng.integers(0, 3):], neg),
+                              rng.choice([0.0, -0.0], n - pos - neg)])
+        cols.append(rng.permutation(col))
+    return np.stack(cols, axis=1).reshape(n, nlat, nlon)
+
+
+POOLS = {"zero-heavy": zero_heavy_values, "straddling": straddling_values}
+
+
 class TestMetricsOracle:
-    """The reductions over axes (1, 2) give the per-member loop's bits."""
+    """The reductions over axes (1, 2) and the median's sign from counts
+    give the bits of the per-member loop over np.median."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_member_metrics_match_per_member_loop(self, seed):
@@ -163,20 +199,54 @@ class TestMetricsOracle:
         for n in (2, 9):
             self.check(np.random.default_rng(nlat * n), n, nlat, nlon)
 
-    @staticmethod
-    def check(rng, n, nlat, nlon):
-        spec = GridSpec(nlat, nlon)
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 11, 64, 255, 256, 999, 1000,
+                                   1774, 1999, 2000])
+    def test_zeros_ties_and_subnormals(self, pool, n):
+        rng = np.random.default_rng(n)
+        self.check_values(rng, POOLS[pool](rng, n, 6, 7))
+
+    def test_subnormal_midpoint_underflows_to_zero(self):
+        # -5e-324 + 1e-323 = 5e-324, halved to 0; -5e-324 + 1.5e-323 halves to 5e-324
+        values = np.array([[-5e-324, -5e-324, 5e-324, -1.0],
+                           [1e-323, 1.5e-323, -1e-323, 2.0]]).reshape(2, 2, 2)
+        sign = _median_sign(values)
+        assert sign.tobytes() == np.sign(np.median(values, axis=0)).tobytes()
+        assert sign.ravel().tolist() == [0.0, 1.0, 0.0, 1.0]
+        self.check_values(np.random.default_rng(0), values)
+
+    @given(st.integers(1, 40), st.integers(1, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_median_sign_is_the_sign_of_np_median(self, n, cells, data):
+        element = st.one_of(st.sampled_from(TINY.tolist() + [1.0, -1.0]),
+                            st.floats(allow_nan=False, allow_infinity=False))
+        values = np.array(data.draw(st.lists(element, min_size=n * cells,
+                                             max_size=n * cells))).reshape(n, 1, cells)
+        with np.errstate(over="ignore"):  # a midpoint of two huge values is inf
+            assert _median_sign(values).tobytes() == \
+                np.sign(np.median(values, axis=0)).tobytes()
+
+    def check(self, rng, n, nlat, nlon):
         values = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), (n, nlat, nlon))
         values[rng.random(values.shape) < 0.1] = 0.0  # zero matches only zero
+        self.check_values(rng, values)
+
+    @staticmethod
+    def check_values(rng, values):
+        n, nlat, nlon = values.shape
+        spec = GridSpec(nlat, nlon)
         metas = [MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i)
                  for i in range(n)]
         e = EnsembleSet(spec, metas, values)
+        assert _median_sign(values).tobytes() == \
+            np.sign(np.median(values, axis=0)).tobytes()
         s1, s2 = member_metrics(e)
         r1, r2 = reference_member_metrics(values)
         assert s1.tobytes() == r1.tobytes()
         assert s2.tobytes() == r2.tobytes()
         assert contribution_scores(e).tobytes() == blend_scores(r1, r2).tobytes()
         med = ensemble_median(e)
+        assert med.values.tobytes() == np.median(values, axis=0).tobytes()
         for k in rng.choice(n, size=min(n, 5), replace=False):
             fld = AnomalyField(spec, values[k])
             assert sign_consistency(fld, med) == r1[k]
