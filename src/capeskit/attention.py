@@ -20,6 +20,10 @@ length; ``dense_attention_oracle`` is the quadratic reference they are
 verified against. A lightweight decoder projects atmosphere tokens back
 to the native grid.
 
+Tokens are plain (L, d) arrays. The backbone is deterministic:
+:func:`forward` is ``tail(trunk(...))``; :mod:`capeskit.ensemble` adds
+the latent noise of its members between the two.
+
 Gradients come from the tape in :mod:`capeskit.autodiff`; ``grad_check``
 verifies them against central finite differences.
 """
@@ -60,8 +64,6 @@ class AttentionConfig:
     nlat: int = 32
     nlon: int = 32
     channels: int = 4          # input channels per domain
-    latent_noise_sigma: float = 0.0
-    noise_layer: Optional[int] = None   # defaults to the last layer
     layout: str = "sequence_concat"
 
     def __post_init__(self):
@@ -84,12 +86,6 @@ class AttentionConfig:
             raise CapeskitError(
                 f"patch grid {pr}x{pc} not divisible by window size {self.window_size}"
             )
-        if self.latent_noise_sigma < 0:
-            raise CapeskitError("latent_noise_sigma must be >= 0")
-        if self.noise_layer is not None and not 0 <= self.noise_layer < self.num_layers:
-            raise CapeskitError(
-                f"noise_layer {self.noise_layer} outside [0, {self.num_layers})"
-            )
 
     @property
     def patch_rows(self) -> int:
@@ -111,41 +107,6 @@ class AttentionConfig:
     @property
     def head_dim(self) -> int:
         return self.embed_dim // self.num_heads
-
-    @property
-    def effective_noise_layer(self) -> int:
-        return self.num_layers - 1 if self.noise_layer is None else self.noise_layer
-
-
-@dataclass
-class TokenSequence:
-    """L x d token array plus per-token (domain, patch row, patch col) tags."""
-
-    tokens: np.ndarray  # (L, d); a Tensor passed in is unwrapped
-    tags: np.ndarray  # (L, 3) ints
-
-    def __post_init__(self):
-        self.tokens = ad.data(self.tokens)
-        self.tags = np.asarray(self.tags, dtype=np.int64)
-        if self.tokens.ndim != 2 or self.tags.shape != (self.tokens.shape[0], 3):
-            raise CapeskitError(
-                f"tokens {self.tokens.shape} and tags {self.tags.shape} inconsistent"
-            )
-        if not np.isfinite(self.tokens).all():
-            raise CapeskitError("token values must be finite")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.tokens
-
-
-def token_tags(cfg: AttentionConfig) -> np.ndarray:
-    """Tags in token order: (v, row, col) lexicographic."""
-    v = np.arange(cfg.effective_domains)
-    r = np.arange(cfg.patch_rows)
-    c = np.arange(cfg.patch_cols)
-    grid = np.stack(np.meshgrid(v, r, c, indexing="ij"), axis=-1)
-    return grid.reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +225,16 @@ def _embed_tokens(inputs_t: ad.Value, pt: dict[str, ad.Value], cfg: AttentionCon
 
 
 @blas_single_thread
-def tokenize(fields: np.ndarray, params: ModelParams, cfg: AttentionConfig) -> TokenSequence:
-    """Patch-embed per-domain fields into a token sequence.
+def tokenize(fields: np.ndarray, params: ModelParams, cfg: AttentionConfig) -> np.ndarray:
+    """Patch-embed per-domain fields into the (seq_len, embed_dim) token array.
 
     ``fields`` has shape (V, nlat, nlon, k). Domains are concatenated
     along the sequence in fixed order (atmosphere, ocean, land, ...)
     under sequence_concat, or stacked along channels first under
-    channel_stack.
+    channel_stack. Token (v, r, c) is row (v * patch_rows + r) * patch_cols + c.
     """
     pt = _wrap(params, requires_grad=False)
-    tokens = _embed_tokens(np.asarray(fields, dtype=np.float64), pt, cfg)
-    return TokenSequence(tokens, token_tags(cfg))
+    return _embed_tokens(np.asarray(fields, dtype=np.float64), pt, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -411,42 +371,39 @@ def _mlp_t(x: ad.Value, pt, cfg, layer) -> ad.Value:
     return ad.add(x, out)
 
 
-def _check_tokens(x: TokenSequence, cfg: AttentionConfig) -> None:
-    if x.values.shape != (cfg.seq_len, cfg.embed_dim):
+def _check_tokens(x: np.ndarray, cfg: AttentionConfig, what: str = "token") -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (cfg.seq_len, cfg.embed_dim):
         raise CapeskitError(
-            f"token shape {x.values.shape} inconsistent with config "
+            f"{what} shape {x.shape} inconsistent with config "
             f"({cfg.seq_len}, {cfg.embed_dim})"
         )
-    if not np.array_equal(x.tags, token_tags(cfg)):
-        raise CapeskitError("token tags inconsistent with config ordering")
+    return x
 
 
 @blas_single_thread
-def window_attention(x: TokenSequence, params: ModelParams, cfg: AttentionConfig,
-                     layer: int = 0) -> TokenSequence:
+def window_attention(x: np.ndarray, params: ModelParams, cfg: AttentionConfig,
+                     layer: int = 0) -> np.ndarray:
     """Pre-norm windowed attention with residual, grouped per (domain,
     w x w patch window)."""
-    _check_tokens(x, cfg)
     pt = _wrap(params, requires_grad=False)
-    return TokenSequence(_window_t(x.tokens, pt, cfg, layer), x.tags)
+    return _window_t(_check_tokens(x, cfg), pt, cfg, layer)
 
 
 @blas_single_thread
-def cross_variable_attention(x: TokenSequence, params: ModelParams, cfg: AttentionConfig,
-                             layer: int = 0) -> TokenSequence:
+def cross_variable_attention(x: np.ndarray, params: ModelParams, cfg: AttentionConfig,
+                             layer: int = 0) -> np.ndarray:
     """Pre-norm attention among the tokens sharing one patch location."""
-    _check_tokens(x, cfg)
     pt = _wrap(params, requires_grad=False)
-    return TokenSequence(_xvar_t(x.tokens, pt, cfg, layer), x.tags)
+    return _xvar_t(_check_tokens(x, cfg), pt, cfg, layer)
 
 
 @blas_single_thread
-def anchor_attention(x: TokenSequence, anchors: np.ndarray, params: ModelParams,
-                     cfg: AttentionConfig, layer: int = 0) -> TokenSequence:
+def anchor_attention(x: np.ndarray, anchors: np.ndarray, params: ModelParams,
+                     cfg: AttentionConfig, layer: int = 0) -> np.ndarray:
     """Aggregate-then-broadcast two-phase attention through m anchors."""
-    _check_tokens(x, cfg)
     pt = _wrap(params, requires_grad=False)
-    return TokenSequence(_anchor_t(x.tokens, anchors, pt, cfg, layer), x.tags)
+    return _anchor_t(_check_tokens(x, cfg), anchors, pt, cfg, layer)
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +417,15 @@ def _np_layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-
     return xc * np.power(var + eps, -0.5) * g + b
 
 
-def dense_attention_oracle(x: TokenSequence, mask: np.ndarray, params: ModelParams,
+def dense_attention_oracle(x: np.ndarray, mask: np.ndarray, params: ModelParams,
                            cfg: AttentionConfig, layer: int = 0,
-                           level: str = "win") -> TokenSequence:
+                           level: str = "win") -> np.ndarray:
     """Ground-truth masked multi-head attention, O(L^2), plain per-head
     loops. Applies the same pre-norm/residual contract as the grouped
     levels so outputs are directly comparable."""
+    x = _check_tokens(x, cfg)
     mask = np.asarray(mask, dtype=bool)
-    n = x.values.shape[0]
+    n = x.shape[0]
     if mask.shape != (n, n):
         raise CapeskitError(f"mask shape {mask.shape}, expected {(n, n)}")
     if not mask.any(axis=1).all():
@@ -475,7 +433,7 @@ def dense_attention_oracle(x: TokenSequence, mask: np.ndarray, params: ModelPara
     ln_key = {"win": "ln_win", "xvar": "ln_xvar", "agg": "ln_anc", "brd": "ln_anc"}[level]
     p = params.tensors
     pre = f"layer{layer}"
-    xn = _np_layer_norm(x.values, p[f"{pre}.{ln_key}.g"], p[f"{pre}.{ln_key}.b"])
+    xn = _np_layer_norm(x, p[f"{pre}.{ln_key}.g"], p[f"{pre}.{ln_key}.b"])
     q = xn @ p[f"{pre}.{level}.Wq"] + p[f"{pre}.{level}.bq"]
     k = xn @ p[f"{pre}.{level}.Wk"] + p[f"{pre}.{level}.bk"]
     v = xn @ p[f"{pre}.{level}.Wv"] + p[f"{pre}.{level}.bv"]
@@ -490,7 +448,7 @@ def dense_attention_oracle(x: TokenSequence, mask: np.ndarray, params: ModelPara
         w = e / e.sum(axis=1, keepdims=True)
         heads.append(w @ v[:, sl])
     out = np.concatenate(heads, axis=1) @ p[f"{pre}.{level}.Wo"] + p[f"{pre}.{level}.bo"]
-    return TokenSequence(x.values + out, x.tags)
+    return x + out
 
 
 # ---------------------------------------------------------------------------
@@ -517,43 +475,28 @@ def _block_t(tokens: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig,
 
 def _trunk_t(pt: dict[str, ad.Value], inputs_t: ad.Value, cfg: AttentionConfig) -> ad.Value:
     tokens = _embed_tokens(inputs_t, pt, cfg)
-    for layer in range(cfg.effective_noise_layer + 1):
+    for layer in range(cfg.num_layers):
         tokens = _block_t(tokens, pt, cfg, layer)
     return tokens
 
 
-def _tail_t(pt: dict[str, ad.Value], tokens: ad.Value, cfg: AttentionConfig,
-            latent_seed: Optional[int] = None) -> ad.Value:
-    if latent_seed is not None and cfg.latent_noise_sigma > 0:
-        rng = np.random.default_rng(latent_seed)
-        noise = rng.normal(0.0, cfg.latent_noise_sigma, size=ad.data(tokens).shape)
-        tokens = ad.add(tokens, noise)
-    for layer in range(cfg.effective_noise_layer + 1, cfg.num_layers):
-        tokens = _block_t(tokens, pt, cfg, layer)
-    return _decode_t(tokens, pt, cfg)
-
-
-def _forward_t(pt: dict[str, ad.Value], inputs_t: ad.Value, cfg: AttentionConfig,
-               latent_seed: Optional[int] = None) -> ad.Value:
-    return _tail_t(pt, _trunk_t(pt, inputs_t, cfg), cfg, latent_seed)
+def _forward_t(pt: dict[str, ad.Value], inputs_t: ad.Value, cfg: AttentionConfig) -> ad.Value:
+    return _decode_t(_trunk_t(pt, inputs_t, cfg), pt, cfg)
 
 
 @blas_single_thread
 def trunk(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
-    """Embed ``inputs`` and run layers 0..``noise_layer``: the part of
-    :func:`forward` that does not depend on ``latent_seed``. Returns the
-    (seq_len, embed_dim) token values that :func:`tail` continues from."""
+    """Embed ``inputs`` and run all ``num_layers`` blocks. Returns the
+    (seq_len, embed_dim) token values that :func:`tail` decodes."""
     pt = _wrap(params, requires_grad=False)
     return _trunk_t(pt, np.asarray(inputs, dtype=np.float64), cfg)
 
 
 @blas_single_thread
 def tail(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
-         latent_seed: Optional[int] = None,
          spec: Optional[GridSpec] = None) -> GridField:
-    """Finish :func:`forward` from :func:`trunk` tokens: add the seeded
-    latent noise, run the layers after ``noise_layer`` and decode. The
-    tokens are only read, so one trunk serves any number of seeds."""
+    """Decode :func:`trunk` tokens to a precipitation field (mm) on
+    ``spec``, the config grid by default. The tokens are only read."""
     if spec is None:
         spec = GridSpec(cfg.nlat, cfg.nlon)
     elif (spec.nlat, spec.nlon) != (cfg.nlat, cfg.nlon):
@@ -561,28 +504,17 @@ def tail(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
             f"target spec {spec.nlat}x{spec.nlon} does not match config grid "
             f"{cfg.nlat}x{cfg.nlon}"
         )
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.shape != (cfg.seq_len, cfg.embed_dim):
-        raise CapeskitError(
-            f"trunk tokens shape {tokens.shape}, expected {(cfg.seq_len, cfg.embed_dim)}"
-        )
     pt = _wrap(params, requires_grad=False)
-    return GridField(spec, _tail_t(pt, tokens, cfg, latent_seed), units="mm")
+    return GridField(spec, _decode_t(_check_tokens(tokens, cfg, "trunk tokens"), pt, cfg),
+                     units="mm")
 
 
 def forward(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
-            latent_seed: Optional[int] = None,
             spec: Optional[GridSpec] = None) -> GridField:
     """Run the backbone and decode a precipitation field (mm) at native
-    resolution. With latent_seed set and sigma > 0, seeded Gaussian noise
-    is injected into all token embeddings after ``noise_layer``; the
-    output is a pure function of (params, inputs, latent_seed).
-
-    This is ``tail(trunk(...))``. Layers up to and including
-    ``noise_layer`` do not see the latent seed, so callers that run many
-    seeds on one input (the AI ensemble) compute :func:`trunk` once and
-    share it across those seeds."""
-    return tail(params, trunk(params, inputs, cfg), cfg, latent_seed, spec)
+    resolution: ``tail(trunk(...))``, a pure function of (params, inputs).
+    The AI ensemble perturbs the tokens between the two."""
+    return tail(params, trunk(params, inputs, cfg), cfg, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +561,7 @@ def measure_block_time(cfg: AttentionConfig, seed: int = 0, repeats: int = 3) ->
 
 def _loss_value(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -> float:
     pt = _wrap(params, requires_grad=False)
-    out = _forward_t(pt, inputs, cfg, latent_seed=None)
+    out = _forward_t(pt, inputs, cfg)
     return float(np.sum(out * out))
 
 
@@ -638,16 +570,14 @@ def grad_check(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
                probe_count: int = 20, step: float = 1e-5, seed: int = 0) -> float:
     """Max relative error between tape gradients of sum(output^2) and
     central finite differences over randomly probed parameter and input
-    entries. Requires the deterministic path (latent_noise_sigma = 0)."""
-    if cfg.latent_noise_sigma != 0:
-        raise CapeskitError("grad_check requires latent_noise_sigma = 0")
+    entries."""
     if probe_count < 1 or not step > 0:
         raise CapeskitError(f"grad_check needs probe_count >= 1 and step > 0, "
                             f"got {probe_count} and {step}")
     inputs = np.asarray(inputs, dtype=np.float64)
     pt = _wrap(params, requires_grad=True)
     inputs_t = Tensor(inputs, requires_grad=True)
-    out = _forward_t(pt, inputs_t, cfg, latent_seed=None)
+    out = _forward_t(pt, inputs_t, cfg)
     loss = ad.sum_all(ad.mul(out, out))
     loss.backward()
 

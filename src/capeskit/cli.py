@@ -210,7 +210,11 @@ def _cfg_for_length(length: int, base: dict) -> attn.AttentionConfig:
     w, p = base["window_size"], base["patch_size"]
     if length % v:
         raise CapeskitError(f"length {length} not divisible by num_domains {v}")
-    if length * base["embed_dim"] > sys.maxsize // 8:  # no float64 token array that large
+    try:  # physical memory; the address space where the OS does not report it
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        memory = sys.maxsize
+    if 8 * length * base["embed_dim"] > memory:  # no float64 token array that large
         raise CapeskitError(f"{length} tokens of width {base['embed_dim']} do not fit in memory")
     patches = length // v
     if patches < 1 or patches % (w * w):

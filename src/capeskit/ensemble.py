@@ -4,9 +4,9 @@ The numerical track is a 174-member manifest: 27 members from 3 start
 dates x 9 physics schemes, plus 147 from the same 3 dates x a 7 x 7
 lattice over two perturbed physical parameters. The AI track applies
 n_latent latent-noise perturbations to each of n_init initial-condition
-perturbations (40 x 40 = 1,600 members by default). Latent noise enters
-after the backbone's noise layer, so the layers up to it run once per
-initial-condition field and are shared by its n_latent members.
+perturbations (40 x 40 = 1,600 members by default). Both perturbations
+live here: the backbone trunk runs once per initial-condition field, and
+each member adds its own seeded noise to the shared trunk tokens.
 
 Initial perturbations are spatially correlated Gaussian fields from
 spectral synthesis (power-law shaped Fourier coefficients); they stand in
@@ -29,7 +29,7 @@ an ensemble's fields are held once (see :class:`capeskit.fusion.EnsembleSet`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,13 +64,13 @@ def correlated_field(spec: GridSpec, seed: int, sigma: float, slope: float) -> G
     """
     if sigma < 0:
         raise CapeskitError(f"sigma must be >= 0, got {sigma}")
-    return GridField(spec, _correlated_values(spec, [seed], [sigma], [slope])[0], units="percent")
+    return GridField(spec, _correlated_values(spec, [seed], [sigma], slope)[0], units="percent")
 
 
 def _correlated_values(spec: GridSpec, seeds: Sequence[int], sigmas: Sequence[float],
-                       slopes: Sequence[float]) -> np.ndarray:
+                       slope: float) -> np.ndarray:
     """The values of correlated_field(spec, seed, sigma, slope) for each
-    (seed, sigma, slope), as one (m, nlat, nlon) array.
+    (seed, sigma), as one (m, nlat, nlon) array.
 
     Each field draws its coefficients from its own seed; the inverse DFT
     and the standard deviations then run once over all m fields, which
@@ -83,11 +83,8 @@ def _correlated_values(spec: GridSpec, seeds: Sequence[int], sigmas: Sequence[fl
     ky = np.fft.fftfreq(spec.nlat) * spec.nlat
     kx = np.fft.fftfreq(spec.nlon) * spec.nlon
     kmag = np.sqrt(ky[:, None] ** 2 + kx[None, :] ** 2)
-    filters = {slope: np.power(1.0 + kmag, -slope / 2.0) for slope in set(slopes)}
+    coeff *= np.power(1.0 + kmag, -slope / 2.0)
     del kmag
-    for c, slope in zip(coeff, slopes):
-        c *= filters[slope]
-    del filters
     coeff[:, 0, 0] = 0.0
     fld = np.fft.ifft2(coeff).real
     del coeff
@@ -165,14 +162,17 @@ def build_numerical_manifest(cfg: NumericalManifest = NumericalManifest()) -> li
 # surrogate members
 
 
+#: spectral slopes of the surrogate bias and noise fields (see correlated_field)
+BIAS_SLOPE = 3.0
+NOISE_SLOPE = 2.0
+
+
 @dataclass(frozen=True)
 class TrackSkill:
     """Surrogate error amplitudes (percent anomaly units) for one track."""
 
     bias_sigma: float = 15.0
     noise_sigma: float = 40.0
-    bias_slope: float = 3.0
-    noise_slope: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -192,9 +192,9 @@ def surrogate_numerical_member(meta: MemberMeta, truth: AnomalyField,
     skill = skill_cfg.for_track(meta.track)
     try:
         bias = correlated_field(truth.spec, mix(seed, "surrogate-bias", meta.id),
-                                skill.bias_sigma, skill.bias_slope)
+                                skill.bias_sigma, BIAS_SLOPE)
         noise = correlated_field(truth.spec, mix(seed, "surrogate-noise", meta.id),
-                                 skill.noise_sigma, skill.noise_slope)
+                                 skill.noise_sigma, NOISE_SLOPE)
         return AnomalyField(truth.spec, truth.values + bias.values + noise.values)
     except CapeskitError as exc:
         raise CapeskitError(f"{meta.id}: {exc}") from None
@@ -219,10 +219,9 @@ def surrogate_members(metas: Sequence[MemberMeta], truth: AnomalyField,
         skills = [skill_cfg.for_track(m.track) for m in batch]
         bias, noise = (
             _correlated_values(spec, [mix(seed, role, m.id) for m in batch],
-                               [getattr(s, sigma) for s in skills],
-                               [getattr(s, slope) for s in skills])
-            for role, sigma, slope in (("surrogate-bias", "bias_sigma", "bias_slope"),
-                                       ("surrogate-noise", "noise_sigma", "noise_slope")))
+                               [getattr(s, sigma) for s in skills], slope)
+            for role, sigma, slope in (("surrogate-bias", "bias_sigma", BIAS_SLOPE),
+                                       ("surrogate-noise", "noise_sigma", NOISE_SLOPE)))
         rows = out[a:a + len(batch)]
         np.add(truth.values, bias, out=rows)
         rows += noise
@@ -249,7 +248,6 @@ class PerturbationSpec:
     field_sigma: float = 5.0
     spectral_slope: float = 3.0
     latent_sigma: float = 0.1
-    noise_layer: Optional[int] = None
 
     def __post_init__(self):
         if self.n_init < 1 or self.n_latent < 1:
@@ -262,30 +260,29 @@ class PerturbationSpec:
         return self.n_init * self.n_latent
 
 
-def _ai_cfg(cfg: AttentionConfig, pspec: PerturbationSpec) -> AttentionConfig:
-    return replace(cfg, latent_noise_sigma=pspec.latent_sigma, noise_layer=pspec.noise_layer)
-
-
-def _init_trunk(base_fields: np.ndarray, params: ModelParams, run_cfg: AttentionConfig,
+def _init_trunk(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
                 pspec: PerturbationSpec, clim: Climatology, i: int) -> tuple[int, np.ndarray]:
     """Initial-condition perturbation i and the backbone trunk on it,
     which the n_latent members of init i share."""
     init_seed = mix(pspec.base_seed, "init", i)
     pert = correlated_field(clim.spec, init_seed, pspec.field_sigma, pspec.spectral_slope)
     perturbed = np.asarray(base_fields, dtype=np.float64) + pert.values[None, :, :, None]
-    return init_seed, trunk(params, perturbed, run_cfg)
+    return init_seed, trunk(params, perturbed, cfg)
 
 
 def _latent_member(tokens: np.ndarray, init_seed: int, params: ModelParams,
-                   run_cfg: AttentionConfig, pspec: PerturbationSpec, clim: Climatology,
+                   cfg: AttentionConfig, pspec: PerturbationSpec, clim: Climatology,
                    i: int, j: int) -> tuple[MemberMeta, AnomalyField]:
-    """Member (i, j) from the trunk of init i: latent noise, the layers
-    after the noise layer, decode and anomaly."""
+    """Member (i, j) from the trunk tokens of init i: seeded latent noise
+    added to a copy of the tokens, decode and anomaly."""
     latent_seed = mix(pspec.base_seed, "latent", i, j)
     meta = MemberMeta(id=f"ai-{i:04d}-{j:04d}", track="ai",
                       init_seed=init_seed, latent_seed=latent_seed)
     try:
-        out = tail(params, tokens, run_cfg, latent_seed=latent_seed, spec=clim.spec)
+        if pspec.latent_sigma > 0:
+            rng = np.random.default_rng(latent_seed)
+            tokens = tokens + rng.normal(0.0, pspec.latent_sigma, size=tokens.shape)
+        out = tail(params, tokens, cfg, spec=clim.spec)
         return meta, anomaly_percent(out, clim)
     except CapeskitError as exc:
         raise CapeskitError(f"{meta.id}: {exc}") from None
@@ -299,9 +296,8 @@ def ai_member(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig
     trunk-then-tail steps."""
     if not (0 <= i < pspec.n_init and 0 <= j < pspec.n_latent):
         raise CapeskitError(f"member index ({i}, {j}) outside the perturbation grid")
-    run_cfg = _ai_cfg(cfg, pspec)
-    init_seed, tokens = _init_trunk(base_fields, params, run_cfg, pspec, clim, i)
-    return _latent_member(tokens, init_seed, params, run_cfg, pspec, clim, i, j)
+    init_seed, tokens = _init_trunk(base_fields, params, cfg, pspec, clim, i)
+    return _latent_member(tokens, init_seed, params, cfg, pspec, clim, i, j)
 
 
 def ai_members(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
@@ -312,13 +308,12 @@ def ai_members(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfi
     metas; ids enumerate (i, j) lexicographically.
 
     The perturbed input and the backbone trunk are computed once per init
-    and shared by its n_latent members; only the tail runs per member."""
-    run_cfg = _ai_cfg(cfg, pspec)
+    and shared by its n_latent members; each member adds only its noise and the tail."""
     metas = []
     for i in range(pspec.n_init):
-        init_seed, tokens = _init_trunk(base_fields, params, run_cfg, pspec, clim, i)
+        init_seed, tokens = _init_trunk(base_fields, params, cfg, pspec, clim, i)
         for j in range(pspec.n_latent):
-            meta, fld = _latent_member(tokens, init_seed, params, run_cfg, pspec, clim, i, j)
+            meta, fld = _latent_member(tokens, init_seed, params, cfg, pspec, clim, i, j)
             out[len(metas)] = fld.values
             metas.append(meta)
             del fld  # no field outlives its copy

@@ -118,17 +118,15 @@ def test_criterion_03_attention_oracle_equivalence():
             cfg = attn.AttentionConfig(embed_dim=d, num_heads=h, window_size=w,
                                        num_domains=v, nlat=pr * 8, nlon=pc * 8)
             params = attn.init_params(cfg, seed)
-            x = attn.TokenSequence(
-                attn.Tensor(rng.standard_normal((cfg.seq_len, cfg.embed_dim))),
-                attn.token_tags(cfg))
+            x = rng.standard_normal((cfg.seq_len, cfg.embed_dim))
             wgot = attn.window_attention(x, params, cfg, layer=0)
             wwant = attn.dense_attention_oracle(x, attn.window_mask(cfg), params, cfg,
                                                 level="win")
-            assert np.abs(wgot.values - wwant.values).max() <= 1e-10
+            assert np.abs(wgot - wwant).max() <= 1e-10
             cgot = attn.cross_variable_attention(x, params, cfg, layer=0)
             cwant = attn.dense_attention_oracle(x, attn.cross_variable_mask(cfg), params,
                                                 cfg, level="xvar")
-            assert np.abs(cgot.values - cwant.values).max() <= 1e-10
+            assert np.abs(cgot - cwant).max() <= 1e-10
 
 
 def test_criterion_04_linear_complexity_accounting():

@@ -646,9 +646,11 @@ BAD_VALUES = [
     (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
      "embed_dim = 1099511627776\nnum_heads = 1\n"),
     (["grad-check", "--config", "{cfg}"], "embed_dim = 1099511627776\nnum_heads = 1\n"),
-    # lengths whose tokens cannot fit: one beyond the address space, after a
-    # grid search of O(sqrt(L)) steps, and one beyond any float64 array
+    # lengths whose tokens cannot fit in physical memory, rejected before the
+    # grid search: one beyond the address space, one just under the old
+    # address-space bound (a grid search of seconds), one beyond any float64 array
     (["attn-bench", "--lengths", str(3 * 2**40), "--out", "{tmp}/f.csv"], ""),
+    (["attn-bench", "--lengths", "34800000000000204", "--out", "{tmp}/f.csv"], ""),
     (["attn-bench", "--lengths", str(12 * 10**18), "--out", "{tmp}/f.csv"], ""),
     (["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
      "channels = 1099511627776\n"),

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,8 +194,7 @@ def mixed_metas(n_num, n_ai):
 
 
 TWO_TRACKS = SkillConfig(numerical=TrackSkill(bias_sigma=15.0, noise_sigma=40.0),
-                         ai=TrackSkill(bias_sigma=7.5, noise_sigma=55.0,
-                                       bias_slope=2.5, noise_slope=1.0))
+                         ai=TrackSkill(bias_sigma=7.5, noise_sigma=55.0))
 
 
 class TestBatchedSurrogates:
@@ -210,7 +208,7 @@ class TestBatchedSurrogates:
         spec = GridSpec(*shape)
         seeds = (0, 1, 2**63 + 5)
         # alone, and as the rows of one batch
-        batch = ens._correlated_values(spec, seeds, [sigma] * 3, [slope] * 3)
+        batch = ens._correlated_values(spec, seeds, [sigma] * 3, slope)
         for seed, row in zip(seeds, batch):
             got = correlated_field(spec, seed, sigma, slope).values
             want = reference_correlated_field(spec, seed, sigma, slope)
@@ -365,11 +363,13 @@ class TestAiEnsemble:
         params = attn.init_params(TOYCFG, 2)
         base = np.random.default_rng(3).standard_normal((3, 32, 32, 4))
         clim = flat_clim(SPEC)
-        pspec = PerturbationSpec(n_init=1, n_latent=1, base_seed=4,
+        pspec = PerturbationSpec(n_init=1, n_latent=3, base_seed=4,
                                  field_sigma=0.0, latent_sigma=0.0)
         e = build_ai_ensemble(base, params, TOYCFG, pspec, clim)
         direct = anomaly_percent(attn.forward(params, base, TOYCFG, spec=SPEC), clim)
-        assert np.array_equal(e.values[0], direct.values)
+        assert len(e) == 3
+        for values in e.values:
+            assert np.array_equal(values, direct.values)
 
     def test_member_isolation_matches_full_run(self):
         params = attn.init_params(TOYCFG, 5)
@@ -398,14 +398,13 @@ class TestAiEnsemble:
         assert distinct >= 0.99 * pairs
 
     def test_noise_layer_before_last_matches_isolation_and_forward(self):
-        # noise after layer 0 of 2: the shared trunk is layer 0 and every
-        # member's tail runs layer 1 after its own latent noise
+        # each member is tail(trunk(base + pert) + noise): the trunk runs
+        # both layers once per init, and only the seeded noise differs
         cfg = attn.AttentionConfig(num_layers=2)
         params = attn.init_params(cfg, 21)
         base = np.random.default_rng(22).standard_normal((3, 32, 32, 4))
         clim = flat_clim(SPEC)
-        pspec = PerturbationSpec(n_init=2, n_latent=3, base_seed=23, noise_layer=0)
-        run_cfg = replace(cfg, latent_noise_sigma=pspec.latent_sigma, noise_layer=0)
+        pspec = PerturbationSpec(n_init=2, n_latent=3, base_seed=23)
         e = build_ai_ensemble(base, params, cfg, pspec, clim)
         for k, (meta, values) in enumerate(zip(e.metas(), e.values)):
             i, j = divmod(k, pspec.n_latent)
@@ -415,8 +414,9 @@ class TestAiEnsemble:
             pert = correlated_field(SPEC, meta.init_seed, pspec.field_sigma,
                                     pspec.spectral_slope)
             inputs = base + pert.values[None, :, :, None]
-            direct = attn.forward(params, inputs, run_cfg, latent_seed=meta.latent_seed,
-                                  spec=SPEC)
+            noise = np.random.default_rng(meta.latent_seed).normal(
+                0.0, pspec.latent_sigma, size=(cfg.seq_len, cfg.embed_dim))
+            direct = attn.tail(params, attn.trunk(params, inputs, cfg) + noise, cfg, spec=SPEC)
             assert np.array_equal(anomaly_percent(direct, clim).values, values)
         assert len({row.tobytes() for row in e.values}) == len(e)
 
