@@ -38,7 +38,6 @@ from .ensemble import (
 from .errors import CapeskitError
 from .fusion import EnsembleSet, FusionConfig, blend_scores, fuse, member_metrics
 from .grid import (
-    DEFAULT_CLIM_FLOOR,
     Climatology,
     GridField,
     GridSpec,
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True, help="observed GRD1 (mm)")
     p.add_argument("--clim", required=True, help="climatology GRD1 (mm)")
     p.add_argument("--mask", help="optional unitless GRD1 cell mask (nonzero = scored)")
-    p.add_argument("--clim-floor", type=float, default=DEFAULT_CLIM_FLOOR,
+    p.add_argument("--clim-floor", type=float, default=Climatology.floor,
                    help="climatology floor in mm guarding division (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_score)

@@ -398,7 +398,10 @@ def read_manifest(path) -> list[MemberMeta]:
 def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
                        manifest: Optional[NumericalManifest] = None) -> None:
     """Manifest plus one ``<id>.grd`` anomaly file per member."""
-    os.makedirs(dirpath, exist_ok=True)
+    try:
+        os.makedirs(dirpath, exist_ok=True)
+    except OSError as exc:
+        raise CapeskitError(f"cannot write {dirpath}: {exc.strerror}") from None
     metas = ensemble.metas()
     write_manifest(os.path.join(dirpath, "manifest.tsv"), metas, manifest)
     write_anomalies(ensemble.spec, ensemble.values,

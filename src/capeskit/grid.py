@@ -14,7 +14,7 @@ each end a line) may separate values. Values written by this module use
 shortest round-trip decimal representation, so a write/read cycle
 reproduces the field bit for bit. A malformed file (non-ASCII byte, bad
 header, unparseable or non-finite value, wrong value count) raises
-:class:`GridFormatError` naming the offending line, which the command
+:class:`CapeskitError` naming the offending line, which the command
 line reports with exit code 2.
 
 The writer
@@ -60,12 +60,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapeskitError, GridFormatError, SpecMismatchError, UnitError
+from .errors import CapeskitError
 
 UNITS = ("mm", "percent", "unitless")
-
-#: Default guard (mm) against division by near-zero climatology over arid cells.
-DEFAULT_CLIM_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class _OnGrid:
 
     def require_compatible(self, other) -> None:
         if self.spec != other.spec:
-            raise SpecMismatchError(f"grid specs differ: {self.spec} vs {other.spec}")
+            raise CapeskitError(f"grid specs differ: {self.spec} vs {other.spec}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ class GridField(_OnGrid):
 
     def __post_init__(self):
         if self.units not in UNITS:
-            raise UnitError(f"unknown units {self.units!r}, expected one of {UNITS}")
+            raise CapeskitError(f"unknown units {self.units!r}, expected one of {UNITS}")
         object.__setattr__(self, "values", _freeze(self.values, self.spec))
 
 
@@ -152,7 +149,7 @@ class AnomalyField(_OnGrid):
         """The anomaly field of a percent GridField, sharing its values:
         they are already frozen, so they are not checked or copied again."""
         if f.units != "percent":
-            raise UnitError(f"anomaly fields carry percent units, got {f.units!r}")
+            raise CapeskitError(f"anomaly fields carry percent units, got {f.units!r}")
         a = object.__new__(cls)
         object.__setattr__(a, "spec", f.spec)
         object.__setattr__(a, "values", f.values)
@@ -167,13 +164,13 @@ class Climatology:
     """
 
     field: GridField
-    floor: float = DEFAULT_CLIM_FLOOR
+    floor: float = 0.1  # mm; guards division over arid cells
 
     def __post_init__(self):
         if not self.floor > 0:
             raise CapeskitError(f"climatology floor must be positive, got {self.floor}")
         if self.field.units != "mm":
-            raise UnitError(f"climatology must be in mm, got {self.field.units!r}")
+            raise CapeskitError(f"climatology must be in mm, got {self.field.units!r}")
         floored = GridField(
             self.field.spec, np.maximum(self.field.values, self.floor), units="mm"
         )
@@ -195,7 +192,7 @@ def anomaly_percent(field: GridField, clim: Climatology) -> AnomalyField:
     Cells where x equals c are exactly 0.
     """
     if field.units != "mm":
-        raise UnitError(f"anomaly_percent expects mm input, got {field.units!r}")
+        raise CapeskitError(f"anomaly_percent expects mm input, got {field.units!r}")
     field.require_compatible(clim.field)
     c = clim.values
     a = (field.values - c) / c * 100.0
@@ -437,13 +434,16 @@ def write_text_atomic(path, text: str | bytes) -> None:
     """Write ``text`` atomically: a str as UTF-8 with ``\\n`` newlines, bytes
     as they are. It goes into a temp file beside ``path`` named for this
     process, created exclusively with the mode the process umask gives,
-    then renamed over ``path``. On any failure the temp file is removed
-    and ``path`` is left as it was."""
+    then renamed over ``path``. On any failure the temp file, if made, is
+    removed and ``path`` is left as it was; an OSError (a missing
+    directory, a directory at ``path``) is reported as an input error
+    naming ``path``."""
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fd = None
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         if isinstance(text, bytes):
             fh = os.fdopen(fd, "wb")
         else:
@@ -451,8 +451,11 @@ def write_text_atomic(path, text: str | bytes) -> None:
         with fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if fd is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise CapeskitError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 
@@ -695,42 +698,40 @@ def read_bodies(bodies: Sequence, ncells: int, out: np.ndarray) -> bool:
 
 def _ascii_text(data: bytes) -> str:
     """``data`` as ASCII text with universal newlines (``\\r\\n`` and ``\\r``
-    read as ``\\n``); a non-ASCII byte raises GridFormatError naming its line."""
+    read as ``\\n``); a non-ASCII byte raises CapeskitError naming its line."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise GridFormatError(f"non-ASCII byte {data[exc.start]:#04x}", line=line) from None
+        raise CapeskitError(f"line {line}: non-ASCII byte {data[exc.start]:#04x}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _parse_header(header: str) -> tuple[GridSpec, str]:
-    """The spec and units of a GRD1 header line; GridFormatError if it is malformed."""
+    """The spec and units of a GRD1 header line; CapeskitError if it is malformed."""
     if not header.strip():
-        raise GridFormatError("empty file, expected GRD1 header", line=1)
+        raise CapeskitError("line 1: empty file, expected GRD1 header")
     head = header.split()
     if len(head) != 8 or head[0] != "GRD1":
-        raise GridFormatError(
-            "header must be 'GRD1 <nlat> <nlon> <lat0> <dlat> <lon0> <dlon> <units>'",
-            line=1,
-        )
+        raise CapeskitError(
+            "line 1: header must be 'GRD1 <nlat> <nlon> <lat0> <dlat> <lon0> <dlon> <units>'")
     try:
         nlat, nlon = int(head[1]), int(head[2])
         lat0, dlat, lon0, dlon = (float(x) for x in head[3:7])
     except ValueError as exc:
-        raise GridFormatError(f"bad header number: {exc}", line=1) from None
+        raise CapeskitError(f"line 1: bad header number: {exc}") from None
     units = head[7]
     if units not in UNITS:
-        raise GridFormatError(f"unknown units {units!r}", line=1)
+        raise CapeskitError(f"line 1: unknown units {units!r}")
     try:
         spec = GridSpec(nlat, nlon, lat0, dlat, lon0, dlon)
     except ValueError as exc:
-        raise GridFormatError(str(exc), line=1) from None
+        raise CapeskitError(f"line 1: {exc}") from None
     return spec, units
 
 
-def _body_error(lines: list[str], expected: int) -> GridFormatError:
+def _body_error(lines: list[str], expected: int) -> CapeskitError:
     """The error for a body that does not hold exactly ``expected`` finite
     values: a per-line scan for the first unparseable or non-finite token,
     the first token past the declared count, or else the count. It counts
@@ -741,26 +742,24 @@ def _body_error(lines: list[str], expected: int) -> GridFormatError:
             try:
                 v = float(tok)
             except ValueError:
-                return GridFormatError(f"unparseable value {tok!r}", line=lineno)
+                return CapeskitError(f"line {lineno}: unparseable value {tok!r}")
             if not np.isfinite(v):
-                return GridFormatError(f"non-finite value {tok!r}", line=lineno)
+                return CapeskitError(f"line {lineno}: non-finite value {tok!r}")
             if count >= expected:
-                return GridFormatError(f"more than the declared {expected} values", line=lineno)
+                return CapeskitError(f"line {lineno}: more than the declared {expected} values")
             count += 1
-    return GridFormatError(
-        f"value count mismatch: header declares {expected}, found {count}",
-        line=len(lines),
-    )
+    return CapeskitError(
+        f"line {len(lines)}: value count mismatch: header declares {expected}, found {count}")
 
 
-def grid_error(data: bytes) -> GridFormatError:
+def grid_error(data: bytes) -> CapeskitError:
     """The error of a GRD1 file that the reader rejects, found as the
     per-token reader found it: the first non-ASCII byte, else a bad
     header, else the body's first bad token or its value count."""
     try:
         text = _ascii_text(data)
         spec, _ = _parse_header(text.partition("\n")[0])
-    except GridFormatError as exc:
+    except CapeskitError as exc:
         return exc
     return _body_error(text.split("\n"), spec.ncells)
 
@@ -779,7 +778,7 @@ def split_grid(data: bytes) -> tuple[GridSpec, str, memoryview] | None:
 
 def parse_grid(data: bytes) -> GridField:
     """The field of a GRD1 file's bytes; a malformed file raises the
-    GridFormatError that :func:`read_grid` describes."""
+    CapeskitError that :func:`read_grid` describes."""
     head = split_grid(data)
     if head is not None:
         spec, units, body = head
@@ -823,5 +822,5 @@ def read_mask(path) -> np.ndarray:
     """Read a unitless GRD1 field as a boolean mask (nonzero = included)."""
     f = read_grid(path)
     if f.units != "unitless":
-        raise UnitError(f"mask fields must be unitless, got {f.units!r}")
+        raise CapeskitError(f"mask fields must be unitless, got {f.units!r}")
     return f.values != 0.0

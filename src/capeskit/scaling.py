@@ -21,7 +21,7 @@ from .ensemble import (
     correlated_field,
     surrogate_members,
 )
-from .errors import CapeskitError, DegenerateBenchmarkError
+from .errors import CapeskitError
 from .fusion import EnsembleSet, FusionConfig, MemberMeta, contribution_scores, fuse
 from .grid import AnomalyField, Climatology, GridField, GridSpec
 from .parallel import map_ordered
@@ -83,9 +83,7 @@ def truth_pattern(spec: GridSpec, seed: int, amplitude: float, slope: float) -> 
     raw = correlated_field(spec, seed, 1.0, slope)
     peak = np.abs(raw.values).max()
     if amplitude <= 0 or peak == 0.0:
-        raise DegenerateBenchmarkError(
-            "truth pattern is identically zero; amplitude must be positive"
-        )
+        raise CapeskitError("truth pattern is identically zero; amplitude must be positive")
     return AnomalyField(spec, raw.values * (amplitude / peak))
 
 
@@ -106,9 +104,9 @@ def synthetic_benchmark(cfg: BenchmarkConfig, seed: int
     cats = [classify(a) for a in truth.values.ravel()]
     for level in (Level.NORMAL, Level.FIRST, Level.SECOND):
         if not any(c.level == level for c in cats):
-            raise DegenerateBenchmarkError(f"no cell in the {level.value} band")
+            raise CapeskitError(f"no cell in the {level.value} band")
     if not any(c.extreme for c in cats):
-        raise DegenerateBenchmarkError("no extreme cell (|a| > 100)")
+        raise CapeskitError("no extreme cell (|a| > 100)")
 
     clim = Climatology(GridField(spec, np.full((cfg.nlat, cfg.nlon), cfg.clim_mm), "mm"))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScoreUndefinedError, SpecMismatchError
+from .errors import CapeskitError
 from .grid import AnomalyField, GridField
 
 
@@ -102,9 +102,7 @@ def _resolve_mask(spec, mask) -> np.ndarray:
         return np.ones((spec.nlat, spec.nlon), dtype=bool)
     m = np.asarray(mask, dtype=bool)
     if m.shape != (spec.nlat, spec.nlon):
-        raise SpecMismatchError(
-            f"mask shape {m.shape} does not match grid {spec.nlat}x{spec.nlon}"
-        )
+        raise CapeskitError(f"mask shape {m.shape} does not match grid {spec.nlat}x{spec.nlon}")
     return m
 
 
@@ -121,7 +119,7 @@ def ps_breakdown(forecast: AnomalyField, obs: AnomalyField, mask=None) -> PsBrea
     o = obs.values[m]
     n = int(f.size)
     if n == 0:
-        raise ScoreUndefinedError("no unmasked cells (N = 0)")
+        raise CapeskitError("no unmasked cells (N = 0)")
 
     fa = np.abs(f)
     oa = np.abs(o)
@@ -138,7 +136,7 @@ def ps_breakdown(forecast: AnomalyField, obs: AnomalyField, mask=None) -> PsBrea
 def ps_score(b: PsBreakdown) -> float:
     """PS score in [0, 100] from a breakdown; undefined for N = 0."""
     if b.N < 1:
-        raise ScoreUndefinedError("PS score undefined for N = 0")
+        raise CapeskitError("PS score undefined for N = 0")
     num = 2.0 * b.N0 + 2.0 * b.N1 + 4.0 * b.N2
     den = (b.N - b.N0) + 2.0 * b.N0 + 2.0 * b.N1 + 4.0 * b.N2 + b.M
     return 100.0 * num / den
@@ -152,13 +150,13 @@ def acc(forecast: AnomalyField, obs: AnomalyField, mask=None) -> float:
     f = forecast.values[m].astype(np.float64)
     o = obs.values[m].astype(np.float64)
     if f.size < 2:
-        raise ScoreUndefinedError("ACC needs at least 2 unmasked cells")
+        raise CapeskitError("ACC needs at least 2 unmasked cells")
     fd = f - f.mean()
     od = o - o.mean()
     fvar = float(fd @ fd)
     ovar = float(od @ od)
     if fvar == 0.0 or ovar == 0.0:
-        raise ScoreUndefinedError("ACC undefined for a zero-variance field")
+        raise CapeskitError("ACC undefined for a zero-variance field")
     return float(fd @ od) / math.sqrt(fvar * ovar)
 
 
@@ -168,5 +166,5 @@ def rmse(forecast: GridField, obs: GridField, mask=None) -> float:
     m = _resolve_mask(forecast.spec, mask)
     d = forecast.values[m] - obs.values[m]
     if d.size == 0:
-        raise ScoreUndefinedError("no unmasked cells (N = 0)")
+        raise CapeskitError("no unmasked cells (N = 0)")
     return math.sqrt(float(np.mean(d * d)))

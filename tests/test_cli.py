@@ -620,65 +620,97 @@ class TestConfigSchemas:
         assert len(list((tmp_path / "ens").glob("*.grd"))) == 2
 
 
-# (argv, config text) pairs that must exit 2: bad values reaching a validator.
-# "{cfg}" is the config file path, "{tmp}" the test's scratch directory.
+# (argv, config text, message) triples that must exit 2 with one line
+# holding the message: bad values reaching a validator, and outputs that
+# cannot be written. "{cfg}" is the config file path, "{tmp}" the test's
+# scratch directory; it holds the member directory "ens", an mm field "g.grd"
+# and an mm climatology "c.grd".
+GEN_AI = ["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"]
+ATTN_48 = ["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"]
+TOO_BIG = "do not fit in memory"
 BAD_VALUES = [
-    (["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"], "nlat = 0\n"),
-    (["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"], "clim_mm = nan\n"),
-    (["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
-     "field_sigma = nan\n"),
-    (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"], "alpha = 2\n"),
+    (GEN_AI, "nlat = 0\n", "error: grid must be at least 1x1, got 0x32"),
+    (GEN_AI, "clim_mm = nan\n",
+     "bad.cfg: config key 'clim_mm': expected a finite number, got 'nan'"),
+    (GEN_AI, "field_sigma = nan\n",
+     "bad.cfg: config key 'field_sigma': expected a finite number, got 'nan'"),
+    (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"], "alpha = 2\n",
+     "error: alpha must be in [0,1], got 2.0"),
     (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv", "--svg", "{tmp}/c.svg"],
-     "sizes = ,\n"),
+     "sizes = ,\n", "error: sizes must list at least one ensemble size"),
     (["fuse", "--ensemble-dir", "{tmp}/ens", "--alpha", "2",
-      "--out-field", "{tmp}/f.grd", "--out-weights", "{tmp}/w.csv"], ""),
-    (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
-     "num_heads = 0\n"),
-    (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
-     "patch_size = 0\n"),
-    (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
-     "window_size = 0\n"),
-    (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
-     "embed_dim = 0\n"),
-    (["grad-check", "--config", "{cfg}"], "step = 0\n"),
-    (["grad-check", "--config", "{cfg}"], "probes = 0\n"),
+      "--out-field", "{tmp}/f.grd", "--out-weights", "{tmp}/w.csv"], "",
+     "error: alpha must be in [0,1], got 2.0"),
+    (ATTN_48, "num_heads = 0\n", "error: num_heads must be >= 1, got 0"),
+    (ATTN_48, "patch_size = 0\n", "error: patch_size must be >= 1, got 0"),
+    (ATTN_48, "window_size = 0\n", "error: window_size must be >= 1, got 0"),
+    (ATTN_48, "embed_dim = 0\n", "error: embed_dim must be >= 1, got 0"),
+    (["grad-check", "--config", "{cfg}"], "step = 0\n",
+     "error: grad_check needs probe_count >= 1 and step > 0, got 20 and 0.0"),
+    (["grad-check", "--config", "{cfg}"], "probes = 0\n",
+     "error: grad_check needs probe_count >= 1 and step > 0, got 0 and 1e-05"),
     # sizes beyond the address space: every allocation fails at once
-    (["attn-bench", "--lengths", "48", "--config", "{cfg}", "--out", "{tmp}/f.csv"],
-     "embed_dim = 1099511627776\nnum_heads = 1\n"),
-    (["grad-check", "--config", "{cfg}"], "embed_dim = 1099511627776\nnum_heads = 1\n"),
+    (ATTN_48, "embed_dim = 1099511627776\nnum_heads = 1\n",
+     "error: 48 tokens of width 1099511627776 " + TOO_BIG),
+    (["grad-check", "--config", "{cfg}"], "embed_dim = 1099511627776\nnum_heads = 1\n",
+     "error: out of memory: "),
     # lengths whose tokens cannot fit in physical memory, rejected before the
     # grid search: one beyond the address space, one just under the old
     # address-space bound (a grid search of seconds), one beyond any float64 array
-    (["attn-bench", "--lengths", str(3 * 2**40), "--out", "{tmp}/f.csv"], ""),
-    (["attn-bench", "--lengths", "34800000000000204", "--out", "{tmp}/f.csv"], ""),
-    (["attn-bench", "--lengths", str(12 * 10**18), "--out", "{tmp}/f.csv"], ""),
-    (["generate", "--mode", "ai", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
-     "channels = 1099511627776\n"),
+    (["attn-bench", "--lengths", str(3 * 2**40), "--out", "{tmp}/f.csv"], "",
+     f"error: {3 * 2**40} tokens of width 32 " + TOO_BIG),
+    (["attn-bench", "--lengths", "34800000000000204", "--out", "{tmp}/f.csv"], "",
+     "error: 34800000000000204 tokens of width 32 " + TOO_BIG),
+    (["attn-bench", "--lengths", str(12 * 10**18), "--out", "{tmp}/f.csv"], "",
+     f"error: {12 * 10**18} tokens of width 32 " + TOO_BIG),
+    (GEN_AI, "channels = 1099511627776\n", "error: out of memory: "),
     (["generate", "--mode", "numerical", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
-     "nlat = 4294967296\nnlon = 4294967296\n"),
+     "nlat = 4294967296\nnlon = 4294967296\n",
+     "error: grid 4294967296x4294967296 has too many cells"),
     (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"],
-     "nlat = 4294967296\nnlon = 4294967296\n"),
+     "nlat = 4294967296\nnlon = 4294967296\n",
+     "error: grid 4294967296x4294967296 has too many cells"),
     # member counts whose fields cannot fit: rejected before any member is made
     (["generate", "--mode", "numerical", "--config", "{cfg}", "--out-dir", "{tmp}/o"],
-     "param_grid = 1048576x1048576\n"),
-    (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"], "n_ai = 1099511627776\n"),
+     "param_grid = 1048576x1048576\n", "error: 3298534883355 fields of 32x32 " + TOO_BIG),
+    (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"], "n_ai = 1099511627776\n",
+     "error: 1099511627950 fields of 32x32 " + TOO_BIG),
+    # outputs that cannot be written: a directory at the path, a missing
+    # directory, a file where the ensemble directory goes
+    (["scaling", "--out", "{tmp}/ens"], "", "error: cannot write {tmp}/ens: Is a directory"),
+    (["score", "--forecast", "{tmp}/g.grd", "--obs", "{tmp}/g.grd", "--clim", "{tmp}/c.grd",
+      "--out", "{tmp}/nodir/s.csv"], "",
+     "error: cannot write {tmp}/nodir/s.csv: No such file or directory"),
+    (["fuse", "--ensemble-dir", "{tmp}/ens", "--out-weights", "{tmp}/w.csv",
+      "--out-field", "{tmp}/nodir/f.grd"], "",
+     "error: cannot write {tmp}/nodir/f.grd: No such file or directory"),
+    (["render", "--field", "{tmp}/ens/ai-0000.grd", "--svg", "{tmp}/nodir/a.svg"], "",
+     "error: cannot write {tmp}/nodir/a.svg: No such file or directory"),
+    (["attn-bench", "--lengths", "48", "--out", "{tmp}/nodir/f.csv"], "",
+     "error: cannot write {tmp}/nodir/f.csv: No such file or directory"),
+    (["generate", "--mode", "numerical", "--out-dir", "{tmp}/g.grd"], "",
+     "error: cannot write {tmp}/g.grd: File exists"),
 ]
 
 
-def bad_value_id(argv, cfg_text):
-    """The command and its bad value: the config text, else the first
-    option given a literal value."""
+def bad_value_id(argv, cfg_text, message):
+    """The command and its bad value: the config text, else the output
+    that cannot be written, else the first option given a literal value."""
     if cfg_text.strip():
         return f"{argv[0]}:{cfg_text.strip()}"
+    if "cannot write " in message:
+        return f"{argv[0]}:{argv[-2]} {argv[-1]}"
     i = next(i for i, a in enumerate(argv[:-1]) if a.startswith("--") and "{" not in argv[i + 1])
     return f"{argv[0]}:{argv[i]} {argv[i + 1]}"
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("argv,cfg_text", BAD_VALUES,
-                             ids=[bad_value_id(a, t) for a, t in BAD_VALUES])
-    def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv, cfg_text):
+    @pytest.mark.parametrize("argv,cfg_text,message", BAD_VALUES,
+                             ids=[bad_value_id(*row) for row in BAD_VALUES])
+    def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv, cfg_text, message):
         make_member_dir(tmp_path, [np.array([[30.0, -40.0], [5.0, 90.0]])])
+        write_mm(tmp_path / "g.grd", [[130.0, 40.0], [110.0, 220.0]])
+        write_mm(tmp_path / "c.grd", [[100.0, 100.0], [100.0, 100.0]])
         cfgp = tmp_path / "bad.cfg"
         cfgp.write_text(cfg_text)
         argv = [a.replace("{cfg}", str(cfgp)).replace("{tmp}", str(tmp_path)) for a in argv]
@@ -686,7 +718,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message.replace("{tmp}", str(tmp_path)) in err
         assert not (tmp_path / "f.csv").exists()  # a failed attn-bench leaves no table
+        assert not list(tmp_path.rglob(".*.tmp"))
 
 
 class TestFileModes:
@@ -788,6 +822,12 @@ def run_cli(argv):
     return rc, err.getvalue()
 
 
+def byte_edits(byte):
+    """One to four edits (op, position, byte) of a file, bytes drawn from ``byte``."""
+    return st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete", "truncate"]),
+                              st.integers(0, 10**6), byte), min_size=1, max_size=4)
+
+
 class TestBadInputFiles:
     @pytest.mark.parametrize("name", sorted(BAD_FILES))
     def test_exits_2_with_one_line(self, tmp_path, name):
@@ -810,48 +850,74 @@ class TestBadInputFiles:
         assert [str(w.message) for w in caught] == []
 
     # every byte edit of an input file exits 0 or 2, never 1 (internal error)
-    EDITS = st.lists(st.tuples(
-        st.sampled_from(["replace", "insert", "delete", "truncate"]),
-        st.integers(0, 10**6),
-        st.one_of(st.sampled_from(list(b"\n\r\t ./-+_e059nafi\x00\xc3\xff")),
-                  st.integers(0, 255)),
-    ), min_size=1, max_size=4)
+    EDITS = byte_edits(st.one_of(
+        st.sampled_from(list(b"\n\r\t ./-+_e059nafi\x00\xc3\xff")), st.integers(0, 255)))
+    # config edits write no digit: one could turn "n_init = 2" into a
+    # 20000-member run of minutes
+    CONFIG_EDITS = byte_edits(st.one_of(
+        st.sampled_from(list(b"\n\r\t =#,x:./-+_enafi\x00\xc3\xff")),
+        st.integers(0, 255).filter(lambda b: not 0x30 <= b <= 0x39)))
+    # tiny config of each command (argv, config text); the keys that bound
+    # the run's size come first, so a truncation keeps them
+    CONFIGS = {
+        "generate": (["generate", "--mode", "hybrid", "--out-dir", "{tmp}/o"],
+                     "n_init = 2\nn_latent = 2\nstart_dates = d0\nschemes = s0\n"
+                     "param_grid = 1x1\nnlat = 16\nnlon = 16\nembed_dim = 8\n"),
+        "scaling": (["scaling", "--out", "{tmp}/c.csv"], SCALING_CONFIG),
+        "attn-bench": (["attn-bench", "--lengths", "48", "--out", "{tmp}/f.csv"],
+                       "embed_dim = 8\nnum_heads = 2\n"),
+        "grad-check": (["grad-check"], "probes = 2\nnum_layers = 1\nembed_dim = 8\n"
+                                       "num_heads = 2\nnlat = 16\nnlon = 16\n"),
+    }
 
-    @pytest.mark.parametrize("target", ["render", "score", "fuse-member", "fuse-manifest"])
-    @given(edits=EDITS)
+    @pytest.mark.parametrize("target", ["render", "score", "fuse-member", "fuse-manifest",
+                                        "generate", "scaling", "attn-bench", "grad-check"])
+    @given(data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_mutated_inputs_never_exit_1(self, tmp_path_factory, target, edits):
+    def test_mutated_inputs_never_exit_1(self, tmp_path_factory, target, data):
         tmp = tmp_path_factory.mktemp("mut")
-        ens = make_member_dir(tmp, [np.array([[30.0, -40.0], [5.0, 90.0]]),
-                                    np.array([[-3.0, 41.5], [1e-3, 0.0]])])
-        write_mm(tmp / "clim.grd", [[100.0, 100.0], [100.0, 0.05]])
-        write_mm(tmp / "obs.grd", [[130.0, 40.0], [110.0, 220.0]])
-        write_mm(tmp / "fc.grd", [[125.0, 45.0], [95.0, 140.0]])
-        fuse = ["fuse", "--ensemble-dir", str(ens),
-                "--out-field", str(tmp / "f.grd"), "--out-weights", str(tmp / "w.csv")]
-        victim, argv = {
-            "render": (ens / "ai-0001.grd", ["render", "--field", str(ens / "ai-0001.grd"),
-                                             "--svg", str(tmp / "a.svg")]),
-            "score": (tmp / "clim.grd",
-                      ["score", "--forecast", str(tmp / "fc.grd"), "--obs", str(tmp / "obs.grd"),
-                       "--clim", str(tmp / "clim.grd"), "--out", str(tmp / "s.csv")]),
-            "fuse-member": (ens / "ai-0000.grd", fuse),
-            "fuse-manifest": (ens / "manifest.tsv", fuse),
-        }[target]
-        data = bytearray(victim.read_bytes())
+        if target in self.CONFIGS:
+            argv, text = self.CONFIGS[target]
+            victim = tmp / "run.cfg"
+            victim.write_text(text)
+            argv = [a.replace("{tmp}", str(tmp)) for a in argv] + ["--config", str(victim)]
+            edits = data.draw(self.CONFIG_EDITS)
+        else:
+            ens = make_member_dir(tmp, [np.array([[30.0, -40.0], [5.0, 90.0]]),
+                                        np.array([[-3.0, 41.5], [1e-3, 0.0]])])
+            write_mm(tmp / "clim.grd", [[100.0, 100.0], [100.0, 0.05]])
+            write_mm(tmp / "obs.grd", [[130.0, 40.0], [110.0, 220.0]])
+            write_mm(tmp / "fc.grd", [[125.0, 45.0], [95.0, 140.0]])
+            fuse = ["fuse", "--ensemble-dir", str(ens),
+                    "--out-field", str(tmp / "f.grd"), "--out-weights", str(tmp / "w.csv")]
+            victim, argv = {
+                "render": (ens / "ai-0001.grd", ["render", "--field", str(ens / "ai-0001.grd"),
+                                                 "--svg", str(tmp / "a.svg")]),
+                "score": (tmp / "clim.grd",
+                          ["score", "--forecast", str(tmp / "fc.grd"),
+                           "--obs", str(tmp / "obs.grd"),
+                           "--clim", str(tmp / "clim.grd"), "--out", str(tmp / "s.csv")]),
+                "fuse-member": (ens / "ai-0000.grd", fuse),
+                "fuse-manifest": (ens / "manifest.tsv", fuse),
+            }[target]
+            edits = data.draw(self.EDITS)
+        buf = bytearray(victim.read_bytes())
         for op, pos, byte in edits:
-            i = pos % (len(data) + 1)
+            i = pos % (len(buf) + 1)
             if op == "insert":
-                data.insert(i, byte)
+                buf.insert(i, byte)
             elif op == "truncate":
-                del data[i:]
-            elif i < len(data):
+                del buf[i:]
+            elif i < len(buf):
                 if op == "replace":
-                    data[i] = byte
+                    buf[i] = byte
                 else:
-                    del data[i]
-        victim.write_bytes(bytes(data))
+                    del buf[i]
+        victim.write_bytes(bytes(buf))
         rc, err = run_cli(argv)
-        assert rc in (0, 2), err
-        if rc == 2:
-            assert err.startswith("error: ") and err.count("\n") == 1, err
+        if target == "grad-check" and rc == 1:  # gradients that disagree
+            assert err == "gradient check FAILED (>= 1e-6)\n", err
+        else:
+            assert rc in (0, 2), err
+            if rc == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capeskit.errors import ScoreUndefinedError, SpecMismatchError
+from capeskit.errors import CapeskitError
 from capeskit.grid import AnomalyField, GridField, GridSpec
 from capeskit.verify import (
     AnomalyCategory,
@@ -91,11 +91,11 @@ class TestPsBreakdown:
         assert (b.N, b.N0, b.N1, b.N2, b.M) == (2, 2, 1, 1, 0)
 
     def test_empty_mask_errors(self):
-        with pytest.raises(ScoreUndefinedError):
+        with pytest.raises(CapeskitError, match=r"no unmasked cells \(N = 0\)"):
             ps_breakdown(anom([1.0]), anom([1.0]), np.array([[False]]))
 
     def test_spec_mismatch(self):
-        with pytest.raises(SpecMismatchError):
+        with pytest.raises(CapeskitError, match="grid specs differ"):
             ps_breakdown(anom([1.0]), anom([1.0, 2.0]))
 
     def test_invariant_validation(self):
@@ -143,7 +143,7 @@ class TestPsScore:
         assert ps_score(PsBreakdown(4, 0, 0, 0, 0)) == 0.0
 
     def test_undefined_for_empty(self):
-        with pytest.raises(ScoreUndefinedError):
+        with pytest.raises(CapeskitError, match="PS score undefined for N = 0"):
             ps_score(PsBreakdown(0, 0, 0, 0, 0))
 
     @given(valid_breakdowns)
@@ -188,7 +188,7 @@ class TestAccRmse:
         assert acc(f, g) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_variance_undefined(self):
-        with pytest.raises(ScoreUndefinedError):
+        with pytest.raises(CapeskitError, match="ACC undefined for a zero-variance field"):
             acc(anom([2.0, 2.0]), anom([1.0, 3.0]))
 
     def test_rmse_identity(self):
