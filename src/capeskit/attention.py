@@ -31,6 +31,7 @@ verifies them against central finite differences.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -456,13 +457,17 @@ def dense_attention_oracle(x: np.ndarray, mask: np.ndarray, params: ModelParams,
 
 
 def _decode_t(tokens: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig) -> ad.Value:
-    """Atmosphere-domain tokens -> (nlat, nlon) grid."""
+    """Atmosphere-domain tokens, the first patch_rows * patch_cols rows of
+    each (n, d) token array of ``tokens`` (..., n, d), -> (..., nlat, nlon)
+    grids; a stack of token arrays is decoded with one matmul."""
     p, pr, pc = cfg.patch_size, cfg.patch_rows, cfg.patch_cols
-    atm = ad.take_rows(tokens, np.arange(pr * pc, dtype=np.intp))
-    patches = ad.add(ad.matmul(atm, pt["decoder.W"]), pt["decoder.b"])  # (pr*pc, p*p)
-    x = ad.reshape(patches, (pr, pc, p, p))
-    x = ad.transpose(x, (0, 2, 1, 3))
-    return ad.reshape(x, (cfg.nlat, cfg.nlon))
+    *lead, n, d = ad.data(tokens).shape
+    rows = (np.arange(math.prod(lead), dtype=np.intp)[:, None] * n + np.arange(pr * pc)).ravel()
+    atm = ad.take_rows(ad.reshape(tokens, (-1, d)), rows)
+    patches = ad.add(ad.matmul(atm, pt["decoder.W"]), pt["decoder.b"])  # (k*pr*pc, p*p)
+    x = ad.reshape(patches, (-1, pr, pc, p, p))
+    x = ad.transpose(x, (0, 1, 3, 2, 4))
+    return ad.reshape(x, (*lead, cfg.nlat, cfg.nlon))
 
 
 def _block_t(tokens: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig,
@@ -493,20 +498,27 @@ def trunk(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -> np.n
 
 
 @blas_single_thread
-def tail(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
-         spec: Optional[GridSpec] = None) -> GridField:
-    """Decode :func:`trunk` tokens to a precipitation field (mm) on
-    ``spec``, the config grid by default. The tokens are only read."""
-    if spec is None:
-        spec = GridSpec(cfg.nlat, cfg.nlon)
-    elif (spec.nlat, spec.nlon) != (cfg.nlat, cfg.nlon):
+def decode(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
+           spec: Optional[GridSpec] = None) -> np.ndarray:
+    """Decode a stack of token arrays, (k, n, embed_dim), with one matmul:
+    the (k, nlat, nlon) precipitation values (mm) on ``spec``, the config
+    grid by default. The decoder reads only the atmosphere domain, the
+    first ``patch_rows * patch_cols`` tokens, so n may stop there. Field m
+    has the bits :func:`tail` gives ``tokens[m]``. The tokens are only read."""
+    if spec is not None and (spec.nlat, spec.nlon) != (cfg.nlat, cfg.nlon):
         raise CapeskitError(
             f"target spec {spec.nlat}x{spec.nlon} does not match config grid "
             f"{cfg.nlat}x{cfg.nlon}"
         )
-    pt = _wrap(params, requires_grad=False)
-    return GridField(spec, _decode_t(_check_tokens(tokens, cfg, "trunk tokens"), pt, cfg),
-                     units="mm")
+    return _decode_t(np.asarray(tokens, dtype=np.float64), _wrap(params, requires_grad=False), cfg)
+
+
+def tail(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
+         spec: Optional[GridSpec] = None) -> GridField:
+    """Decode :func:`trunk` tokens to a precipitation field (mm) on
+    ``spec``, the config grid by default. The tokens are only read."""
+    values = decode(params, _check_tokens(tokens, cfg, "trunk tokens")[None], cfg, spec)[0]
+    return GridField(spec or GridSpec(cfg.nlat, cfg.nlon), values, units="mm")
 
 
 def forward(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,

@@ -31,6 +31,7 @@ from .ensemble import (
     TrackSkill,
     ai_members,
     build_numerical_manifest,
+    make_ensemble_dir,
     read_ensemble_dir,
     surrogate_members,
     write_ensemble_dir,
@@ -42,6 +43,7 @@ from .grid import (
     GridField,
     GridSpec,
     anomaly_percent,
+    check_writable,
     read_anomaly,
     read_grid,
     read_mask,
@@ -64,6 +66,18 @@ def _read_at(read, path):
         raise CapeskitError(f"{path}: {exc}") from None
 
 
+def _sidecar(primary_output) -> str:
+    """The run manifest's path: beside the command's primary output."""
+    return f"{os.fspath(primary_output).rstrip('/')}.manifest.json"
+
+
+def _check_outputs(*paths) -> None:
+    """Fail before any work when an output, or the run manifest beside the
+    first, cannot be written, with the error its write would raise."""
+    for path in (*paths, _sidecar(paths[0])):
+        check_writable(path)
+
+
 def _write_run_manifest(primary_output, command: str, config: dict,
                         seed, outputs: list, t0: float) -> None:
     manifest = {
@@ -74,8 +88,7 @@ def _write_run_manifest(primary_output, command: str, config: dict,
         "outputs": [os.fspath(p) for p in outputs],
         "wall_time_s": time.perf_counter() - t0,
     }
-    path = f"{os.fspath(primary_output).rstrip('/')}.manifest.json"
-    write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(_sidecar(primary_output), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +97,7 @@ def _write_run_manifest(primary_output, command: str, config: dict,
 
 def cmd_score(args) -> int:
     t0 = time.perf_counter()
+    _check_outputs(args.out)
     forecast = _read_at(read_grid, args.forecast)
     obs = _read_at(read_grid, args.obs)
     clim = Climatology(_read_at(read_grid, args.clim), floor=args.clim_floor)
@@ -113,8 +127,9 @@ def cmd_score(args) -> int:
 
 def cmd_fuse(args) -> int:
     t0 = time.perf_counter()
-    ensemble = read_ensemble_dir(args.ensemble_dir)
     fcfg = FusionConfig(alpha=args.alpha)
+    _check_outputs(args.out_field, args.out_weights)
+    ensemble = read_ensemble_dir(args.ensemble_dir)
     s1, s2 = member_metrics(ensemble)
     weights = blend_scores(s1, s2, fcfg)
     fused = fuse(ensemble, weights)
@@ -169,6 +184,8 @@ def cmd_generate(args) -> int:
     # every member is written into its row of one array as it is produced;
     # allocated first, so a count that cannot fit fails before any member
     values = EnsembleSet.allocate(spec, n_num + (pspec.member_count if pspec else 0))
+    make_ensemble_dir(args.out_dir)
+    check_writable(_sidecar(args.out_dir))
 
     metas = []
     if manifest_cfg is not None:
@@ -235,6 +252,7 @@ def cmd_attn_bench(args) -> int:
         num_layers=1, **base,
     )
     timing_cfgs = [(length, _cfg_for_length(length, base)) for length in lengths]
+    _check_outputs(args.out)
     rows = ["level,L,flops"]
     for length in lengths:
         f = attn.flop_count(probe, length)
@@ -294,6 +312,7 @@ def _scaling_config(v: dict) -> ScalingConfig:
 def cmd_scaling(args) -> int:
     t0 = time.perf_counter()
     cfg = _scaling_config(cfgmod.load(SCALING, args.config))
+    _check_outputs(args.out, *([args.svg] if args.svg else []))
     truth, clim, pool = synthetic_benchmark(cfg.benchmark, args.seed)
     rows = skill_curve(pool, truth, clim, cfg, args.seed)
     lines = ["size,n_num,n_ai,trials,ps_mean,ps_std,acc_mean,acc_std"]
@@ -324,6 +343,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_render(args) -> int:
     t0 = time.perf_counter()
+    _check_outputs(args.svg)
     anom = _read_at(read_anomaly, args.field)
     write_text_atomic(args.svg, svg_heatmap(anom))
     _write_run_manifest(args.svg, "render", {"field": args.field}, None, [args.svg], t0)

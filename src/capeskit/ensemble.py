@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attention import AttentionConfig, ModelParams, tail, trunk
+from .attention import AttentionConfig, ModelParams, decode, trunk
 from .errors import CapeskitError
 from .fusion import EnsembleSet, MemberMeta
 from .grid import (
@@ -43,7 +43,6 @@ from .grid import (
     GridField,
     GridSpec,
     READ_BYTES,
-    anomaly_percent,
     grid_error,
     parse_grid,
     read_bodies,
@@ -200,8 +199,9 @@ def surrogate_numerical_member(meta: MemberMeta, truth: AnomalyField,
         raise CapeskitError(f"{meta.id}: {exc}") from None
 
 
-#: values per batch of surrogate fields (64 fields of 32 x 32): bounds the
-#: working set of a batch, about 50 B per value
+#: values per batch of surrogate fields (64 fields of 32 x 32), and of AI
+#: tail tokens (42 members at L = 48, d = 32): bounds the working set of a
+#: batch, about 50 B per surrogate value and 18 B per token value
 _BATCH = 1 << 16
 
 
@@ -270,53 +270,70 @@ def _init_trunk(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConf
     return init_seed, trunk(params, perturbed, cfg)
 
 
-def _latent_member(tokens: np.ndarray, init_seed: int, params: ModelParams,
-                   cfg: AttentionConfig, pspec: PerturbationSpec, clim: Climatology,
-                   i: int, j: int) -> tuple[MemberMeta, AnomalyField]:
-    """Member (i, j) from the trunk tokens of init i: seeded latent noise
-    added to a copy of the tokens, decode and anomaly."""
-    latent_seed = mix(pspec.base_seed, "latent", i, j)
-    meta = MemberMeta(id=f"ai-{i:04d}-{j:04d}", track="ai",
-                      init_seed=init_seed, latent_seed=latent_seed)
-    try:
+def _latent_members(tokens: np.ndarray, init_seed: int, params: ModelParams,
+                    cfg: AttentionConfig, pspec: PerturbationSpec, clim: Climatology,
+                    i: int, js: Sequence[int], out: np.ndarray) -> list[MemberMeta]:
+    """Members (i, j), j in ``js``, from the trunk tokens of init i,
+    written into the rows of ``out`` (len(js), nlat, nlon), and their
+    metas. Each member adds its seeded latent noise to the tokens the
+    decoder reads, the stack is decoded with one matmul, and the anomaly
+    is computed in place. The first member whose field is not finite is
+    reported."""
+    n = cfg.patch_rows * cfg.patch_cols  # the atmosphere tokens, all that is decoded
+    stack = np.empty((len(js), n, cfg.embed_dim))
+    metas = []
+    for member, j in zip(stack, js):
+        latent_seed = mix(pspec.base_seed, "latent", i, j)
+        metas.append(MemberMeta(id=f"ai-{i:04d}-{j:04d}", track="ai",
+                                init_seed=init_seed, latent_seed=latent_seed))
+        member[...] = tokens[:n]
         if pspec.latent_sigma > 0:
+            # the first n rows of the member's (seq_len, embed_dim) noise
             rng = np.random.default_rng(latent_seed)
-            tokens = tokens + rng.normal(0.0, pspec.latent_sigma, size=tokens.shape)
-        out = tail(params, tokens, cfg, spec=clim.spec)
-        return meta, anomaly_percent(out, clim)
-    except CapeskitError as exc:
-        raise CapeskitError(f"{meta.id}: {exc}") from None
+            member += rng.normal(0.0, pspec.latent_sigma, size=member.shape)
+    c = clim.values
+    np.subtract(decode(params, stack, cfg, spec=clim.spec), c, out=out)
+    out /= c
+    out *= 100.0
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        bad = metas[int(finite.argmin())]
+        raise CapeskitError(f"{bad.id}: field values must be finite (no NaN/Inf)")
+    return metas
 
 
 def ai_member(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
               pspec: PerturbationSpec, clim: Climatology, i: int, j: int
               ) -> tuple[MemberMeta, AnomalyField]:
     """Member (i, j) alone: reproduces exactly what the full run produces
-    for that slot (the seed-mixing contract), through the same
-    trunk-then-tail steps."""
+    for that slot (the seed-mixing contract), through the same trunk and
+    the same batched tail, with a batch of one."""
     if not (0 <= i < pspec.n_init and 0 <= j < pspec.n_latent):
         raise CapeskitError(f"member index ({i}, {j}) outside the perturbation grid")
     init_seed, tokens = _init_trunk(base_fields, params, cfg, pspec, clim, i)
-    return _latent_member(tokens, init_seed, params, cfg, pspec, clim, i, j)
+    values = np.empty((1, clim.spec.nlat, clim.spec.nlon))
+    (meta,) = _latent_members(tokens, init_seed, params, cfg, pspec, clim, i, [j], values)
+    return meta, AnomalyField(clim.spec, values[0])
 
 
 def ai_members(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
                pspec: PerturbationSpec, clim: Climatology, out: np.ndarray
                ) -> list[MemberMeta]:
     """Write all n_init x n_latent members into the rows of ``out``
-    (member_count, nlat, nlon), each as it is produced, and return their
-    metas; ids enumerate (i, j) lexicographically.
+    (member_count, nlat, nlon), and return their metas; ids enumerate
+    (i, j) lexicographically.
 
     The perturbed input and the backbone trunk are computed once per init
-    and shared by its n_latent members; each member adds only its noise and the tail."""
+    and shared by its n_latent members, whose tails run in batches of
+    about _BATCH token values."""
+    per = max(1, _BATCH // (cfg.seq_len * cfg.embed_dim))
     metas = []
     for i in range(pspec.n_init):
         init_seed, tokens = _init_trunk(base_fields, params, cfg, pspec, clim, i)
-        for j in range(pspec.n_latent):
-            meta, fld = _latent_member(tokens, init_seed, params, cfg, pspec, clim, i, j)
-            out[len(metas)] = fld.values
-            metas.append(meta)
-            del fld  # no field outlives its copy
+        for a in range(0, pspec.n_latent, per):
+            js = range(a, min(a + per, pspec.n_latent))
+            rows = out[len(metas):len(metas) + len(js)]
+            metas += _latent_members(tokens, init_seed, params, cfg, pspec, clim, i, js, rows)
     return metas
 
 
@@ -395,13 +412,19 @@ def read_manifest(path) -> list[MemberMeta]:
     return metas
 
 
-def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
-                       manifest: Optional[NumericalManifest] = None) -> None:
-    """Manifest plus one ``<id>.grd`` anomaly file per member."""
+def make_ensemble_dir(dirpath) -> None:
+    """Create the directory ``dirpath``, with its parents, unless it exists;
+    a failure is an input error naming ``dirpath``."""
     try:
         os.makedirs(dirpath, exist_ok=True)
     except OSError as exc:
         raise CapeskitError(f"cannot write {dirpath}: {exc.strerror}") from None
+
+
+def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
+                       manifest: Optional[NumericalManifest] = None) -> None:
+    """Manifest plus one ``<id>.grd`` anomaly file per member."""
+    make_ensemble_dir(dirpath)
     metas = ensemble.metas()
     write_manifest(os.path.join(dirpath, "manifest.tsv"), metas, manifest)
     write_anomalies(ensemble.spec, ensemble.values,

@@ -30,6 +30,8 @@ at a fixed column, then compressed into the file's bytes. Values that
 ``repr`` writes in scientific notation (|x| < 1e-4 or >= 1e16) and
 subnormals are rare in fields; they fall back to ``repr`` one by one.
 Tests compare the writer with the ``repr`` join on random bit patterns.
+Creating a file costs about as much as formatting it, so several files
+are written on one I/O thread while the next ones are formatted.
 
 The reader
 ----------
@@ -50,11 +52,14 @@ reader with ``float`` on random bit patterns and decimals.
 
 from __future__ import annotations
 
+import errno
 import functools
 import itertools
 import os
+import queue
 import re
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -430,6 +435,12 @@ def _bodies(fields: np.ndarray) -> Iterator[bytes]:
                            for r in range(0, nrow, rows))
 
 
+def _temp_path(path: str) -> str:
+    """The temp file beside ``path`` that this process writes it through."""
+    head, name = os.path.split(path)
+    return os.path.join(head, f".{name}.{os.getpid()}.tmp")
+
+
 def write_text_atomic(path, text: str | bytes) -> None:
     """Write ``text`` atomically: a str as UTF-8 with ``\\n`` newlines, bytes
     as they are. It goes into a temp file beside ``path`` named for this
@@ -439,17 +450,17 @@ def write_text_atomic(path, text: str | bytes) -> None:
     directory, a directory at ``path``) is reported as an input error
     naming ``path``."""
     path = os.fspath(path)
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    tmp = _temp_path(path)
+    data = text.encode("utf-8") if isinstance(text, str) else text
     fd = None
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        if isinstance(text, bytes):
-            fh = os.fdopen(fd, "wb")
-        else:
-            fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
-        with fh:
-            fh.write(text)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException as exc:
         if fd is not None:
@@ -459,14 +470,92 @@ def write_text_atomic(path, text: str | bytes) -> None:
         raise
 
 
+def check_writable(path) -> None:
+    """Raise the error :func:`write_text_atomic` would raise at ``path``
+    when its directory is missing or not writable, or a directory is at
+    ``path``, so that a command fails before its work. The temp file is
+    created and removed; ``path`` itself is not touched."""
+    path = os.fspath(path)
+    tmp = _temp_path(path)
+    try:
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        os.unlink(tmp)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise CapeskitError(f"cannot write {path}: {exc.strerror}") from None
+
+
+#: member-file bytes handed to the writer thread at a time (a larger file
+#: goes alone), and the most handoffs waiting for it
+_HANDOFF = 1 << 17
+_QUEUED = 2
+
+
+def _handoffs(files: Iterator[tuple[str, bytes]]) -> Iterator[list[tuple[str, bytes]]]:
+    """``files`` in consecutive groups of about _HANDOFF bytes."""
+    group, size = [], 0
+    for path, text in files:
+        if group and size + len(text) > _HANDOFF:
+            yield group
+            group, size = [], 0
+        group.append((path, text))
+        size += len(text)
+    if group:
+        yield group
+
+
+def _write_behind(files: Iterator[tuple[str, bytes]]) -> None:
+    """:func:`write_text_atomic` of each (path, text) of ``files``, in
+    order, on one I/O thread, while this thread makes the next ones. The
+    writer's first failure stops it, so no later file is written, and is
+    raised here; an exception here stops and joins the writer before it
+    propagates, so no temp file and no thread outlive the call."""
+    queued = queue.Queue(_QUEUED)
+    stop = threading.Event()
+    failed = []
+
+    def writer():
+        for group in iter(queued.get, None):
+            for path, text in group:
+                if stop.is_set():
+                    break
+                try:
+                    write_text_atomic(path, text)
+                except BaseException as exc:
+                    failed.append(exc)
+                    stop.set()
+
+    thread = threading.Thread(target=writer, name="capeskit-writer")
+    thread.start()
+    try:
+        for group in _handoffs(files):
+            if stop.is_set():
+                break
+            queued.put(group)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        queued.put(None)
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
 def _write_grids(paths: Sequence, spec: GridSpec, units: str, values: np.ndarray) -> None:
     """Write each field of ``values`` (n, nlat, nlon), on ``spec``, as a
-    GRD1 file at its path."""
+    GRD1 file at its path. Several files are written behind the formatter
+    by :func:`_write_behind`; a single file is written here."""
     header = (f"GRD1 {spec.nlat} {spec.nlon} {_format_value(spec.lat0)} "
               f"{_format_value(spec.dlat)} {_format_value(spec.lon0)} "
               f"{_format_value(spec.dlon)} {units}\n").encode()
-    for path, body in zip(paths, _bodies(values)):
-        write_text_atomic(path, header + body)
+    files = ((path, header + body) for path, body in zip(paths, _bodies(values)))
+    if len(paths) > 1:
+        _write_behind(files)
+    else:
+        for path, text in files:
+            write_text_atomic(path, text)
 
 
 def write_grid(field: GridField, path) -> None:

@@ -4,6 +4,11 @@ CAPESKIT_THREADS caps the pool; unset means sequential. Parallel loops
 in this package only run seeded pure functions and aggregate results in
 input order, so outputs are identical at any worker count.
 
+One I/O thread, apart from this pool, writes member files behind the
+GRD1 formatter (``grid._write_behind``). It is not a compute worker and
+is not capped by CAPESKIT_THREADS; it writes the files the formatter
+hands it in order, so bytes and file order do not depend on it.
+
 Backbone work runs under :data:`blas_single_thread`. Its matrix products
 are small (L x d by d x d with d = 32), and once L reaches ~1024 they
 cross OpenBLAS's threading threshold, where waking worker threads costs

@@ -3,12 +3,15 @@ import dataclasses
 import io
 import json
 import os
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import capeskit.attention as attn
+import capeskit.cli as cli
 from capeskit.attention import AttentionConfig
 from capeskit.cli import ATTN_BENCH, GENERATE, GRAD_CHECK, SCALING, _cfg_for_length, main
 from capeskit.errors import CapeskitError
@@ -22,6 +25,15 @@ from capeskit.grid import (
 )
 
 SPEC = GridSpec(2, 2)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_a_test():
+    """A command leaves no thread behind: a writer thread that is not
+    joined fails the test that started it."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, threading.enumerate()
 
 
 def write_mm(path, values, spec=SPEC):
@@ -720,7 +732,54 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message.replace("{tmp}", str(tmp_path)) in err
         assert not (tmp_path / "f.csv").exists()  # a failed attn-bench leaves no table
+        assert not (tmp_path / "w.csv").exists()  # a failed fuse leaves no weights
         assert not list(tmp_path.rglob(".*.tmp"))
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("the work ran although an output cannot be written")
+
+
+# Outputs that cannot be written, found before any work: argv, files to
+# write under "{tmp}" ("d/x" makes "d" a directory), the functions of the
+# work (module, name), the expected message.
+UNWRITABLE = {
+    "generate-file-as-dir": (["generate", "--mode", "hybrid", "--out-dir", "{tmp}/f"],
+                             {"f": b""}, [(cli, "surrogate_members"), (cli, "ai_members")],
+                             "error: cannot write {tmp}/f: File exists"),
+    "generate-sidecar-is-dir": (["generate", "--mode", "ai", "--out-dir", "{tmp}/o"],
+                                {"o.manifest.json/x": b""}, [(cli, "ai_members")],
+                                "error: cannot write {tmp}/o.manifest.json: Is a directory"),
+    "scaling-out-is-dir": (["scaling", "--out", "{tmp}/d"], {"d/x": b""},
+                           [(cli, "synthetic_benchmark")],
+                           "error: cannot write {tmp}/d: Is a directory"),
+    "scaling-svg-no-dir": (["scaling", "--out", "{tmp}/c.csv", "--svg", "{tmp}/nodir/c.svg"],
+                           {}, [(cli, "synthetic_benchmark")],
+                           "error: cannot write {tmp}/nodir/c.svg: No such file or directory"),
+    "attn-bench-no-dir": (["attn-bench", "--lengths", "48,96,1536,6144",
+                           "--out", "{tmp}/nodir/f.csv"], {}, [(attn, "measure_block_time")],
+                          "error: cannot write {tmp}/nodir/f.csv: No such file or directory"),
+    "fuse-field-no-dir": (["fuse", "--ensemble-dir", "{tmp}/ens", "--out-weights", "{tmp}/w.csv",
+                           "--out-field", "{tmp}/nodir/f.grd"], {},
+                          [(cli, "read_ensemble_dir")],
+                          "error: cannot write {tmp}/nodir/f.grd: No such file or directory"),
+}
+
+
+class TestOutputsCheckedFirst:
+    @pytest.mark.parametrize("name", sorted(UNWRITABLE))
+    def test_unwritable_output_fails_before_the_work(self, tmp_path, monkeypatch, name):
+        argv, files, work, message = UNWRITABLE[name]
+        for rel, data in files.items():
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
+            (tmp_path / rel).write_bytes(data)
+        for module, fn in work:
+            monkeypatch.setattr(module, fn, refuse_work)
+        rc, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert rc == 2
+        assert err == message.replace("{tmp}", str(tmp_path)) + "\n"
+        assert not list(tmp_path.rglob(".*.tmp"))
+        assert not (tmp_path / "w.csv").exists()
 
 
 class TestFileModes:

@@ -420,6 +420,26 @@ class TestAiEnsemble:
             assert np.array_equal(anomaly_percent(direct, clim).values, values)
         assert len({row.tobytes() for row in e.values}) == len(e)
 
+    @pytest.mark.parametrize("n_init,n_latent,per", [
+        (2, 7, None),  # each init's members in one batch
+        (1, 45, None),  # beyond one batch of the default budget (42 at L = 48, d = 32)
+        (2, 7, 3),  # batches of 3, 3 and 1
+    ])
+    def test_batched_tails_match_ai_member(self, monkeypatch, n_init, n_latent, per):
+        if per is not None:
+            monkeypatch.setattr(ens, "_BATCH", per * TOYCFG.seq_len * TOYCFG.embed_dim)
+        params = attn.init_params(TOYCFG, 35)
+        base = np.random.default_rng(36).standard_normal((3, 32, 32, 4))
+        clim = flat_clim(SPEC)
+        pspec = PerturbationSpec(n_init=n_init, n_latent=n_latent, base_seed=37)
+        out = np.full((pspec.member_count, 32, 32), np.nan)
+        metas = ens.ai_members(base, params, TOYCFG, pspec, clim, out)
+        assert len(metas) == pspec.member_count
+        for k, (meta, values) in enumerate(zip(metas, out)):
+            solo_meta, solo = ai_member(base, params, TOYCFG, pspec, clim, *divmod(k, n_latent))
+            assert solo_meta == meta
+            assert np.array_equal(solo.values, values), meta.id
+
     def test_trunk_computed_once_per_init(self, monkeypatch):
         import capeskit.ensemble as ens
 

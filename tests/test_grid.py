@@ -1,6 +1,9 @@
 import errno
 import math
+import os
 import re
+import sys
+import threading
 from decimal import Decimal
 
 import numpy as np
@@ -215,6 +218,91 @@ class TestAtomicWrite:
             write_grid(mm(SPEC, np.zeros((2, 3))), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.grd"]
+
+
+class TestWriteBehind:
+    """Several member files are written on one I/O thread behind the
+    formatter; the caller sees the bytes, order and errors of a loop."""
+
+    N = 12  # 32 x 32 fields of about 19 kB: two handoffs of about 128 KiB
+    SPEC = GridSpec(32, 32)
+
+    def write(self, tmp_path):
+        values = np.random.default_rng(5).uniform(-100, 100, (self.N, 32, 32))
+        paths = [tmp_path / f"m{i:02d}.grd" for i in range(self.N)]
+        return values, paths
+
+    def assert_prefix_written(self, tmp_path, values, paths, k):
+        """Members before k hold their fields, no later member and no temp
+        file exists, and no writer thread is left."""
+        for i, path in enumerate(paths):
+            if i < k:
+                assert np.array_equal(read_anomaly(path).values, values[i])
+            else:
+                assert not path.exists(), path
+        assert not list(tmp_path.glob(".*.tmp"))
+        assert not [t for t in threading.enumerate() if t.name == "capeskit-writer"]
+
+    @pytest.mark.parametrize("handoff", [1, grid._HANDOFF, 1 << 30])
+    def test_files_are_those_write_grid_writes(self, tmp_path, monkeypatch, handoff):
+        monkeypatch.setattr(grid, "_HANDOFF", handoff)
+        values, paths = self.write(tmp_path)
+        grid.write_anomalies(self.SPEC, values, paths)
+        for i, path in enumerate(paths):
+            write_grid(GridField(self.SPEC, values[i], units="percent"), tmp_path / "one.grd")
+            assert path.read_bytes() == (tmp_path / "one.grd").read_bytes()
+
+    # the interpreter's default thread switch interval, and a short one that
+    # interleaves the formatter and the writer between almost every bytecode
+    @pytest.mark.parametrize("interval", [None, 1e-6])
+    @pytest.mark.parametrize("k", [0, 3, 11])  # first, inside the first handoff, last
+    def test_first_failure_stops_the_writer(self, tmp_path, monkeypatch, k, interval):
+        values, paths = self.write(tmp_path)
+        replace = os.replace
+
+        def refuse_member_k(src, dst):
+            if os.fspath(dst) == os.fspath(paths[k]):
+                raise OSError(errno.EACCES, "Permission denied")
+            replace(src, dst)
+
+        monkeypatch.setattr(grid.os, "replace", refuse_member_k)
+        default = sys.getswitchinterval()
+        sys.setswitchinterval(interval or default)
+        try:
+            with pytest.raises(CapeskitError,
+                               match=re.escape(f"cannot write {paths[k]}: Permission denied")):
+                grid.write_anomalies(self.SPEC, values, paths)
+        finally:
+            sys.setswitchinterval(default)
+        self.assert_prefix_written(tmp_path, values, paths, k)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_formatter_error_joins_the_writer(self, tmp_path, monkeypatch, error, k):
+        values, paths = self.write(tmp_path)
+        bodies = grid._bodies
+
+        def fail_after_k(fields):
+            for n, body in enumerate(bodies(fields)):
+                if n == k:
+                    raise error("formatter failed")
+                yield body
+
+        monkeypatch.setattr(grid, "_bodies", fail_after_k)
+        with pytest.raises(error, match="formatter failed"):
+            grid.write_anomalies(self.SPEC, values, paths)
+        written = sum(path.exists() for path in paths)
+        assert written <= k
+        self.assert_prefix_written(tmp_path, values, paths, written)
+
+    def test_write_grid_starts_no_thread(self, tmp_path, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started for one file")
+
+        monkeypatch.setattr(grid.threading, "Thread", no_thread)
+        f = mm(SPEC, np.arange(6.0).reshape(2, 3))
+        write_grid(f, tmp_path / "f.grd")
+        assert np.array_equal(read_grid(tmp_path / "f.grd").values, f.values)
 
 
 def reference_read(path):
