@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
 import time
 
@@ -184,28 +185,33 @@ def cmd_generate(args) -> int:
     # every member is written into its row of one array as it is produced;
     # allocated first, so a count that cannot fit fails before any member
     values = EnsembleSet.allocate(spec, n_num + (pspec.member_count if pspec else 0))
-    make_ensemble_dir(args.out_dir)
-    check_writable(_sidecar(args.out_dir))
+    made = make_ensemble_dir(args.out_dir)
+    try:
+        check_writable(_sidecar(args.out_dir))
 
-    metas = []
-    if manifest_cfg is not None:
-        metas = build_numerical_manifest(manifest_cfg)
-        truth = truth_pattern(spec, mix(args.seed, "truth"), g["truth_amplitude"], g["truth_slope"])
-        skill = SkillConfig(numerical=_NUM_SKILL.build(g))
-        surrogate_members(metas, truth, skill, mix(args.seed, "numerical"), values[:n_num])
+        metas = []
+        if manifest_cfg is not None:
+            metas = build_numerical_manifest(manifest_cfg)
+            truth = truth_pattern(spec, mix(args.seed, "truth"), g["truth_amplitude"], g["truth_slope"])
+            skill = SkillConfig(numerical=_NUM_SKILL.build(g))
+            surrogate_members(metas, truth, skill, mix(args.seed, "numerical"), values[:n_num])
 
-    if pspec is not None:
-        acfg = _backbone_cfg(g)
-        params = attn.init_params(acfg, mix(args.seed, "model"))
-        base_rng = np.random.default_rng(mix(args.seed, "base-fields"))
-        base = base_rng.standard_normal((g["num_domains"], g["nlat"], g["nlon"], g["channels"]))
-        metas += ai_members(base, params, acfg, pspec, clim, values[n_num:])
+        if pspec is not None:
+            acfg = _backbone_cfg(g)
+            params = attn.init_params(acfg, mix(args.seed, "model"))
+            base_rng = np.random.default_rng(mix(args.seed, "base-fields"))
+            base = base_rng.standard_normal((g["num_domains"], g["nlat"], g["nlon"], g["channels"]))
+            metas += ai_members(base, params, acfg, pspec, clim, values[n_num:])
 
-    ensemble = EnsembleSet(spec, metas, values)
-    write_ensemble_dir(args.out_dir, ensemble, manifest_cfg)
-    _write_run_manifest(args.out_dir, "generate",
-                        {"mode": args.mode, **g}, args.seed,
-                        [args.out_dir], t0)
+        ensemble = EnsembleSet(spec, metas, values)
+        write_ensemble_dir(args.out_dir, ensemble, manifest_cfg)
+        _write_run_manifest(args.out_dir, "generate",
+                            {"mode": args.mode, **g}, args.seed,
+                            [args.out_dir], t0)
+    except BaseException:
+        if made is not None:  # a failed run leaves no directory it made
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     print(f"wrote {len(ensemble)} members -> {args.out_dir}")
     return 0
 

@@ -412,13 +412,18 @@ def read_manifest(path) -> list[MemberMeta]:
     return metas
 
 
-def make_ensemble_dir(dirpath) -> None:
+def make_ensemble_dir(dirpath) -> Optional[str]:
     """Create the directory ``dirpath``, with its parents, unless it exists;
-    a failure is an input error naming ``dirpath``."""
+    a failure is an input error naming ``dirpath``. Returns the outermost
+    directory it created, None if ``dirpath`` existed."""
+    top, head = None, os.path.abspath(dirpath)
+    while not os.path.lexists(head):
+        top, head = head, os.path.dirname(head)
     try:
         os.makedirs(dirpath, exist_ok=True)
     except OSError as exc:
         raise CapeskitError(f"cannot write {dirpath}: {exc.strerror}") from None
+    return top
 
 
 def write_ensemble_dir(dirpath, ensemble: EnsembleSet,

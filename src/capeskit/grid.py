@@ -23,15 +23,22 @@ A body is written as ``repr`` would write it: each value's shortest
 round-trip decimal, the closest one when several are shortest, a space
 between values and ``\\n`` after each row. Writing a ``repr`` per value
 made this the most expensive step of ``generate``, so the digits are
-computed for up to 4,096 values at a time with uint64 numpy arithmetic:
-Schubfach (Giulietti 2020) gives each value's shortest decimal f 10^e,
-and the characters are laid out in a byte matrix with the decimal point
-at a fixed column, then compressed into the file's bytes. Values that
+computed for up to 4,096 values at a time with uint64 numpy arithmetic.
+Schubfach (Giulietti 2020) gives each value's shortest decimal as 16 or
+17 digits and a power of ten, its three 128-bit products in one stacked
+call. The digits, padded to 17, become three 8-digit groups and then
+ASCII by SWAR, eight digits to a word, in a 24-byte row per value. The
+point goes in by shifting the bytes after it one byte on; masks chosen by
+the point's position, the count of significant digits (read off the
+float exponent of the digits) and the sign keep the value's text and
+clear the rest, and dropping the zero bytes leaves the body. Values that
 ``repr`` writes in scientific notation (|x| < 1e-4 or >= 1e16) and
-subnormals are rare in fields; they fall back to ``repr`` one by one.
-Tests compare the writer with the ``repr`` join on random bit patterns.
-Creating a file costs about as much as formatting it, so several files
-are written on one I/O thread while the next ones are formatted.
+subnormals are rare in fields; ``repr`` writes them one by one. Tests
+compare the writer with the ``repr`` join on random bit patterns and on
+every layout. Creating a file costs about as much as formatting it, so
+several files are written on one I/O thread while the next ones are
+formatted; a file's header and body are written one after the other,
+not joined.
 
 The reader
 ----------
@@ -40,14 +47,16 @@ so bodies are parsed with uint64 numpy arithmetic, about 64 KiB of text
 (several files of an ensemble) per call. Tokens are the runs of bytes
 between separators, which are exactly the ASCII whitespace ``str.split``
 splits on. A plain token, an optional ``-``, digits, ``.`` and digits
-(19 digits at most), is read as m 10^-f, eight digits per word (SWAR),
-from words that end at its point and at its end, and converted exactly:
-m / 10^f when m < 2^53 (Clinger 1990), Eisel-Lemire's 128-bit product
-with a power of five otherwise (Lemire 2021). Every other spelling (an
-exponent, ``+``, ``_``, no digit on a side of the point, more digits,
-``inf``, ``nan``) goes to ``float``. A file the parser rejects is scanned
-line by line, token by token, for the error to report. Tests compare the
-reader with ``float`` on random bit patterns and decimals.
+(19 digits at most), is read as m 10^-f from the three words that end at
+its end: the bytes before the point move one byte on, over it, masks keep
+the digits, and they are summed eight to a word (SWAR). m is converted
+exactly: m / 10^f when m < 2^53 (Clinger 1990), Eisel-Lemire's 128-bit
+product with a power of five otherwise (Lemire 2021). Every other
+spelling (an exponent, ``+``, ``_``, no digit on a side of the point,
+more digits, ``inf``, ``nan``) goes to ``float``. A file the parser
+rejects is scanned line by line, token by token, for the error to report.
+Tests compare the reader with ``float`` on random bit patterns and
+decimals.
 """
 
 from __future__ import annotations
@@ -212,19 +221,28 @@ def _format_value(v: float) -> str:
 # ---------------------------------------------------------------------------
 # GRD1 body text: shortest round-trip decimals, computed for many values at once
 
-#: values formatted per call of _format_rows: bounds its working set (about
-#: 200 B per value), so writing an ensemble barely moves its peak memory
+#: values formatted per call of _format_rows: bounds its working set (at
+#: most 200 B per value), so writing an ensemble barely moves its peak memory
 _CHUNK = 4096
 
 _U = np.uint64
 _FRAC, _HIDDEN = _U((1 << 52) - 1), _U(1 << 52)
 _M32, _M63 = _U((1 << 32) - 1), _U((1 << 63) - 1)
 _P10 = np.array([10 ** i for i in range(20)], dtype=_U)
-_RECIP7, _M56 = _U(-(-(1 << 56) // 10 ** 7)), _U((1 << 56) - 1)
-_TOP = 7 if sys.byteorder == "little" else 0  # the byte of a uint64 holding bits 56-63
-_WIDTH = 40  # bytes per value in the layout matrix
-_POINT = 17  # the column of its decimal point
-_COLS = np.arange(_WIDTH, dtype=np.uint8)
+_ZEROS = _U(0x3030303030303030)  # eight ASCII '0' bytes in a word
+_1, _2, _3, _4, _7, _8, _9, _10, _11, _16, _20, _32, _40, _52, _56, _63, _511, _1075 = (
+    _U(c) for c in (1, 2, 3, 4, 7, 8, 9, 10, 11, 16, 20, 32, 40, 52, 56, 63, 511, 1075))
+#: the factors of the two last steps of the reader's SWAR sum
+_PAIRS = (_U(1 + (10_000 << 32)), _U(100 + (1_000_000 << 32)))
+#: the constants of _digits8
+_SWAR = tuple(_U(c % (1 << 64)) for c in (10_000, 1 - (10_000 << 32), 10_486, 0x0000007F0000007F,
+                                           1 - (100 << 16), 103, 0x000F000F000F000F, 1 - (10 << 8)))
+_TO17 = np.array([10, 1], _U)  # the factor that makes 16 or 17 digits 17
+#: by vb mod 8: s rounds up, when both s and s + 1 lie in the interval
+#: (vb mod 4 = 3, or 2 and s odd)
+_ROUND_UP = np.array([0, 0, 0, 1, 0, 0, 1, 1], bool)
+_LE = np.dtype("<u8")  # words whose bytes are laid out in address order
+_ROW = 24  # bytes per value in the layout matrix: three words
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,7 +264,8 @@ def _schubfach_tables() -> tuple[np.ndarray, ...]:
     k = np.concatenate([q * 661_971_961_083 >> 41,  # floor(log10(2^q))
                         (q * 661_971_961_083 - 274_743_187_321) >> 41])  # of 3/4 2^q
     h = np.tile(q, 2) + (-k * 913_124_641_741 >> 38) + 2  # q + floor(log2(10^-k)) + 2
-    tables = (k, h.astype(_U), np.array(g1, _U)[k + 324], np.array(g0, _U)[k + 324])
+    tables = (k.astype(np.int16), h.astype(np.uint8),
+              np.array(g1, _U)[k + 324], np.array(g0, _U)[k + 324])
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -257,70 +276,188 @@ def _mulhi(al, ah, bl, bh):
     lh = al * bh
     hl = ah * bl
     mid = al * bl
-    mid >>= 32
+    mid >>= _32
     mid += lh & _M32
     mid += hl & _M32
-    mid >>= 32
-    lh >>= 32
-    hl >>= 32
+    mid >>= _32
+    lh >>= _32
+    hl >>= _32
     mid += lh
     mid += hl
     mid += ah * bh
     return mid
 
 
-def _rop(g, cp):
-    """Schubfach's rop: g cp 2^-127 rounded to odd, where g = g1 2^63 + g0
-    is given as (g1, then the 32-bit limbs of g1 and of g0) and multiplied
-    in 64-bit pieces (Giulietti, figure 8)."""
-    g1, g1l, g1h, g0l, g0h = g
-    cl, ch = cp & _M32, cp >> 32
-    z = _mulhi(g0l, g0h, cl, ch)
-    z += g1 * cp >> 1
-    vbp = _mulhi(g1l, g1h, cl, ch)
-    vbp += z >> 63
+def _mulhi63(al, ah, bl, bh):
+    """:func:`_mulhi` for a, b < 2^63: the middle sum
+    ah bl + al bh + (al bl >> 32) is then below 2^64, so it needs no
+    carry, and two arrays of the products' shape are alive at most."""
+    mid = al * bl
+    mid >>= _32
+    t = ah * bl
+    mid += t
+    np.multiply(al, bh, out=t)
+    mid += t
+    mid >>= _32
+    np.multiply(ah, bh, out=t)
+    mid += t
+    return mid
+
+
+def _rop(g1, g0, cp):
+    """Schubfach's rop: g cp 2^-127 rounded to odd, for g = g1 2^63 + g0,
+    multiplied in 64-bit pieces (Giulietti, figure 8); g0, g1 < 2^63 and
+    cp < 2^60. ``cp``, ``g1`` and ``g0`` are consumed, so that few arrays
+    are alive at once."""
+    z = g1 * cp
+    z >>= _1
+    ch = cp >> _32
+    cl = np.bitwise_and(cp, _M32, out=cp)
+    g0l = g0 & _M32
+    z += _mulhi63(g0l, np.right_shift(g0, _32, out=g0), cl, ch)
+    del g0l
+    np.bitwise_and(g1, _M32, out=g0)
+    vbp = _mulhi63(g0, np.right_shift(g1, _32, out=g1), cl, ch)
+    del cl, ch
+    vbp += z >> _63
     z &= _M63
     z += _M63
-    z >>= 63
+    z >>= _63
     vbp |= z
     return vbp
 
 
-def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest round-trip decimals of normal doubles given as uint64 bits:
-    (f, e) with |v| = f 10^e and f free of trailing zeros. Among the
-    shortest decimals that read back as v it picks the closest, ties to
-    an even digit, which is the rule of Python's ``repr``."""
+def _schubfach(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest round-trip decimals of normal doubles given as uint64 bits,
+    as (f, k) with |v| = f 10^k and 10^15 <= f < 10^17; f may end in
+    zeros. Among the shortest decimals that read back as v it picks the
+    closest, ties to an even digit, which is the rule of Python's
+    ``repr``."""
     frac = bits & _FRAC
     irr = frac == 0
-    idx = (bits >> 52 & 0x7FF).astype(np.intp) + 2048 * irr
-    k, h, g1, g0 = (t[idx] for t in _schubfach_tables())
-    g = (g1, g1 & _M32, g1 >> 32, g0 & _M32, g0 >> 32)
-    del idx, g1, g0  # the arrays alive at once set the writer's peak memory
-    cb = (frac | _HIDDEN) << 2
-    vb = _rop(g, cb << h)
+    idx = (bits >> _52).astype(np.intp)
+    idx &= 0x7FF
+    idx += 2048 * irr
+    k, h, g1, g0 = (t.take(idx) for t in _schubfach_tables())
+    del idx  # the arrays alive at once set the writer's peak memory
+    # the three products share g, so they are made by one call
+    cp = np.empty((3, bits.size), _U)
+    cb = np.bitwise_or(frac, _HIDDEN, out=cp[0])
+    cb <<= _2
+    np.add(cb, _2, out=cp[2])
+    np.subtract(cb, _2, out=cp[1])
+    cp[1] += irr
+    cp <<= h
+    del frac, irr, h, cb
+    vb, vbl, vbr = _rop(g1, g0, cp)
+    del cp, g1, g0
     # the rounding interval is closed for even significands
-    vbl = _rop(g, cb - 2 + irr << h) + (frac & 1)
-    vbr = _rop(g, cb + 2 << h) - (frac & 1)
-    del frac, irr, cb, h, g
-    s = vb >> 2
-    # one digit shorter: at most one of sp10 and sp10 + 10 lies in the interval
-    sp10 = s // 10 * 10
-    upin = vbl <= sp10 << 2
-    short = upin != (sp10 + 10 << 2 <= vbr)
-    # otherwise s or s + 1: the one inside, else the closer, ties to even
-    uin = vbl <= s << 2
-    win = s + 1 << 2 <= vbr
-    rem = vb & 3
-    closer = (rem < 2) | ((rem == 2) & (s & 1 == 0))
-    f = np.where(short, np.where(upin, sp10, sp10 + 10), s + np.where(uin != win, win, ~closer))
-    e = k.copy()
+    odd = bits & _1
+    vbl += odd
+    vbr -= odd
+    del odd
+    # s = vb >> 2, or one digit shorter: sp10 or sp10 + 10, if just one
+    # of them lies in the interval (4 s and 4 sp10 are compared)
+    s4 = vb & ~_3
+    uin = vbl <= s4
+    win = s4 + _4 <= vbr
+    sp40 = s4 // _40
+    sp40 *= _40
+    upin = vbl <= sp40
+    wpin = sp40 + _40 <= vbr
+    # otherwise s or s + 1: the one inside if just one is, else the
+    # closer, ties to even: up ^= (up ^ win) & (uin ^ win)
+    up = _ROUND_UP.take(vb & _7)
+    del vb, vbl, vbr
+    uin ^= win
+    np.bitwise_xor(up, win, out=win)
+    win &= uin
+    up ^= win
+    del uin, win
+    s4 >>= _2
+    s4 += up
+    sp40 >>= _2
+    sp40 += wpin * _10
+    upin ^= wpin  # just one of sp10 and sp10 + 10 lies in the interval
+    return np.where(upin, sp40, s4), k
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_schubfach`'s decimals as (f, e) with |v| = f 10^e and f
+    free of trailing zeros."""
+    f, e = _schubfach(bits)
     for d in (16, 8, 4, 2, 1):
         q = f // _P10[d]
         z = q * _P10[d] == f
-        f = np.where(z, q, f)
+        np.copyto(f, q, where=z)
         e += d * z
     return f, e
+
+
+def _digits8(g: np.ndarray) -> np.ndarray:
+    """In place, the eight decimal digits of each g < 10^8 as a word whose
+    bytes are the digits' values in address order: SWAR, splitting into
+    halves, then pairs, then digits. Each step moves the remainder r of
+    x = q d + r up a lane, as x 2^w + q (1 - d 2^w) modulo 2^64, with
+    exact multiply-shift quotients (v * 10486 >> 20 = v // 100 for
+    v < 10^4, v * 103 >> 10 = v // 10 for v < 100), each lane too narrow
+    to carry into the next."""
+    q = g // _SWAR[0]
+    g <<= _32
+    g += q * _SWAR[1]
+    np.multiply(g, _SWAR[2], out=q)
+    q >>= _20
+    q &= _SWAR[3]
+    g <<= _16
+    g += q * _SWAR[4]
+    np.multiply(g, _SWAR[5], out=q)
+    q >>= _10
+    q &= _SWAR[6]
+    g <<= _8
+    g += q * _SWAR[7]
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    """The row of a value by its key, 2 (17 (decpt + 3) + nd - 1) + sign,
+    for decpt digits before the point (-3 to 16), nd significant digits
+    (1 to 17) and a sign bit. The row's digit words hold five '0's, the
+    17 digits and two spare bytes; its text is the integer part (a single
+    0 when decpt <= 0, left of the -decpt zeros that start the fraction),
+    the point, the fraction (one digit at least) and a space. As three
+    rows of three words: the bytes kept of the digit words, those kept
+    of the digit words shifted one byte on, and the sign, point and
+    space; then the text's bytes and the column of its space.
+
+    Also 2 nd by the biased exponent of the float of the row's digit
+    values read as a 192-bit number: its highest nonzero byte is
+    (exponent - 1023) // 8, the last significant digit, and 17 zeros
+    (exponent 0) are a zero, one digit. Built on first use."""
+    rows = np.zeros((20, 17, 2, 3, _ROW), np.uint8)
+    sizes = np.zeros((20, 17, 2), np.intp)
+    gaps = np.zeros((20, 17, 2), np.intp)
+    for decpt in range(-3, 17):
+        point = 5 + decpt
+        first = point - max(decpt, 1)
+        for nd in range(1, 18):
+            last = 5 + max(nd, decpt + 1)  # the point not yet in
+            for sign in (0, 1):
+                row = rows[decpt + 3, nd - 1, sign]
+                row[0, first:point] = 0xFF
+                row[1, point + 1:last + 1] = 0xFF
+                row[2, point] = ord(".")
+                row[2, last + 1] = ord(" ")
+                row[2, first - 1] = ord("-") * sign
+                sizes[decpt + 3, nd - 1, sign] = last + 2 - first + sign
+                gaps[decpt + 3, nd - 1, sign] = last + 1
+    masks = rows.reshape(680, 3, _ROW).view(_LE).astype(_U).transpose(1, 0, 2).copy()
+    nd2 = np.full(1023 + 192, 2, np.intp)
+    nd2[1023:] = 2 * (np.arange(192) // 8 - 4)  # the first digit is in byte 5
+    tables = masks, sizes.reshape(680), gaps.reshape(680), nd2
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _format_rows(values: np.ndarray, ncol: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,91 +466,84 @@ def _format_rows(values: np.ndarray, ncol: int) -> tuple[np.ndarray, np.ndarray]
     by a space, with ``\\n`` after each row. Also returns the number of
     bytes of each value, separator included.
 
-    Each value gets a row of a (n, 40) byte matrix whose decimal point
-    sits at a fixed column: the integer digits right-aligned to its left,
-    the fraction digits (with up to 3 leading zeros) left-aligned to its
-    right, then the separator, and the sign left of the first digit. One
-    mask then keeps each row's span. Values that ``repr`` writes in
-    scientific notation (|v| < 1e-4 or >= 1e16) and subnormals are written
-    by ``repr`` into their rows."""
+    Each value gets a 24-byte row, three words: five '0's, its 17
+    significant digits and two spare bytes, as three 8-digit groups. The
+    point goes in by shifting the bytes after it one on, and masks chosen
+    by the point's position, the count of significant digits and the
+    sign keep the text, which starts with the sign and ends with the
+    separator; every other byte is 0, and dropping the zero bytes leaves
+    the body. Values that ``repr`` writes in scientific notation
+    (|v| < 1e-4 or >= 1e16) and subnormals are written by ``repr`` and
+    put in between."""
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(_U)
     n = bits.size
-    f, e = _shortest(bits)
-    decpt = np.searchsorted(_P10, f, side="right") + e  # digits before the point
-    bq = bits >> 52 & 0x7FF
-    blank = (bq == 0) | (bq == 0x7FF) | (decpt < -3) | (decpt > 16)
-    # the rows repr writes: scientific notation, subnormals, inf and nan
-    fallback = np.flatnonzero(blank & (bits << 1 != 0))
-    np.putmask(f, blank, 0)  # a zero is "0.0"
-    np.putmask(e, blank, 0)
-    np.putmask(decpt, blank, 1)
-    del bq, blank
-    fl = np.maximum(-e, 1)  # fraction digits: at least the 0 of "d.0"
-    m = _positional(f, e, fl)
-    del f, e
-    sign = (bits >> 63).astype(bool)
-    start = (_POINT - np.maximum(decpt, 1) - sign).astype(np.uint8)
-    end = (_POINT + 2 + fl).astype(np.uint8)
-    del decpt, fl
-    flat = m.reshape(-1)
-    rows = np.arange(0, n * _WIDTH, _WIDTH)
-    flat[rows + end - 1] = ord(" ")
-    flat[rows[ncol - 1::ncol] + end[ncol - 1::ncol] - 1] = ord("\n")
-    neg = np.flatnonzero(sign)
-    flat[rows[neg] + start[neg]] = ord("-")
-    if fallback.size:
-        texts = [repr(v).encode() for v in bits[fallback].view(np.float64).tolist()]
-        sep = m[fallback, end[fallback] - 1]
-        m[fallback] = np.frombuffer(b"".join(t.ljust(_WIDTH) for t in texts),
-                                    np.uint8).reshape(-1, _WIDTH)
-        start[fallback] = 0
-        end[fallback] = [len(t) + 1 for t in texts]
-        m[fallback, end[fallback] - 1] = sep
-    size = end - start
-    keep = _COLS - start[:, None]
-    np.less(keep, size[:, None], out=keep)
-    return m[keep.view(bool)], size
-
-
-def _positional(f: np.ndarray, e: np.ndarray, fl: np.ndarray) -> np.ndarray:
-    """The digits of f 10^e as (n, 40) characters: the integer part
-    right-aligned to the left of the point at column _POINT, zero-padded,
-    and the first fl fraction digits left-aligned to its right, then zeros.
-    f < 10^17 and -20 <= e <= 15; fl >= the fraction digits of f 10^e."""
-    n = f.size
-    scale = _P10[np.minimum(np.maximum(-e, 0), 19)]
-    ip = f // scale
-    frac = f - ip * scale
-    ip *= _P10[np.maximum(e, 0)]
-    # five 8-digit groups: the integer part but its last digit (16 digits);
-    # that digit, a 0 where the point goes and 6 fraction digits; the next
-    # 16 fraction digits. They fill the 40 columns.
-    cut = _P10[np.maximum(fl - 6, 0)]
-    hi6 = frac // cut
-    lo16 = (frac - hi6 * cut) * _P10[22 - np.maximum(fl, 6)]
-    hi6 *= _P10[np.maximum(6 - fl, 0)]
-    tens = ip // 10
-    y = np.empty((n, 5), _U)
-    y[:, 0] = tens // 10 ** 8
-    y[:, 1] = tens - y[:, 0] * 10 ** 8
-    y[:, 2] = (ip - tens * 10) * 10 ** 7 + hi6
-    y[:, 3] = lo16 // 10 ** 8
-    y[:, 4] = lo16 - y[:, 3] * 10 ** 8
-    del scale, ip, frac, cut, hi6, lo16, tens
-    # the digits by fixed-point arithmetic: y / 2^56 = group / 10^7 plus an
-    # error below 2e-9 that never reaches a digit boundary; each digit is
-    # then the top byte of y
-    y *= _RECIP7
-    top = y.view(np.uint8).reshape(n, 5, 8)[:, :, _TOP]
-    digits = np.empty((n, 5, 8), np.uint8)
-    for j in range(8):
-        digits[:, :, j] = top
-        y &= _M56
-        y *= 10
-    digits += ord("0")
-    m = digits.reshape(n, _WIDTH)
-    m[:, _POINT] = ord(".")
-    return m
+    f, k = _schubfach(bits)
+    long = f >= _P10[16]
+    f *= _TO17.take(long.view(np.uint8))  # now 17 digits
+    # the layout key, 34 (decpt + 3) + 2 (nd - 1) + sign, where decpt =
+    # k + 16 + long is the number of digits before the point; the
+    # significant ones, nd, are added below
+    key = k.astype(np.intp)
+    del k
+    key += long
+    del long
+    key *= 34
+    key += 644
+    # the rows repr writes: scientific notation, subnormals (no zero or
+    # subnormal decimal exponent is in range), inf and nan
+    blank = (key + 2).view(_U) >= 680
+    fallback = blank[:0]
+    if blank.any():
+        fallback = np.flatnonzero(blank & (bits << _1 != 0))
+        np.putmask(f, blank, 0)  # a zero is "0.0": one digit, one before the point
+        np.putmask(key, blank, 134)
+    del blank
+    key += (bits >> _63).view(np.intp)
+    words = np.empty((n, 3), _LE)
+    np.floor_divide(f, _P10[14], out=words[:, 0])
+    f -= words[:, 0] * _P10[14]
+    np.floor_divide(f, _P10[6], out=words[:, 1])
+    f -= words[:, 1] * _P10[6]
+    np.multiply(f, _P10[2], out=words[:, 2])
+    del f
+    _digits8(words)
+    masks, sizes, gaps, nd2 = _layout_tables()
+    # the last significant digit: the highest nonzero byte of the row's
+    # digit values read as one number, from the exponent of its float
+    # (each byte is at most 9, so no rounding carries into the next byte)
+    digits = words.astype(np.float64)
+    top = digits[:, 2] * 2.0 ** 128
+    top += digits[:, 1] * 2.0 ** 64
+    top += digits[:, 0]
+    del digits
+    key += nd2.take(top.view(_U) >> _52)
+    del top
+    words |= _ZEROS
+    shifted = words << _8
+    # a word's top byte moves into the next one's first byte; it moves
+    # from one row into the next, where no mask keeps it
+    shifted.reshape(-1)[1:] |= words.reshape(-1)[:-1] >> _56
+    shifted &= masks[1].take(key, axis=0)
+    words &= masks[0].take(key, axis=0)
+    words |= shifted
+    words |= masks[2].take(key, axis=0)
+    del shifted
+    size = sizes.take(key)
+    m = words.view(np.uint8).reshape(n, _ROW)
+    ends = np.arange(ncol - 1, n, ncol)
+    m[ends, gaps.take(key[ends])] = ord("\n")
+    del key
+    if not fallback.size:
+        return m[m != 0], size
+    # the texts repr writes go in where their rows would be
+    m[fallback] = 0
+    size[fallback] = 0
+    at = (np.cumsum(size) - size)[fallback]
+    texts = [repr(v).encode() + (b"\n" if j % ncol == ncol - 1 else b" ")
+             for j, v in zip(fallback.tolist(), bits[fallback].view(np.float64).tolist())]
+    size[fallback] = [len(t) for t in texts]
+    text = np.frombuffer(b"".join(texts), np.uint8)
+    return np.insert(m[m != 0], at.repeat(size[fallback]), text), size
 
 
 def _bodies(fields: np.ndarray) -> Iterator[bytes]:
@@ -441,24 +571,27 @@ def _temp_path(path: str) -> str:
     return os.path.join(head, f".{name}.{os.getpid()}.tmp")
 
 
-def write_text_atomic(path, text: str | bytes) -> None:
+def write_text_atomic(path, text: str | bytes | tuple) -> None:
     """Write ``text`` atomically: a str as UTF-8 with ``\\n`` newlines, bytes
-    as they are. It goes into a temp file beside ``path`` named for this
-    process, created exclusively with the mode the process umask gives,
-    then renamed over ``path``. On any failure the temp file, if made, is
-    removed and ``path`` is left as it was; an OSError (a missing
+    as they are, and a tuple of bytes one after the other, so that they
+    need not be joined. It goes into a temp file beside ``path`` named for
+    this process, created exclusively with the mode the process umask
+    gives, then renamed over ``path``. On any failure the temp file, if
+    made, is removed and ``path`` is left as it was; an OSError (a missing
     directory, a directory at ``path``) is reported as an input error
     naming ``path``."""
     path = os.fspath(path)
     tmp = _temp_path(path)
-    data = text.encode("utf-8") if isinstance(text, str) else text
+    parts = (text.encode("utf-8"),) if isinstance(text, str) else (
+        text if isinstance(text, tuple) else (text,))
     fd = None
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            for part in parts:
+                view = memoryview(part)
+                while view:
+                    view = view[os.write(fd, view):]
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -492,21 +625,23 @@ _HANDOFF = 1 << 17
 _QUEUED = 2
 
 
-def _handoffs(files: Iterator[tuple[str, bytes]]) -> Iterator[list[tuple[str, bytes]]]:
-    """``files`` in consecutive groups of about _HANDOFF bytes."""
+def _handoffs(files: Iterator[tuple[str, tuple]]) -> Iterator[list[tuple[str, tuple]]]:
+    """``files``, each (path, parts of its text), in consecutive groups of
+    about _HANDOFF bytes."""
     group, size = [], 0
-    for path, text in files:
-        if group and size + len(text) > _HANDOFF:
+    for path, parts in files:
+        length = sum(map(len, parts))
+        if group and size + length > _HANDOFF:
             yield group
             group, size = [], 0
-        group.append((path, text))
-        size += len(text)
+        group.append((path, parts))
+        size += length
     if group:
         yield group
 
 
-def _write_behind(files: Iterator[tuple[str, bytes]]) -> None:
-    """:func:`write_text_atomic` of each (path, text) of ``files``, in
+def _write_behind(files: Iterator[tuple[str, tuple]]) -> None:
+    """:func:`write_text_atomic` of each (path, parts) of ``files``, in
     order, on one I/O thread, while this thread makes the next ones. The
     writer's first failure stops it, so no later file is written, and is
     raised here; an exception here stops and joins the writer before it
@@ -517,11 +652,11 @@ def _write_behind(files: Iterator[tuple[str, bytes]]) -> None:
 
     def writer():
         for group in iter(queued.get, None):
-            for path, text in group:
+            for path, parts in group:
                 if stop.is_set():
                     break
                 try:
-                    write_text_atomic(path, text)
+                    write_text_atomic(path, parts)
                 except BaseException as exc:
                     failed.append(exc)
                     stop.set()
@@ -546,16 +681,18 @@ def _write_behind(files: Iterator[tuple[str, bytes]]) -> None:
 def _write_grids(paths: Sequence, spec: GridSpec, units: str, values: np.ndarray) -> None:
     """Write each field of ``values`` (n, nlat, nlon), on ``spec``, as a
     GRD1 file at its path. Several files are written behind the formatter
-    by :func:`_write_behind`; a single file is written here."""
+    by :func:`_write_behind`; a single file is written here. Each file
+    is written as its header and then its body, which are not joined, so
+    a body is copied once, when it is made."""
     header = (f"GRD1 {spec.nlat} {spec.nlon} {_format_value(spec.lat0)} "
               f"{_format_value(spec.dlat)} {_format_value(spec.lon0)} "
               f"{_format_value(spec.dlon)} {units}\n").encode()
-    files = ((path, header + body) for path, body in zip(paths, _bodies(values)))
+    files = ((path, (header, body)) for path, body in zip(paths, _bodies(values)))
     if len(paths) > 1:
         _write_behind(files)
     else:
-        for path, text in files:
-            write_text_atomic(path, text)
+        for path, parts in files:
+            write_text_atomic(path, parts)
 
 
 def write_grid(field: GridField, path) -> None:
@@ -567,7 +704,7 @@ def write_grid(field: GridField, path) -> None:
 # GRD1 body values: plain decimals converted for many tokens at once
 
 #: body bytes parsed per call of _parse (about 3,300 values): bounds its
-#: working set, about 10 B per byte of text, so reading an ensemble barely
+#: working set, at most 10 B per byte of text, so reading an ensemble barely
 #: moves its peak memory
 READ_BYTES = 1 << 16
 
@@ -581,13 +718,25 @@ _KIND[list(_SEPARATORS)] = _SEP
 _KIND[ord(".")] = _DOT
 _EOL = re.compile(rb"[\r\n]")
 _LEAD = b" " * 24  # so that the 24 bytes before any token lie in the text
-#: _KEEP[k][n]: for the k + 1 words that end where a run of n digits ends,
-#: the shifts that clear the bytes before the run (words are 8 bytes, in
-#: address order; the last holds the last 8 digits)
-_KEEP = [np.array([[64 - 8 * min(max(n - 8 * j, 0), 8) for j in range(k, -1, -1)]
-                   for n in range(20)], _U) for k in range(3)]
-_ZEROS, _LANES = _U(0x3030303030303030), _U(0x000000FF000000FF)
+_LANES = _U(0x000000FF000000FF)
+_WORDS3 = np.dtype((np.void, 24))  # three words as one item
 _F10 = np.array([float(10 ** i) for i in range(20)])
+
+
+@functools.lru_cache(maxsize=None)
+def _point_masks() -> np.ndarray:
+    """For the three words (24 bytes in address order) that end where a
+    plain token of i digits, a point and f digits ends, indexed by
+    20 f + i: the bytes of its f digits, and those of its i digits once
+    moved one byte on, over the point. Built on first use."""
+    rows = np.zeros((2, 20, 20, 24), np.uint8)
+    for f in range(20):
+        for i in range(20 - f):
+            rows[0, f, i, 24 - f:] = 0xFF
+            rows[1, f, i, 24 - f - i:24 - f] = 0xFF
+    masks = rows.reshape(2, 400, 24).view(_LE).astype(_U)
+    masks.flags.writeable = False
+    return masks
 
 
 @functools.lru_cache(maxsize=None)
@@ -615,66 +764,71 @@ def _eisel_lemire(m: np.ndarray, f: np.ndarray) -> np.ndarray:
     2021): m, shifted to fill 64 bits, times the 128-bit truncated 5^-f.
     For decimal exponents in [-27, 55] that product decides every
     rounding (ibid.), so no value needs a slower path."""
-    hi5, lo5, exp = (t[f] for t in _pow5_tables())
-    # the leading zeros of m, from the exponent of float(m), which may
-    # have rounded up to the next power of two
-    lz = 1086 - (m.astype(np.float64).view(_U) >> 52)
-    lz += (m << lz) < 1 << 63
+    hi5, lo5, exp = (t.take(f) for t in _pow5_tables())
+    # the leading zeros of m, from the exponent of float(m >> 11), which
+    # is exact: 1023 + floor(log2(m)) - 11
+    lz = (m >> _11).astype(np.float64).view(_U)
+    lz >>= _52
+    np.subtract(_1075, lz, out=lz)
     w = m << lz
-    wl, wh = w & _M32, w >> 32
-    hi = _mulhi(wl, wh, hi5 & _M32, hi5 >> 32)
+    wl, wh = w & _M32, w >> _32
+    hi = _mulhi(wl, wh, hi5 & _M32, hi5 >> _32)
     lo = w * hi5
     # the low 9 bits of hi all ones: the lower half of 5^-f may carry into them
-    fix = np.flatnonzero((hi & 0x1FF) == 0x1FF)
+    fix = np.flatnonzero((hi & _511) == _511)
     if fix.size:
-        lo2 = lo[fix] + _mulhi(wl[fix], wh[fix], lo5[fix] & _M32, lo5[fix] >> 32)
+        lo2 = lo[fix] + _mulhi(wl[fix], wh[fix], lo5[fix] & _M32, lo5[fix] >> _32)
         hi[fix] += lo2 < lo[fix]
         lo[fix] = lo2
-    up = hi >> 63
-    shift = up + 9
+    up = hi >> _63
+    shift = up + _9
     mant = hi >> shift  # the significand and one rounding bit
     # an exact halfway product rounds to even; only f <= 4 can give one
-    tie = np.flatnonzero(lo <= 1)
+    tie = np.flatnonzero(lo <= _1)
     if tie.size:
         t = mant[tie]
-        mant[tie] -= (f[tie] <= 4) & ((t & 3) == 1) & (t << shift[tie] == hi[tie])
-    mant += mant & 1
-    mant >>= 1
+        mant[tie] -= (f[tie] <= 4) & ((t & _3) == _1) & (t << shift[tie] == hi[tie])
+    mant += mant & _1
+    mant >>= _1
     # mant, 2^52 to 2^53, carries its leading bit (and a rounding carry) into the exponent
-    return mant + (exp + up - lz << 52)
+    exp += up
+    exp -= lz
+    exp <<= _52
+    mant += exp
+    return mant
 
 
-def _digits(w: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """In place, the numbers that the ASCII digits in the last bytes of
-    the little-endian words w write, after clearing the first keep/8 bytes:
-    SWAR, summing digit pairs, then pairs of pairs, then the two halves
-    (Lemire 2021)."""
+def _mantissas(buf: bytes, ends: np.ndarray, i: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The numbers m that the i digits, point and f digits ending before
+    ``ends`` in ``buf`` write, i + f <= 19, from the three words that end
+    there: the bytes before the point move one byte on, over it, masks
+    keep the digits, and the digits are summed as SWAR, in pairs, pairs
+    of pairs, then halves (Lemire 2021)."""
+    w = np.ndarray((len(buf) - 23,), _WORDS3, buf, 0, (1,))[ends - 24]
+    w = w.view(_LE).reshape(-1, 3)
     w ^= _ZEROS
-    w >>= keep
-    w <<= keep
-    t = w >> 8
-    w *= 10
-    w += t
-    np.right_shift(w, 16, out=t)
-    t &= _LANES
-    t *= 1 + (10_000 << 32)
+    key = f * 20
+    key += i
+    masks = _point_masks()
+    moved = w << _8
+    moved.reshape(-1)[1:] |= w.reshape(-1)[:-1] >> _56
+    moved &= masks[1].take(key, axis=0)
+    w &= masks[0].take(key, axis=0)
+    del key
+    w |= moved
+    np.right_shift(w, _8, out=moved)
+    w *= _10
+    w += moved
+    np.right_shift(w, _16, out=moved)
+    moved &= _LANES
+    moved *= _PAIRS[0]
     w &= _LANES
-    w *= 100 + (1_000_000 << 32)
-    w += t
-    w >>= 32
-    return w
-
-
-def _run(buf: bytes, ends: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The numbers that the runs of n <= 19 digits ending before ``ends``
-    in ``buf`` write, from the fewest 8-byte words that hold every run."""
-    width = (int(n.max()) + 7) // 8
-    rows = np.ndarray((len(buf) - 8 * width + 1,), np.dtype((np.void, 8 * width)), buf, 0, (1,))
-    w = _digits(rows[ends - 8 * width].view("<u8").reshape(-1, width),
-                _KEEP[width - 1].take(n, axis=0))
-    m = w[:, 0]
-    for k in range(1, width):
-        m = m * 10 ** 8 + w[:, k]
+    w *= _PAIRS[1]
+    w += moved
+    w >>= _32
+    m = w[:, 0] * _P10[16]
+    m += w[:, 1] * _P10[8]
+    m += w[:, 2]
     return m
 
 
@@ -709,23 +863,30 @@ def _parse(pieces: Sequence) -> tuple[np.ndarray, list[int]] | None:
     last -= 1  # the token's last non-digit: its point, if it is plain
     point = nd[last]
     neg = b[starts] == ord("-")
-    i = point - starts - neg  # digits before the point
-    f = ends - point - 1  # and after it
+    sign = neg.astype(np.intp)
+    i = point - starts  # digits before the point
+    i -= sign
+    f = ends - point  # and after it
+    f -= 1
     plain = kind[last] == _DOT
-    plain &= last - first == 1 + neg  # and no other non-digit but the sign
+    last -= first
+    last -= sign
+    plain &= last == 1  # and no other non-digit but the sign
     plain &= np.minimum(i, f) >= 1
     plain &= i + f <= 19
-    del nd, kind, first, last
+    del nd, kind, first, last, sign
     odd = np.flatnonzero(~plain)
     i[odd] = f[odd] = 1
-    m = _run(buf, point, i) * _P10[f] + _run(buf, ends, f)
-    del point, i
+    del point
+    m = _mantissas(buf, ends, i, f)
+    del i
     v = m.astype(np.float64)
-    v /= _F10[f]
-    big = np.flatnonzero(m >= 1 << 53)
+    v /= _F10.take(f)
+    big = np.flatnonzero(m >= _U(1 << 53))
     if big.size:
         v[big] = _eisel_lemire(m[big], f[big]).view(np.float64)
-    np.negative(v, out=v, where=neg)
+    bits = v.view(_U)
+    bits |= neg.astype(_U) << _63  # v >= 0: the sign bit negates it
     for j, s, e in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
         try:
             v[j] = float(buf[s:e].decode("ascii"))

@@ -908,6 +908,52 @@ class TestBadInputFiles:
         assert rc == 2
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("name", ["overflowing-ai-member", "overflowing-numerical-member"])
+    def test_failed_generate_removes_the_directory_it_made(self, tmp_path, name):
+        argv, files, message = BAD_FILES[name]
+        for rel, data in files.items():
+            (tmp_path / rel).write_bytes(data)
+        rc, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert rc == 2 and message in err
+        assert not (tmp_path / "o").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+    def test_failed_generate_removes_the_parents_it_made(self, tmp_path):
+        (tmp_path / "big.cfg").write_text(BIG_SIGMA)
+        rc, _ = run_cli(["generate", "--mode", "ai", "--config", str(tmp_path / "big.cfg"),
+                         "--out-dir", str(tmp_path / "a" / "b" / "o")])
+        assert rc == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
+
+    def test_failed_generate_keeps_a_directory_that_existed(self, tmp_path):
+        (tmp_path / "big.cfg").write_text(BIG_SIGMA)
+        (tmp_path / "o").mkdir()
+        (tmp_path / "o" / "notes.txt").write_bytes(b"kept\x00\n")
+        rc, _ = run_cli(["generate", "--mode", "ai", "--config", str(tmp_path / "big.cfg"),
+                         "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["notes.txt"]
+        assert (tmp_path / "o" / "notes.txt").read_bytes() == b"kept\x00\n"
+
+    def test_generate_failing_mid_write_removes_the_directory_it_made(self, tmp_path,
+                                                                       monkeypatch):
+        # the manifest and two members are written, then a rename fails
+        renames = []
+
+        def replace(src, dst):
+            if len(renames) == 3:
+                raise OSError(28, "No space left on device")
+            renames.append(dst)
+            os.rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        (tmp_path / "small.cfg").write_text("n_init = 2\nn_latent = 2\nnlat = 16\nnlon = 16\n")
+        rc, err = run_cli(["generate", "--mode", "ai", "--config", str(tmp_path / "small.cfg"),
+                           "--out-dir", str(tmp_path / "o")])
+        assert rc == 2 and "No space left on device" in err
+        assert len(renames) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+
     # every byte edit of an input file exits 0 or 2, never 1 (internal error)
     EDITS = byte_edits(st.one_of(
         st.sampled_from(list(b"\n\r\t ./-+_e059nafi\x00\xc3\xff")), st.integers(0, 255)))

@@ -533,6 +533,60 @@ class TestBodyWriter:
         x[3, 0, 0] = -9999999999999998.0
         assert list(grid._bodies(x)) == [repr_body(f) for f in x]
 
+    def test_every_point_position_digit_count_sign_and_column(self):
+        # each of the 340 positional layouts: 1 to 17 significant digits,
+        # the point after -3 to 16 digits, either sign, and first, middle
+        # and last in its row, where the separator is a newline
+        rng = np.random.default_rng(17)
+        layouts = {}
+        for decpt in range(-3, 17):
+            for nd in range(1, 16):  # a decimal this short reads back as itself
+                inner = rng.integers(0, 10, max(nd - 2, 0)).tolist()
+                ends = rng.integers(1, 10, 2).tolist()  # nonzero first and last digits
+                digits = "".join(map(str, [ends[0], *inner, ends[1]][:nd]))
+                layouts[decpt, nd] = float(f"{digits[0]}.{digits[1:]}e{decpt - 1}")
+            # 16 and 17 digits: doubles of the decade, kept by the digits repr writes
+            for v in rng.uniform(10.0 ** (decpt - 1), 10.0 ** decpt, 200).tolist():
+                sign, digits, exp = Decimal(repr(v)).normalize().as_tuple()
+                if len(digits) >= 16:
+                    layouts.setdefault((len(digits) + exp, len(digits)), v)
+        assert sorted(layouts) == [(d, n) for d in range(-3, 17) for n in range(1, 18)]
+        for (decpt, nd), v in layouts.items():
+            sign, digits, exp = Decimal(repr(v)).normalize().as_tuple()
+            assert (len(digits) + exp, len(digits)) == (decpt, nd), repr(v)
+        values = np.array(list(layouts.values()))
+        values = np.concatenate([values, -values])
+        for col in range(3):
+            x = np.full((values.size, 3), 1.5)
+            x[:, 1] = -0.25
+            x[:, col] = values
+            assert body(x) == repr_body(x)
+
+    def test_working_set_of_a_chunk(self):
+        # at most 200 B per value, the figure _CHUNK's comment states
+        import tracemalloc
+
+        x = np.random.default_rng(3).normal(-60.0, 40.0, (grid._CHUNK // 256, 256))
+        grid._format_rows(x, 256)  # the tables are built on first use
+        tracemalloc.start()
+        try:
+            grid._format_rows(x, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * x.size
+
+    @pytest.mark.slow
+    def test_digits_of_every_group(self):
+        ref = np.empty((10 ** 7, 8), np.uint8)
+        for start in range(0, 10 ** 8, 10 ** 7):
+            g = np.arange(start, start + 10 ** 7, dtype=np.uint64)
+            v = g.copy()
+            for j in range(7, -1, -1):
+                ref[:, j] = v % 10
+                v //= 10
+            assert np.array_equal(grid._digits8(g).view(np.uint8).reshape(-1, 8), ref)
+
     def test_bytes_are_written_as_they_are(self, tmp_path):
         path = tmp_path / "b.bin"
         write_text_atomic(path, b"a\r\nb\n")
@@ -623,6 +677,22 @@ class TestBodyReader:
             assert grid.read_bodies([body, body[:0]], len(tokens), np.empty(0)) is False
             assert grid.read_bodies([body], len(tokens), values)
             assert np.array_equal(bits(values), bits([float(t) for t in tokens]))
+
+    def test_working_set_of_a_read_group(self):
+        # at most 10 B per byte of text, the figure READ_BYTES's comment states
+        import tracemalloc
+
+        x = np.random.default_rng(3).normal(-60.0, 40.0, (6, 32, 32))
+        group, _ = next(grid._groups(list(grid._bodies(x))))
+        assert sum(map(len, group)) > grid.READ_BYTES // 2  # three members
+        grid._parse(group)  # the tables are built on first use
+        tracemalloc.start()
+        try:
+            grid._parse(group)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * sum(map(len, group))
 
     @pytest.mark.slow
     def test_ten_million_bit_patterns(self):
