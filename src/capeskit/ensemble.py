@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,9 +42,7 @@ from .grid import (
     Climatology,
     GridField,
     GridSpec,
-    READ_BYTES,
-    grid_error,
-    parse_grid,
+    read_anomaly,
     read_bodies,
     split_grid,
     write_anomalies,
@@ -428,69 +426,74 @@ def make_ensemble_dir(dirpath) -> Optional[str]:
 
 def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
                        manifest: Optional[NumericalManifest] = None) -> None:
-    """Manifest plus one ``<id>.grd`` anomaly file per member."""
+    """One ``<id>.grd`` anomaly file per member, then the manifest, which
+    marks the commit: an existing one is removed before the first member,
+    so a write that fails part way leaves a directory that
+    :func:`read_ensemble_dir` refuses, never a mix of two ensembles."""
     make_ensemble_dir(dirpath)
+    manifest_path = os.path.join(dirpath, "manifest.tsv")
+    try:
+        os.unlink(manifest_path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise CapeskitError(f"cannot write {manifest_path}: {exc.strerror}") from None
     metas = ensemble.metas()
-    write_manifest(os.path.join(dirpath, "manifest.tsv"), metas, manifest)
     write_anomalies(ensemble.spec, ensemble.values,
                     [os.path.join(dirpath, f"{meta.id}.grd") for meta in metas])
+    write_manifest(manifest_path, metas, manifest)
 
 
-def _parse_batch(batch: list, spec: GridSpec, values: np.ndarray) -> None:
-    """Parse the bodies of ``batch``, members (row, path, data, body) in
-    consecutive rows, into their rows of ``values``, then empty it. A bad
-    body raises the error of the first bad member in order."""
-    if batch and not read_bodies([body for *_, body in batch], spec.ncells,
-                                 values[batch[0][0]:batch[-1][0] + 1]):
-        for row, path, data, body in batch:
-            if not read_bodies([body], spec.ncells, values[row]):
-                raise CapeskitError(f"{path}: {grid_error(data)}") from None
-        raise AssertionError("a batch the reader rejects was accepted member by member")
-    batch.clear()
+def _read_member(dirpath, meta: MemberMeta) -> AnomalyField:
+    """The field of member ``meta`` of ``dirpath``, read alone; a fault
+    raises the error that names the member."""
+    grd = os.path.join(dirpath, f"{meta.id}.grd")
+    try:
+        return read_anomaly(grd)
+    except FileNotFoundError:
+        raise CapeskitError(f"{dirpath}: member file missing for {meta.id!r}") from None
+    except OSError as exc:
+        raise CapeskitError(f"{grd}: cannot read: {exc.strerror}") from None
+    except CapeskitError as exc:
+        raise CapeskitError(f"{grd}: {exc}") from None
+
+
+def _member_bodies(dirpath, metas: Sequence[MemberMeta], spec: GridSpec) -> Iterator[memoryview]:
+    """The GRD1 bodies of the member files of ``metas``, in order, up to
+    the first member that is missing or unreadable or whose header is not
+    ``spec`` in percent."""
+    for meta in metas:
+        try:
+            with open(os.path.join(dirpath, f"{meta.id}.grd"), "rb") as fh:
+                head = split_grid(fh.read())
+        except OSError:
+            return
+        if head is None or head[:2] != (spec, "percent"):
+            return
+        yield head[2]
 
 
 def read_ensemble_dir(dirpath) -> EnsembleSet:
-    """The ensemble of a directory ``write_ensemble_dir`` wrote. Member
-    files are read in manifest order, and their bodies are parsed in
-    batches of about ``READ_BYTES`` straight into their rows of the
-    ensemble array. The first member, and any whose header is bad or
-    differs from it, is read alone after the batch before it, so the first
-    bad member in manifest order is the one reported."""
+    """The ensemble of a directory ``write_ensemble_dir`` wrote. The first
+    member is read alone and sets the grid; the others stream in manifest
+    order from one generator into :func:`capeskit.grid.read_bodies`, the
+    one batching layer, which parses them into their rows of the ensemble
+    array. If it refuses them, one pass reads them one at a time, so the
+    first bad member in manifest order is the one reported."""
     manifest_path = os.path.join(dirpath, "manifest.tsv")
     if not os.path.exists(manifest_path):
         raise CapeskitError(f"{dirpath}: no manifest.tsv (not an ensemble directory?)")
     metas = read_manifest(manifest_path)
     if not metas:
         raise CapeskitError(f"{dirpath}: manifest lists no members")
-    values = spec = None
-    batch = []
-    for k, meta in enumerate(metas):
-        grd = os.path.join(dirpath, f"{meta.id}.grd")
-        try:
-            with open(grd, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            _parse_batch(batch, spec, values)
-            if isinstance(exc, FileNotFoundError):
-                raise CapeskitError(f"{dirpath}: member file missing for {meta.id!r}") from None
-            raise CapeskitError(f"{grd}: cannot read: {exc.strerror}") from None
-        head = split_grid(data)
-        if head is None or head[:2] != (spec, "percent"):
-            _parse_batch(batch, spec, values)
-            try:
-                fld = AnomalyField.from_grid(parse_grid(data))
-            except CapeskitError as exc:
-                raise CapeskitError(f"{grd}: {exc}") from None
-            if values is None:
-                spec = fld.spec
-                values = EnsembleSet.allocate(spec, len(metas))
-            elif fld.spec != spec:
+    first = _read_member(dirpath, metas[0])
+    spec = first.spec
+    values = EnsembleSet.allocate(spec, len(metas))
+    values[0] = first.values
+    if not read_bodies(_member_bodies(dirpath, metas[1:], spec), spec.ncells, values[1:]):
+        for meta, row in zip(metas[1:], values[1:]):
+            fld = _read_member(dirpath, meta)
+            if fld.spec != spec:
                 raise CapeskitError(f"member {meta.id!r} grid differs from the ensemble grid")
-            values[k] = fld.values
-            continue
-        body = head[2]
-        if sum(len(m[3]) for m in batch) + len(body) > READ_BYTES:
-            _parse_batch(batch, spec, values)
-        batch.append((k, grd, data, body))
-    _parse_batch(batch, spec, values)
+            row[...] = fld.values
     return EnsembleSet(spec, metas, values)

@@ -44,7 +44,9 @@ The reader
 ----------
 Reading one ``float`` per token made this the largest step of ``fuse``,
 so bodies are parsed with uint64 numpy arithmetic, about 64 KiB of text
-(several files of an ensemble) per call. Tokens are the runs of bytes
+(several files of an ensemble) per call, by :func:`read_bodies`, the one
+layer that batches them; it takes bodies, such as an ensemble's member
+files, from an iterable as it needs them. Tokens are the runs of bytes
 between separators, which are exactly the ASCII whitespace ``str.split``
 splits on. A plain token, an optional ``-``, digits, ``.`` and digits
 (19 digits at most), is read as m 10^-f from the three words that end at
@@ -70,7 +72,7 @@ import re
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -382,18 +384,6 @@ def _schubfach(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(upin, sp40, s4), k
 
 
-def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_schubfach`'s decimals as (f, e) with |v| = f 10^e and f
-    free of trailing zeros."""
-    f, e = _schubfach(bits)
-    for d in (16, 8, 4, 2, 1):
-        q = f // _P10[d]
-        z = q * _P10[d] == f
-        np.copyto(f, q, where=z)
-        e += d * z
-    return f, e
-
-
 def _digits8(g: np.ndarray) -> np.ndarray:
     """In place, the eight decimal digits of each g < 10^8 as a word whose
     bytes are the digits' values in address order: SWAR, splitting into
@@ -566,16 +556,17 @@ def _bodies(fields: np.ndarray) -> Iterator[bytes]:
 
 
 def _temp_path(path: str) -> str:
-    """The temp file beside ``path`` that this process writes it through."""
+    """A new temp file beside ``path``, named by the process id and four
+    random bytes: no killed process with the same id left one of that name."""
     head, name = os.path.split(path)
-    return os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    return os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
 
 
 def write_text_atomic(path, text: str | bytes | tuple) -> None:
     """Write ``text`` atomically: a str as UTF-8 with ``\\n`` newlines, bytes
     as they are, and a tuple of bytes one after the other, so that they
-    need not be joined. It goes into a temp file beside ``path`` named for
-    this process, created exclusively with the mode the process umask
+    need not be joined. It goes into a new temp file beside ``path``,
+    created exclusively with the mode the process umask
     gives, then renamed over ``path``. On any failure the temp file, if
     made, is removed and ``path`` is left as it was; an OSError (a missing
     directory, a directory at ``path``) is reported as an input error
@@ -625,19 +616,19 @@ _HANDOFF = 1 << 17
 _QUEUED = 2
 
 
-def _handoffs(files: Iterator[tuple[str, tuple]]) -> Iterator[list[tuple[str, tuple]]]:
-    """``files``, each (path, parts of its text), in consecutive groups of
-    about _HANDOFF bytes."""
-    group, size = [], 0
-    for path, parts in files:
-        length = sum(map(len, parts))
-        if group and size + length > _HANDOFF:
-            yield group
-            group, size = [], 0
-        group.append((path, parts))
-        size += length
-    if group:
-        yield group
+def _runs(items: Iterable[tuple[int, object]], limit: int) -> Iterator[list]:
+    """The items of ``items``, (size, item) pairs, in consecutive runs of at
+    most ``limit`` in total size (a larger item runs alone), each yielded
+    as soon as the next item, taken one at a time, does not fit in it."""
+    run, total = [], 0
+    for size, item in items:
+        if run and total + size > limit:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size
+    if run:
+        yield run
 
 
 def _write_behind(files: Iterator[tuple[str, tuple]]) -> None:
@@ -664,7 +655,8 @@ def _write_behind(files: Iterator[tuple[str, tuple]]) -> None:
     thread = threading.Thread(target=writer, name="capeskit-writer")
     thread.start()
     try:
-        for group in _handoffs(files):
+        for group in _runs(((sum(map(len, parts)), (path, parts)) for path, parts in files),
+                           _HANDOFF):
             if stop.is_set():
                 break
             queued.put(group)
@@ -909,35 +901,32 @@ def _pieces(body) -> Iterator:
     yield body[start:]
 
 
-def _groups(bodies: Sequence) -> Iterator[tuple[list, list]]:
+def _groups(bodies: Iterable) -> Iterator[tuple[list, list]]:
     """The pieces of ``bodies`` in groups of at most READ_BYTES (or one
-    larger piece), each with the index of each piece's body."""
-    group, owner, size = [], [], 0
-    for k, body in enumerate(bodies):
-        for piece in _pieces(body):
-            if group and size + len(piece) > READ_BYTES:
-                yield group, owner
-                group, owner, size = [], [], 0
-            group.append(piece)
-            owner.append(k)
-            size += len(piece)
-    if group:
-        yield group, owner
+    larger piece), each with the index of each piece's body. A body is
+    taken from ``bodies`` when its first piece is needed."""
+    pieces = ((len(piece), (piece, k)) for k, body in enumerate(bodies)
+              for piece in _pieces(body))
+    for run in _runs(pieces, READ_BYTES):
+        group, owner = zip(*run)
+        yield list(group), list(owner)
 
 
-def read_bodies(bodies: Sequence, ncells: int, out: np.ndarray) -> bool:
-    """Parse GRD1 bodies (bytes-like), each of which must hold exactly
-    ``ncells`` finite values, into the C-contiguous ``out``, one body after
-    the other. Returns False if one does not; :func:`grid_error` then names
-    the error. Bodies are cut into pieces of about READ_BYTES at
-    separators, and as many pieces as fit in READ_BYTES are parsed by one
-    call of the batched parser."""
+def read_bodies(bodies: Iterable, ncells: int, out: np.ndarray) -> bool:
+    """Parse GRD1 bodies (bytes-like), one per ``ncells`` values of the
+    C-contiguous ``out``, each of which must hold exactly ``ncells`` finite
+    values, into ``out``, one after the other. Returns False if one does
+    not or ``bodies`` yields too few or too many; :func:`grid_error` then
+    names the error. The one batching layer of GRD1 text: bodies are cut
+    into pieces of about READ_BYTES at separators, and as many pieces as
+    fit in READ_BYTES are parsed by one call of the batched parser. A body
+    is taken from ``bodies``, any iterable, only when its group needs it."""
     flat = out.reshape(-1)
-    found = np.zeros(len(bodies), np.intp)
+    found = np.zeros(flat.size // ncells, np.intp)
     pos = 0
     for group, owner in _groups(bodies):
         parsed = _parse(group)
-        if parsed is None or pos + parsed[0].size > flat.size:
+        if parsed is None or pos + parsed[0].size > flat.size or owner[-1] >= found.size:
             return False
         values, counts = parsed
         flat[pos:pos + values.size] = values

@@ -1,8 +1,10 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
+import shutil
 import threading
 import warnings
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import capeskit.attention as attn
 import capeskit.cli as cli
+from capeskit import grid
 from capeskit.attention import AttentionConfig
 from capeskit.cli import ATTN_BENCH, GENERATE, GRAD_CHECK, SCALING, _cfg_for_length, main
 from capeskit.errors import CapeskitError
@@ -77,6 +80,22 @@ class TestScore:
         assert [n, n0, n1, n2, m] == ["4", "3", "1", "1", "1"]
         assert ps == "85.714"
         assert (tmp_path / "scores.csv.manifest.json").exists()
+
+    def test_temp_files_of_a_killed_run_with_this_pid_are_not_in_the_way(self, tmp_path,
+                                                                          score_files):
+        # a run killed before its renames, whose process had this one's id
+        stale = [tmp_path / f".{name}.{os.getpid()}.tmp"
+                 for name in ("scores.csv", "scores.csv.manifest.json")]
+        for path in stale:
+            path.write_bytes(b"stale\n")
+        rc = main(["score", "--forecast", str(tmp_path / "fc.grd"),
+                   "--obs", str(tmp_path / "obs.grd"),
+                   "--clim", str(tmp_path / "clim.grd"), "--out", str(tmp_path / "scores.csv")])
+        assert rc == 0
+        assert read_csv(tmp_path / "scores.csv")[1][0][5] == "85.714"
+        assert (tmp_path / "scores.csv.manifest.json").exists()
+        assert sorted(tmp_path.glob(".*.tmp")) == sorted(stale)  # this run left none
+        assert all(path.read_bytes() == b"stale\n" for path in stale)
 
     def test_mismatched_grids_exit_2(self, tmp_path, score_files):
         write_mm(tmp_path / "small.grd", [[1.0]], spec=GridSpec(1, 1))
@@ -937,7 +956,7 @@ class TestBadInputFiles:
 
     def test_generate_failing_mid_write_removes_the_directory_it_made(self, tmp_path,
                                                                        monkeypatch):
-        # the manifest and two members are written, then a rename fails
+        # three members are written, then a rename fails
         renames = []
 
         def replace(src, dst):
@@ -1026,3 +1045,89 @@ class TestBadInputFiles:
             assert rc in (0, 2), err
             if rc == 2:
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def tree(root):
+    """Every file under ``root``: its path relative to ``root`` -> its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestGenerateOverAnEnsemble:
+    """``generate`` into a directory that holds another ensemble. A run
+    that fails part way leaves the directory as it was or one that
+    ``fuse`` refuses, never a mix of the two ensembles; a run that
+    succeeds writes the bytes, in the order, of a run into a new directory."""
+
+    # 3 numerical and 6 AI members of 16 x 16
+    CONFIG = ("n_init = 2\nn_latent = 3\nstart_dates = d0\nschemes = s0,s1\n"
+              "param_grid = 1x1\nnlat = 16\nnlon = 16\nembed_dim = 8\n")
+    N = 9
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """The seed-7 and seed-13 ensembles, each generated into a new directory."""
+        root = tmp_path_factory.mktemp("runs")
+        (root / "small.cfg").write_text(self.CONFIG)
+        for seed in (7, 13):
+            rc, err = run_cli(["generate", "--mode", "hybrid", "--seed", str(seed),
+                               "--config", str(root / "small.cfg"),
+                               "--out-dir", str(root / f"s{seed}")])
+            assert rc == 0, err
+        return root
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_failed_generate_leaves_no_mixed_ensemble(self, runs, tmp_path_factory, data):
+        # where the run fails: the formatter runs out of memory, a rename
+        # finds the disk full, or the user interrupts the formatter; before
+        # member k, or, for a rename, before the manifest (k = N)
+        where = data.draw(st.sampled_from(["formatter", "writer", "interrupt", None]))
+        k = data.draw(st.integers(0, self.N if where == "writer" else self.N - 1))
+        handoff = data.draw(st.sampled_from([1, grid._HANDOFF]))
+        tmp = tmp_path_factory.mktemp("over")
+        out = tmp / "o"
+        shutil.copytree(runs / "s7", out)
+        shutil.copy(runs / "s7.manifest.json", tmp / "o.manifest.json")
+        before = tree(tmp)
+        renamed = []
+        replace, bodies = os.replace, grid._bodies
+
+        def failing_replace(src, dst):
+            if where == "writer" and len(renamed) == k:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            renamed.append(os.path.relpath(dst, tmp))
+            replace(src, dst)
+
+        def failing_bodies(values):
+            for i, body in enumerate(bodies(values)):
+                if i == k and where == "formatter":
+                    raise MemoryError()
+                if i == k and where == "interrupt":
+                    raise KeyboardInterrupt()
+                yield body
+
+        argv = ["generate", "--mode", "hybrid", "--seed", "13",
+                "--config", str(runs / "small.cfg"), "--out-dir", str(out)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "_HANDOFF", handoff)
+            mp.setattr(os, "replace", failing_replace)
+            mp.setattr(grid, "_bodies", failing_bodies)
+            if where == "interrupt":
+                with pytest.raises(KeyboardInterrupt):
+                    run_cli(argv)
+            else:
+                rc, err = run_cli(argv)
+                assert rc == (0 if where is None else 2), err
+        assert not list(tmp.rglob("*.tmp"))
+        after = tree(tmp)
+        if where is None:
+            want = {f"o/{name}": blob for name, blob in tree(runs / "s13").items()}
+            assert {name: blob for name, blob in after.items()
+                    if name != "o.manifest.json"} == want
+            ids = [line.split("\t")[0] for line in want["o/manifest.tsv"].decode().splitlines()]
+            assert renamed == [f"o/{i}.grd" for i in ids] + ["o/manifest.tsv", "o.manifest.json"]
+        elif after != before:
+            rc, err = run_cli(["fuse", "--ensemble-dir", str(out), "--out-field",
+                               str(tmp / "f.grd"), "--out-weights", str(tmp / "w.csv")])
+            assert rc == 2 and "no manifest.tsv" in err, err

@@ -631,3 +631,59 @@ class TestManifestIo:
         (d / "ai-0000.grd").mkdir()
         with pytest.raises(CapeskitError, match="cannot read"):
             read_ensemble_dir(d)
+
+
+def _add_bad_token(path):
+    path.write_bytes(path.read_bytes() + b"zap\n")
+
+
+def _make_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _drop_last_row(path):
+    path.write_bytes(path.read_bytes().rsplit(b"\n", 2)[0] + b"\n")
+
+
+#: a defect of one member file of 32 x 32 zeros, and the error it gives
+#: (a pattern, with the member's id for {id})
+DEFECTS = {
+    "bad-token": (_add_bad_token, r"{id}\.grd: line 34: unparseable value 'zap'"),
+    "missing": (lambda path: path.unlink(), r": member file missing for '{id}'"),
+    "directory": (_make_directory, r"{id}\.grd: cannot read: Is a directory"),
+    "other-grid": (lambda path: write_grid(GridField(GridSpec(32, 32, lat0=1.0),
+                                                     np.zeros((32, 32)), units="percent"), path),
+                   r"member '{id}' grid differs from the ensemble grid"),
+    "mm-units": (lambda path: write_grid(GridField(SPEC, np.zeros((32, 32)), units="mm"), path),
+                 r"{id}\.grd: anomaly fields carry percent units, got 'mm'"),
+    "value-count": (_drop_last_row,
+                    r"{id}\.grd: line 33: value count mismatch: header declares 1024, found 992"),
+}
+#: the members i < j given a defect each: both in the first group the
+#: reader parses, in two groups, and the first member, which is read alone
+#: (another grid there is the ensemble's grid, so it is no defect)
+PLACES = {"one-group": (3, 9), "two-groups": (3, 20), "first-member": (0, 9)}
+
+
+class TestFirstBadMember:
+    """Of two bad members, the first in manifest order is reported, with
+    the error it gives alone, wherever the two fall in the reader's groups."""
+
+    N = 24
+
+    @pytest.mark.parametrize("first,second,place", [
+        (a, b, p) for p in PLACES for a in DEFECTS for b in DEFECTS
+        if not (p == "first-member" and a == "other-grid")])
+    def test_first_bad_member_is_reported(self, tmp_path, first, second, place):
+        d = tmp_path / "ens"
+        write_ensemble_dir(d, EnsembleSet.from_members([
+            (MemberMeta(id=f"ai-{k:04d}", track="ai", init_seed=k, latent_seed=k),
+             AnomalyField(SPEC, np.zeros((32, 32)))) for k in range(self.N)]))
+        body = len((d / "ai-0000.grd").read_bytes().partition(b"\n")[2])
+        assert 9 * body <= READ_BYTES < 20 * body  # members 1 to 9 are parsed together, 20 later
+        i, j = PLACES[place]
+        DEFECTS[second][0](d / f"ai-{j:04d}.grd")
+        DEFECTS[first][0](d / f"ai-{i:04d}.grd")
+        with pytest.raises(CapeskitError, match=DEFECTS[first][1].format(id=f"ai-{i:04d}")):
+            read_ensemble_dir(d)

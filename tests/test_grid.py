@@ -511,10 +511,10 @@ class TestBodyWriter:
         powers = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
         bits = np.concatenate([bits, powers, powers + np.uint64(1), powers - np.uint64(1)])
         bits = bits[(bits >> np.uint64(52)) > 0]
-        f, e = grid._shortest(bits)
-        for b, fi, ei in zip(bits.view(np.float64).tolist(), f.tolist(), e.tolist()):
-            sign, digits, exp = Decimal(repr(b)).normalize().as_tuple()
-            assert (fi, ei) == (int("".join(map(str, digits))), exp), repr(b)
+        f, k = grid._schubfach(bits)
+        assert ((f >= 10**15) & (f < 10**17)).all()
+        for b, fi, ki in zip(bits.view(np.float64).tolist(), f.tolist(), k.tolist()):
+            assert Decimal(fi).scaleb(ki) == Decimal(repr(b)), repr(b)
 
     def test_rows_wider_than_a_chunk(self):
         x = random_positional(np.random.default_rng(3), 2 * grid._CHUNK + 8).reshape(2, -1)

@@ -1,9 +1,12 @@
-"""Every name a module of ``capeskit`` imports is used in that module.
+"""Every name a module of ``capeskit`` imports is used in that module,
+and every function and class it defines at top level is used somewhere.
 
 Re-exports carry ``# noqa: F401`` on their import line and are exempt.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,69 @@ def test_no_unused_imports(path):
 def test_finds_an_unused_import():
     source = "import struct\nimport os\nfrom typing import Optional\nx: Optional[int] = os.sep\n"
     assert unused_imports(source) == ["line 1: struct"]
+
+
+ROOT = SRC.parent.parent
+#: the trees whose code may use a name of ``capeskit``
+USERS = ("src", "tests", "perfbench")
+
+
+def _docstring(node) -> bool:
+    """``node`` is the docstring statement of a module, class or function."""
+    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+
+
+def used_names(tree) -> Counter:
+    """Every use of a name in ``tree``: names, attributes, imported names,
+    and the words of string constants other than docstrings (such as the
+    names ``monkeypatch.setattr`` and a tracer's tables look up)."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and _docstring(node.body[0])}
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            used.update(re.findall(r"\w+", node.value))
+    return used
+
+
+def dead_definitions(sources: dict) -> list[str]:
+    """The top-level functions and classes of the ``capeskit`` sources
+    among ``sources`` (path -> text) that nothing outside their own
+    definition uses."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    used = sum((used_names(tree) for tree in trees.values()), Counter())
+    dead = []
+    for path, tree in trees.items():
+        if not Path(path).is_relative_to(SRC):
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if used[node.name] == used_names(node)[node.name]:
+                    dead.append(f"{Path(path).name}:{node.lineno}: {node.name}")
+    return dead
+
+
+def test_every_top_level_definition_is_used():
+    sources = {path: path.read_text(encoding="utf-8")
+               for tree in USERS for path in sorted((ROOT / tree).rglob("*.py"))}
+    assert dead_definitions(sources) == []
+
+
+def test_finds_a_dead_definition():
+    lib = SRC / "lib.py"
+    sources = {
+        lib: 'def _runs(n):\n    """_runs and _left."""\n    return _runs(n - 1) if n else 0\n\n'
+             "def _left():\n    pass\n\ndef _called():\n    pass\n\nclass Kept:\n    pass\n",
+        ROOT / "tests" / "t.py": "from capeskit.lib import Kept\nlib._called()\n# _left\n",
+    }
+    assert dead_definitions(sources) == ["lib.py:1: _runs", "lib.py:5: _left"]
