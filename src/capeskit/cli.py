@@ -35,6 +35,7 @@ from .ensemble import (
     make_ensemble_dir,
     read_ensemble_dir,
     surrogate_members,
+    uncommit_ensemble_dir,
     write_ensemble_dir,
 )
 from .errors import CapeskitError
@@ -205,9 +206,13 @@ def cmd_generate(args) -> int:
 
         ensemble = EnsembleSet(spec, metas, values)
         write_ensemble_dir(args.out_dir, ensemble, manifest_cfg)
-        _write_run_manifest(args.out_dir, "generate",
-                            {"mode": args.mode, **g}, args.seed,
-                            [args.out_dir], t0)
+        try:
+            _write_run_manifest(args.out_dir, "generate",
+                                {"mode": args.mode, **g}, args.seed,
+                                [args.out_dir], t0)
+        except BaseException:  # no ensemble is left under an older run's sidecar
+            uncommit_ensemble_dir(args.out_dir)
+            raise
     except BaseException:
         if made is not None:  # a failed run leaves no directory it made
             shutil.rmtree(made, ignore_errors=True)

@@ -424,13 +424,9 @@ def make_ensemble_dir(dirpath) -> Optional[str]:
     return top
 
 
-def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
-                       manifest: Optional[NumericalManifest] = None) -> None:
-    """One ``<id>.grd`` anomaly file per member, then the manifest, which
-    marks the commit: an existing one is removed before the first member,
-    so a write that fails part way leaves a directory that
-    :func:`read_ensemble_dir` refuses, never a mix of two ensembles."""
-    make_ensemble_dir(dirpath)
+def uncommit_ensemble_dir(dirpath) -> None:
+    """Remove the manifest of ``dirpath``, if any, so that
+    :func:`read_ensemble_dir` refuses the directory."""
     manifest_path = os.path.join(dirpath, "manifest.tsv")
     try:
         os.unlink(manifest_path)
@@ -438,10 +434,20 @@ def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
         pass
     except OSError as exc:
         raise CapeskitError(f"cannot write {manifest_path}: {exc.strerror}") from None
+
+
+def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
+                       manifest: Optional[NumericalManifest] = None) -> None:
+    """One ``<id>.grd`` anomaly file per member, then the manifest, which
+    marks the commit: an existing one is removed before the first member,
+    so a write that fails part way leaves a directory that
+    :func:`read_ensemble_dir` refuses, never a mix of two ensembles."""
+    make_ensemble_dir(dirpath)
+    uncommit_ensemble_dir(dirpath)
     metas = ensemble.metas()
     write_anomalies(ensemble.spec, ensemble.values,
                     [os.path.join(dirpath, f"{meta.id}.grd") for meta in metas])
-    write_manifest(manifest_path, metas, manifest)
+    write_manifest(os.path.join(dirpath, "manifest.tsv"), metas, manifest)
 
 
 def _read_member(dirpath, meta: MemberMeta) -> AnomalyField:

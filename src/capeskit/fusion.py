@@ -74,7 +74,7 @@ class EnsembleSet:
 
     An array that already has that layout is taken as it is, not copied,
     and marked read-only: an ensemble is filled row by row once, then
-    shared (by concurrent trials, too) and never written again.
+    shared and never written again.
     """
 
     def __init__(self, spec: GridSpec, metas: Sequence[MemberMeta], values):

@@ -36,9 +36,8 @@ clear the rest, and dropping the zero bytes leaves the body. Values that
 subnormals are rare in fields; ``repr`` writes them one by one. Tests
 compare the writer with the ``repr`` join on random bit patterns and on
 every layout. Creating a file costs about as much as formatting it, so
-several files are written on one I/O thread while the next ones are
-formatted; a file's header and body are written one after the other,
-not joined.
+files are written on one I/O thread while the next ones are formatted;
+a file's header and body are written one after the other, not joined.
 
 The reader
 ----------
@@ -672,19 +671,13 @@ def _write_behind(files: Iterator[tuple[str, tuple]]) -> None:
 
 def _write_grids(paths: Sequence, spec: GridSpec, units: str, values: np.ndarray) -> None:
     """Write each field of ``values`` (n, nlat, nlon), on ``spec``, as a
-    GRD1 file at its path. Several files are written behind the formatter
-    by :func:`_write_behind`; a single file is written here. Each file
-    is written as its header and then its body, which are not joined, so
-    a body is copied once, when it is made."""
+    GRD1 file at its path, behind the formatter by :func:`_write_behind`,
+    a single file too. Each file is written as its header and then its
+    body, which are not joined, so a body is copied once, when it is made."""
     header = (f"GRD1 {spec.nlat} {spec.nlon} {_format_value(spec.lat0)} "
               f"{_format_value(spec.dlat)} {_format_value(spec.lon0)} "
               f"{_format_value(spec.dlon)} {units}\n").encode()
-    files = ((path, (header, body)) for path, body in zip(paths, _bodies(values)))
-    if len(paths) > 1:
-        _write_behind(files)
-    else:
-        for path, parts in files:
-            write_text_atomic(path, parts)
+    _write_behind((path, (header, body)) for path, body in zip(paths, _bodies(values)))
 
 
 def write_grid(field: GridField, path) -> None:

@@ -1,13 +1,8 @@
-"""Worker-count and BLAS-thread control for internally parallel work.
+"""BLAS-thread control, and the two names the benchmark tracer times.
 
-CAPESKIT_THREADS caps the pool; unset means sequential. Parallel loops
-in this package only run seeded pure functions and aggregate results in
-input order, so outputs are identical at any worker count.
-
-One I/O thread, apart from this pool, writes member files behind the
-GRD1 formatter (``grid._write_behind``). It is not a compute worker and
-is not capped by CAPESKIT_THREADS; it writes the files the formatter
-hands it in order, so bytes and file order do not depend on it.
+Compute runs on the calling thread. One I/O thread writes GRD1 files
+behind the formatter (``grid._write_behind``); it writes the files the
+formatter hands it in order, so bytes and file order do not depend on it.
 
 Backbone work runs under :data:`blas_single_thread`. Its matrix products
 are small (L x d by d x d with d = 32), and once L reaches ~1024 they
@@ -18,44 +13,29 @@ for that work keeps block time linear in L.
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import functools
 import glob
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ContextDecorator
 
 import numpy as np
 
-from .errors import CapeskitError
-
 
 def worker_count() -> int:
-    raw = os.environ.get("CAPESKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CapeskitError(f"CAPESKIT_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
+    """1: compute runs on one thread. Kept only because
+    ``perfbench/tracer.py`` reports it as ``parallel.workers``; it goes
+    with that tracer's per-binding spans (ROADMAP item 1, step 3)."""
+    return 1
 
 
 def map_ordered(fn, items):
-    """Apply fn to items, preserving order; threaded when allowed.
-
-    Each item runs in a copy of the caller's context, so context-local
-    settings such as ``np.errstate`` hold in the workers too."""
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    # one copy per item: a context cannot be entered by two threads at once
-    contexts = [contextvars.copy_context() for _ in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda ctx, it: ctx.run(fn, it), contexts, items))
+    """``[fn(item) for item in items]``, the trial loop of
+    :func:`capeskit.scaling.skill_curve`. Kept as a name only because
+    ``perfbench/tracer.py`` times it; it goes with that tracer's
+    per-binding spans (ROADMAP item 1, step 3)."""
+    return [fn(item) for item in items]
 
 
 @functools.lru_cache(maxsize=None)

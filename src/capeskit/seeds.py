@@ -1,9 +1,9 @@
-"""Deterministic 64-bit seed derivation for parallel member generation.
+"""Deterministic 64-bit seed derivation for ensemble members.
 
 Every ensemble member's random stream is keyed by a seed mixed from the
 run's base seed plus role strings and indices, so member (i, j) can be
-regenerated in isolation, in any order, on any worker, and match the full
-run bit for bit.
+regenerated in isolation, in any order, and match the full run bit for
+bit.
 
 Mixing function: each part is canonically encoded (ints as 8-byte
 little-endian two's complement, strings as UTF-8), the encodings are

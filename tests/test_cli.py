@@ -370,22 +370,23 @@ class TestScalingCmd:
         assert main(["scaling", "--config", str(cfgp), "--seed", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
-        # trials run in worker threads that share the pool's one array
+    def test_capeskit_threads_is_not_read(self, tmp_path, monkeypatch):
+        # nothing reads the variable, so even a non-integer changes nothing
         cfgp = tmp_path / "s.cfg"
         cfgp.write_text("sizes = 11,22,44\ntrials = 8\nn_numerical = 8\nn_ai = 80\n")
         outputs = []
-        for threads in (None, "2"):
+        for threads in (None, "2", "abc"):
             if threads is None:
                 monkeypatch.delenv("CAPESKIT_THREADS", raising=False)
             else:
                 monkeypatch.setenv("CAPESKIT_THREADS", threads)
             out = tmp_path / f"threads-{threads}"
             out.mkdir()
-            assert main(["scaling", "--config", str(cfgp), "--seed", "4",
-                         "--out", str(out / "c.csv"), "--svg", str(out / "c.svg")]) == 0
+            rc, err = run_cli(["scaling", "--config", str(cfgp), "--seed", "4",
+                               "--out", str(out / "c.csv"), "--svg", str(out / "c.svg")])
+            assert rc == 0, err
             outputs.append([(out / name).read_bytes() for name in ("c.csv", "c.svg")])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestRender:
@@ -1131,3 +1132,26 @@ class TestGenerateOverAnEnsemble:
             rc, err = run_cli(["fuse", "--ensemble-dir", str(out), "--out-field",
                                str(tmp / "f.grd"), "--out-weights", str(tmp / "w.csv")])
             assert rc == 2 and "no manifest.tsv" in err, err
+
+    def test_a_failed_sidecar_write_uncommits_the_ensemble(self, runs, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        shutil.copytree(runs / "s7", out)
+        shutil.copy(runs / "s7.manifest.json", tmp_path / "o.manifest.json")
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.fspath(dst) == str(tmp_path / "o.manifest.json"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        rc, err = run_cli(["generate", "--mode", "hybrid", "--seed", "13",
+                           "--config", str(runs / "small.cfg"), "--out-dir", str(out)])
+        assert (rc, err) == (2, f"error: cannot write {tmp_path / 'o.manifest.json'}: "
+                                "No space left on device\n")
+        sidecar = (tmp_path / "o.manifest.json").read_bytes()
+        assert sidecar == (runs / "s7.manifest.json").read_bytes()
+        assert not list(tmp_path.rglob("*.tmp"))
+        rc, err = run_cli(["fuse", "--ensemble-dir", str(out), "--out-field",
+                           str(tmp_path / "f.grd"), "--out-weights", str(tmp_path / "w.csv")])
+        assert rc == 2 and "no manifest.tsv" in err, err

@@ -221,15 +221,15 @@ class TestAtomicWrite:
 
 
 class TestWriteBehind:
-    """Several member files are written on one I/O thread behind the
-    formatter; the caller sees the bytes, order and errors of a loop."""
+    """GRD1 files, one or several, are written on one I/O thread behind
+    the formatter; the caller sees the bytes, order and errors of a loop."""
 
     N = 12  # 32 x 32 fields of about 19 kB: two handoffs of about 128 KiB
     SPEC = GridSpec(32, 32)
 
-    def write(self, tmp_path):
-        values = np.random.default_rng(5).uniform(-100, 100, (self.N, 32, 32))
-        paths = [tmp_path / f"m{i:02d}.grd" for i in range(self.N)]
+    def write(self, tmp_path, n=N):
+        values = np.random.default_rng(5).uniform(-100, 100, (n, 32, 32))
+        paths = [tmp_path / f"m{i:02d}.grd" for i in range(n)]
         return values, paths
 
     def assert_prefix_written(self, tmp_path, values, paths, k):
@@ -255,9 +255,11 @@ class TestWriteBehind:
     # the interpreter's default thread switch interval, and a short one that
     # interleaves the formatter and the writer between almost every bytecode
     @pytest.mark.parametrize("interval", [None, 1e-6])
-    @pytest.mark.parametrize("k", [0, 3, 11])  # first, inside the first handoff, last
-    def test_first_failure_stops_the_writer(self, tmp_path, monkeypatch, k, interval):
-        values, paths = self.write(tmp_path)
+    # first, inside the first handoff, last; and the only file
+    @pytest.mark.parametrize("n, k", [(N, 0), (N, 3), (N, 11), (1, 0)],
+                             ids=["0", "3", "11", "alone"])
+    def test_first_failure_stops_the_writer(self, tmp_path, monkeypatch, n, k, interval):
+        values, paths = self.write(tmp_path, n)
         replace = os.replace
 
         def refuse_member_k(src, dst):
@@ -277,9 +279,9 @@ class TestWriteBehind:
         self.assert_prefix_written(tmp_path, values, paths, k)
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    @pytest.mark.parametrize("k", [0, 9])
-    def test_formatter_error_joins_the_writer(self, tmp_path, monkeypatch, error, k):
-        values, paths = self.write(tmp_path)
+    @pytest.mark.parametrize("n, k", [(N, 0), (N, 9), (1, 0)], ids=["0", "9", "alone"])
+    def test_formatter_error_joins_the_writer(self, tmp_path, monkeypatch, error, n, k):
+        values, paths = self.write(tmp_path, n)
         bodies = grid._bodies
 
         def fail_after_k(fields):
@@ -294,15 +296,6 @@ class TestWriteBehind:
         written = sum(path.exists() for path in paths)
         assert written <= k
         self.assert_prefix_written(tmp_path, values, paths, written)
-
-    def test_write_grid_starts_no_thread(self, tmp_path, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started for one file")
-
-        monkeypatch.setattr(grid.threading, "Thread", no_thread)
-        f = mm(SPEC, np.arange(6.0).reshape(2, 3))
-        write_grid(f, tmp_path / "f.grd")
-        assert np.array_equal(read_grid(tmp_path / "f.grd").values, f.values)
 
 
 def reference_read(path):

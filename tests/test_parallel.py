@@ -1,5 +1,4 @@
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -86,18 +85,3 @@ def test_single_thread_section_is_a_no_op_without_openblas(monkeypatch):
     with blas_single_thread:
         assert (np.eye(3) @ np.eye(3) == np.eye(3)).all()
 
-
-def test_workers_run_in_the_callers_errstate(monkeypatch):
-    monkeypatch.setenv("CAPESKIT_THREADS", "2")
-
-    def divide(x):
-        return np.float64(1.0) / np.float64(x)
-
-    with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = parallel.map_ordered(divide, [0.0, 0.0, 0.0, 4.0])
-    assert got == [np.inf, np.inf, np.inf, 0.25]
-    assert [str(w.message) for w in caught] == []
-    with np.errstate(divide="raise"):
-        with pytest.raises(FloatingPointError):
-            parallel.map_ordered(divide, [1.0, 0.0])

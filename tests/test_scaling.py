@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -189,32 +187,6 @@ class TestSkillCurve:
         a = skill_curve(pool, truth, clim, cfg, seed=10)
         b = skill_curve(pool, truth, clim, cfg, seed=10)
         assert a == b
-
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        bench = BenchmarkConfig(n_numerical=2, n_ai=20)
-        truth, clim, pool = synthetic_benchmark(bench, seed=11)
-        cfg = ScalingConfig(sizes=(11, 22), trials=4, benchmark=bench)
-        seq = skill_curve(pool, truth, clim, cfg, seed=12)
-        monkeypatch.setenv("CAPESKIT_THREADS", "4")
-        par = skill_curve(pool, truth, clim, cfg, seed=12)
-        assert seq == par
-
-    def test_threads_sharing_a_fresh_pool(self, monkeypatch):
-        # more workers than cores and a short switch interval: trials race
-        # to build the pool's per-track index and read its one array at once
-        bench = BenchmarkConfig(n_numerical=6, n_ai=60)
-        cfg = ScalingConfig(sizes=(11, 22, 44), trials=12, benchmark=bench)
-        truth, clim, pool = synthetic_benchmark(bench, seed=13)
-        seq = skill_curve(pool, truth, clim, cfg, seed=14)
-        monkeypatch.setenv("CAPESKIT_THREADS", "8")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                truth, clim, fresh = synthetic_benchmark(bench, seed=13)
-                assert skill_curve(fresh, truth, clim, cfg, seed=14) == seq
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestSpearman:
