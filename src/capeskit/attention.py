@@ -20,7 +20,13 @@ length; ``dense_attention_oracle`` is the quadratic reference they are
 verified against. A lightweight decoder projects atmosphere tokens back
 to the native grid.
 
-Tokens are plain (L, d) arrays. The backbone is deterministic:
+Tokens are plain (L, d) arrays; token (v, r, c) is row
+(v * patch_rows + r) * patch_cols + c. Every reorder (patches, attention
+groups, heads, the decoder's un-patching) is one axis swap: read the rows
+as (a, b, c, e) and swap b and c. The oracle's masks, ``window_mask`` and
+``cross_variable_mask``, are not built from those swaps but from token
+coordinates, so a wrong grouping fails the oracle tests. The backbone is
+deterministic:
 :func:`forward` is ``tail(trunk(...))``; :mod:`capeskit.ensemble` adds
 the latent noise of its members between the two.
 
@@ -30,7 +36,6 @@ verifies them against central finite differences.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -187,24 +192,16 @@ def init_params(cfg: AttentionConfig, seed: int) -> ModelParams:
     return ModelParams(cfg, tensors)
 
 
-def _wrap(params: ModelParams, requires_grad: bool) -> dict[str, ad.Value]:
-    """Parameters as the ops take them: the plain arrays for inference,
-    or leaf Tensors that collect gradients."""
-    if not requires_grad:
-        return params.tensors
-    return {k: Tensor(v, requires_grad=True) for k, v in params.tensors.items()}
-
-
 # ---------------------------------------------------------------------------
 # tokenization
 
 
-def _patchify(field_t: ad.Value, cfg: AttentionConfig, nch: int) -> ad.Value:
-    """(nlat, nlon, nch) -> (patch_rows*patch_cols, p*p*nch), row-major patches."""
-    p, pr, pc = cfg.patch_size, cfg.patch_rows, cfg.patch_cols
-    x = ad.reshape(field_t, (pr, p, pc, p, nch))
-    x = ad.transpose(x, (0, 2, 1, 3, 4))
-    return ad.reshape(x, (pr * pc, p * p * nch))
+def _swap(x: ad.Value, dims: tuple[int, int, int, int], shape: tuple) -> ad.Value:
+    """Read ``x`` as (a, b, c, e), swap the b and c axes and reshape the
+    (a, c, b, e) result to ``shape``: every reorder of the backbone
+    (patches, attention groups, heads) is this one."""
+    a, b, c, e = dims
+    return ad.reshape(ad.transpose(ad.reshape(x, (a, b, c, e)), (0, 2, 1, 3)), shape)
 
 
 def _embed_tokens(inputs_t: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig) -> ad.Value:
@@ -213,15 +210,13 @@ def _embed_tokens(inputs_t: ad.Value, pt: dict[str, ad.Value], cfg: AttentionCon
     shape = ad.data(inputs_t).shape
     if shape != (v, cfg.nlat, cfg.nlon, k):
         raise CapeskitError(f"inputs shape {shape}, expected {(v, cfg.nlat, cfg.nlon, k)}")
-    if cfg.layout == "sequence_concat":
-        per_domain = [
-            _patchify(ad.reshape(ad.take_rows(inputs_t, [dv]), (cfg.nlat, cfg.nlon, k)), cfg, k)
-            for dv in range(v)
-        ]
-        patches = ad.concat_rows(per_domain)
-    else:
-        stacked = ad.reshape(ad.transpose(inputs_t, (1, 2, 0, 3)), (cfg.nlat, cfg.nlon, v * k))
-        patches = _patchify(stacked, cfg, v * k)
+    if cfg.layout == "channel_stack":  # the domains become channels of one grid
+        inputs_t = ad.transpose(inputs_t, (1, 2, 0, 3))
+    # (domains * patch rows, p, patch cols, p * channels) -> one row per
+    # patch token, its p x p x channels values in row-major order
+    p = cfg.patch_size
+    patches = _swap(inputs_t, (cfg.effective_domains * cfg.patch_rows, p, cfg.patch_cols, -1),
+                    (cfg.seq_len, -1))
     return ad.add(ad.matmul(patches, pt["embed.W"]), pt["embed.b"])
 
 
@@ -234,72 +229,44 @@ def tokenize(fields: np.ndarray, params: ModelParams, cfg: AttentionConfig) -> n
     under sequence_concat, or stacked along channels first under
     channel_stack. Token (v, r, c) is row (v * patch_rows + r) * patch_cols + c.
     """
-    pt = _wrap(params, requires_grad=False)
-    return _embed_tokens(np.asarray(fields, dtype=np.float64), pt, cfg)
+    return _embed_tokens(np.asarray(fields, dtype=np.float64), params.tensors, cfg)
 
 
 # ---------------------------------------------------------------------------
 # attention groups
 
 
-@functools.lru_cache(maxsize=None)
-def _group_perm(cfg: AttentionConfig, kind: str) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Token permutation gathering attention groups contiguously.
+def _token_coords(cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v, r, c) of every token: token (v, r, c) is row (v * pr + r) * pc + c."""
+    v, r, c = np.indices((cfg.effective_domains, cfg.patch_rows, cfg.patch_cols))
+    return v.ravel(), r.ravel(), c.ravel()
 
-    Returns (perm, inv, n_groups, group_size); perm is ordered
-    group-by-group and inv is its inverse. Cached per (cfg, kind), so
-    both arrays are read-only.
-    """
-    veff, pr, pc, w = cfg.effective_domains, cfg.patch_rows, cfg.patch_cols, cfg.window_size
-    tok = lambda v, r, c: (v * pr + r) * pc + c  # noqa: E731
-    groups: list[list[int]] = []
-    if kind == "window":
-        for v in range(veff):
-            for wr in range(pr // w):
-                for wc in range(pc // w):
-                    groups.append(
-                        [tok(v, wr * w + dr, wc * w + dc) for dr in range(w) for dc in range(w)]
-                    )
-    elif kind == "crossvar":
-        for r in range(pr):
-            for c in range(pc):
-                groups.append([tok(v, r, c) for v in range(veff)])
-    else:
-        raise ValueError(kind)
-    perm = np.array([t for g in groups for t in g], dtype=np.intp)
-    inv = np.argsort(perm)
-    perm.flags.writeable = False
-    inv.flags.writeable = False
-    return perm, inv, len(groups), len(groups[0])
+
+def _same(a: np.ndarray) -> np.ndarray:
+    return a[:, None] == a[None, :]
 
 
 def window_mask(cfg: AttentionConfig) -> np.ndarray:
-    """L x L boolean mask with True inside each (domain, window) block."""
-    return _mask_from_groups(cfg, "window")
+    """L x L boolean mask, True where two tokens share a domain and a
+    w x w patch window: equal v, r // w and c // w."""
+    v, r, c = _token_coords(cfg)
+    w = cfg.window_size
+    return _same(v) & _same(r // w) & _same(c // w)
 
 
 def cross_variable_mask(cfg: AttentionConfig) -> np.ndarray:
-    """L x L boolean mask grouping the V tokens at each patch location."""
-    return _mask_from_groups(cfg, "crossvar")
+    """L x L boolean mask, True where two tokens share a patch location:
+    equal r and c."""
+    _, r, c = _token_coords(cfg)
+    return _same(r) & _same(c)
 
 
-def _mask_from_groups(cfg: AttentionConfig, kind: str) -> np.ndarray:
-    perm, _, n_groups, gsize = _group_perm(cfg, kind)
-    mask = np.zeros((cfg.seq_len, cfg.seq_len), dtype=bool)
-    for g in range(n_groups):
-        idx = perm[g * gsize:(g + 1) * gsize]
-        mask[np.ix_(idx, idx)] = True
-    return mask
-
-
-def _heads(x: ad.Value, n: int, h: int, dh: int) -> ad.Value:
-    """(n, d) -> (h, n, dh)."""
-    return ad.transpose(ad.reshape(x, (n, h, dh)), (1, 0, 2))
-
-
-def _unheads(x: ad.Value, n: int, d: int) -> ad.Value:
-    """(h, n, dh) -> (n, d)."""
-    return ad.reshape(ad.transpose(x, (1, 0, 2)), (n, d))
+def _group_dims(cfg: AttentionConfig, kind: str) -> tuple[int, int, int, int]:
+    """(a, b, c, e) such that the token rows read as (a, b, c, e) and
+    swapped to (a, c, b, e) list the a * c attention groups of ``kind``
+    one after another, b * e tokens each."""
+    veff, pr, pc, w = cfg.effective_domains, cfg.patch_rows, cfg.patch_cols, cfg.window_size
+    return {"window": (veff * pr // w, w, pc // w, w), "crossvar": (1, veff, pr * pc, 1)}[kind]
 
 
 def _proj(x: ad.Value, pt: dict[str, ad.Value], layer: int, lvl: str, which: str) -> ad.Value:
@@ -313,19 +280,18 @@ def _grouped_attention(
     """Multi-head attention restricted to equal-size groups, batched as
     (groups, heads, group, group) score tensors. O(L * group_size * d)."""
     h, dh, d = cfg.num_heads, cfg.head_dim, cfg.embed_dim
-    perm, inv, ng, gs = _group_perm(cfg, kind)
+    a, b, c, e = _group_dims(cfg, kind)
+    ng, gs = a * c, b * e
 
     def grouped(which: str) -> ad.Value:
-        y = ad.take_rows(_proj(xn, pt, layer, lvl, which), perm)
-        y = ad.reshape(y, (ng, gs, h, dh))
-        return ad.transpose(y, (0, 2, 1, 3))  # (ng, h, gs, dh)
+        y = _swap(_proj(xn, pt, layer, lvl, which), (a, b, c, e * d), (ng, gs, d))
+        return _swap(y, (ng, gs, h, dh), (ng, h, gs, dh))
 
     q, k, v = grouped("q"), grouped("k"), grouped("v")
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = ad.softmax_last(scores)
-    out = ad.matmul(attn, v)  # (ng, h, gs, dh)
-    out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (ng * gs, d))
-    out = ad.take_rows(out, inv)
+    out = _swap(ad.matmul(attn, v), (ng, h, gs, dh), (ng * gs, d))
+    out = _swap(out, (a, c, b, e * d), (cfg.seq_len, d))
     return ad.add(ad.matmul(out, pt[f"layer{layer}.{lvl}.Wo"]), pt[f"layer{layer}.{lvl}.bo"])
 
 
@@ -337,12 +303,12 @@ def _cross_attention(
     kv_src. O(len(q_src) * len(kv_src) * d)."""
     h, dh, d = cfg.num_heads, cfg.head_dim, cfg.embed_dim
     nq, nk = ad.data(q_src).shape[0], ad.data(kv_src).shape[0]
-    q = _heads(_proj(q_src, pt, layer, lvl, "q"), nq, h, dh)
-    k = _heads(_proj(kv_src, pt, layer, lvl, "k"), nk, h, dh)
-    v = _heads(_proj(kv_src, pt, layer, lvl, "v"), nk, h, dh)
+    q = _swap(_proj(q_src, pt, layer, lvl, "q"), (1, nq, h, dh), (h, nq, dh))
+    k = _swap(_proj(kv_src, pt, layer, lvl, "k"), (1, nk, h, dh), (h, nk, dh))
+    v = _swap(_proj(kv_src, pt, layer, lvl, "v"), (1, nk, h, dh), (h, nk, dh))
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
     out = ad.matmul(ad.softmax_last(scores), v)  # (h, nq, dh)
-    out = _unheads(out, nq, d)
+    out = _swap(out, (1, h, nq, dh), (nq, d))
     return ad.add(ad.matmul(out, pt[f"layer{layer}.{lvl}.Wo"]), pt[f"layer{layer}.{lvl}.bo"])
 
 
@@ -387,24 +353,21 @@ def window_attention(x: np.ndarray, params: ModelParams, cfg: AttentionConfig,
                      layer: int = 0) -> np.ndarray:
     """Pre-norm windowed attention with residual, grouped per (domain,
     w x w patch window)."""
-    pt = _wrap(params, requires_grad=False)
-    return _window_t(_check_tokens(x, cfg), pt, cfg, layer)
+    return _window_t(_check_tokens(x, cfg), params.tensors, cfg, layer)
 
 
 @blas_single_thread
 def cross_variable_attention(x: np.ndarray, params: ModelParams, cfg: AttentionConfig,
                              layer: int = 0) -> np.ndarray:
     """Pre-norm attention among the tokens sharing one patch location."""
-    pt = _wrap(params, requires_grad=False)
-    return _xvar_t(_check_tokens(x, cfg), pt, cfg, layer)
+    return _xvar_t(_check_tokens(x, cfg), params.tensors, cfg, layer)
 
 
 @blas_single_thread
 def anchor_attention(x: np.ndarray, anchors: np.ndarray, params: ModelParams,
                      cfg: AttentionConfig, layer: int = 0) -> np.ndarray:
     """Aggregate-then-broadcast two-phase attention through m anchors."""
-    pt = _wrap(params, requires_grad=False)
-    return _anchor_t(_check_tokens(x, cfg), anchors, pt, cfg, layer)
+    return _anchor_t(_check_tokens(x, cfg), anchors, params.tensors, cfg, layer)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +428,7 @@ def _decode_t(tokens: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig) -
     rows = (np.arange(math.prod(lead), dtype=np.intp)[:, None] * n + np.arange(pr * pc)).ravel()
     atm = ad.take_rows(ad.reshape(tokens, (-1, d)), rows)
     patches = ad.add(ad.matmul(atm, pt["decoder.W"]), pt["decoder.b"])  # (k*pr*pc, p*p)
-    x = ad.reshape(patches, (-1, pr, pc, p, p))
-    x = ad.transpose(x, (0, 1, 3, 2, 4))
-    return ad.reshape(x, (*lead, cfg.nlat, cfg.nlon))
+    return _swap(patches, (-1, pc, p, p), (*lead, cfg.nlat, cfg.nlon))
 
 
 def _block_t(tokens: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig,
@@ -493,8 +454,7 @@ def _forward_t(pt: dict[str, ad.Value], inputs_t: ad.Value, cfg: AttentionConfig
 def trunk(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
     """Embed ``inputs`` and run all ``num_layers`` blocks. Returns the
     (seq_len, embed_dim) token values that :func:`tail` decodes."""
-    pt = _wrap(params, requires_grad=False)
-    return _trunk_t(pt, np.asarray(inputs, dtype=np.float64), cfg)
+    return _trunk_t(params.tensors, np.asarray(inputs, dtype=np.float64), cfg)
 
 
 @blas_single_thread
@@ -510,7 +470,7 @@ def decode(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
             f"target spec {spec.nlat}x{spec.nlon} does not match config grid "
             f"{cfg.nlat}x{cfg.nlon}"
         )
-    return _decode_t(np.asarray(tokens, dtype=np.float64), _wrap(params, requires_grad=False), cfg)
+    return _decode_t(np.asarray(tokens, dtype=np.float64), params.tensors, cfg)
 
 
 def tail(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
@@ -556,8 +516,7 @@ def tri_level_flops(cfg: AttentionConfig, L: int) -> int:
 def measure_block_time(cfg: AttentionConfig, seed: int = 0, repeats: int = 3) -> float:
     """Best-of-N wall time of one tri-level block (window + cross-variable
     + anchor) on random tokens at cfg's sequence length."""
-    params = init_params(cfg, seed)
-    pt = _wrap(params, requires_grad=False)
+    pt = init_params(cfg, seed).tensors
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((cfg.seq_len, cfg.embed_dim))
     best = np.inf
@@ -572,8 +531,7 @@ def measure_block_time(cfg: AttentionConfig, seed: int = 0, repeats: int = 3) ->
 
 
 def _loss_value(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -> float:
-    pt = _wrap(params, requires_grad=False)
-    out = _forward_t(pt, inputs, cfg)
+    out = _forward_t(params.tensors, inputs, cfg)
     return float(np.sum(out * out))
 
 
@@ -587,7 +545,7 @@ def grad_check(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
         raise CapeskitError(f"grad_check needs probe_count >= 1 and step > 0, "
                             f"got {probe_count} and {step}")
     inputs = np.asarray(inputs, dtype=np.float64)
-    pt = _wrap(params, requires_grad=True)
+    pt = {k: Tensor(v, requires_grad=True) for k, v in params.tensors.items()}
     inputs_t = Tensor(inputs, requires_grad=True)
     out = _forward_t(pt, inputs_t, cfg)
     loss = ad.sum_all(ad.mul(out, out))

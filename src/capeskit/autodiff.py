@@ -158,18 +158,6 @@ def take_rows(a, indices) -> Value:
     return _node(x[idx], (a, vjp))
 
 
-def concat_rows(parts: list) -> Value:
-    """Concatenate a list of operands along axis 0."""
-    xs = [data(p) for p in parts]
-    offsets = np.concatenate([[0], np.cumsum([x.shape[0] for x in xs])])
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-        return lambda g: g[lo:hi]
-
-    return _node(np.concatenate(xs, axis=0), *((p, make_vjp(i)) for i, p in enumerate(parts)))
-
-
 def sum_all(a) -> Value:
     x = data(a)
     return _node(np.sum(x), (a, lambda g: np.broadcast_to(g, x.shape).copy()))

@@ -424,16 +424,20 @@ def make_ensemble_dir(dirpath) -> Optional[str]:
     return top
 
 
-def uncommit_ensemble_dir(dirpath) -> None:
-    """Remove the manifest of ``dirpath``, if any, so that
-    :func:`read_ensemble_dir` refuses the directory."""
-    manifest_path = os.path.join(dirpath, "manifest.tsv")
+def _unlink(path) -> None:
+    """Remove the file ``path`` if it exists; a failure is an input error."""
     try:
-        os.unlink(manifest_path)
+        os.unlink(path)
     except FileNotFoundError:
         pass
     except OSError as exc:
-        raise CapeskitError(f"cannot write {manifest_path}: {exc.strerror}") from None
+        raise CapeskitError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def uncommit_ensemble_dir(dirpath) -> None:
+    """Remove the manifest of ``dirpath``, if any, so that
+    :func:`read_ensemble_dir` refuses the directory."""
+    _unlink(os.path.join(dirpath, "manifest.tsv"))
 
 
 def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
@@ -441,10 +445,19 @@ def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
     """One ``<id>.grd`` anomaly file per member, then the manifest, which
     marks the commit: an existing one is removed before the first member,
     so a write that fails part way leaves a directory that
-    :func:`read_ensemble_dir` refuses, never a mix of two ensembles."""
+    :func:`read_ensemble_dir` refuses, never a mix of two ensembles. The
+    member files the old manifest lists and ``ensemble`` does not are
+    removed with it; no other file is, and an old manifest that cannot be
+    read removes none."""
     make_ensemble_dir(dirpath)
+    try:
+        old_ids = {meta.id for meta in read_manifest(os.path.join(dirpath, "manifest.tsv"))}
+    except CapeskitError:  # none, or unreadable
+        old_ids = set()
     uncommit_ensemble_dir(dirpath)
     metas = ensemble.metas()
+    for member_id in sorted(old_ids - {meta.id for meta in metas}):
+        _unlink(os.path.join(dirpath, f"{member_id}.grd"))
     write_anomalies(ensemble.spec, ensemble.values,
                     [os.path.join(dirpath, f"{meta.id}.grd") for meta in metas])
     write_manifest(os.path.join(dirpath, "manifest.tsv"), metas, manifest)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -135,16 +133,57 @@ class TestWindowAttention:
         np.testing.assert_allclose(got, manual, atol=1e-12)
 
 
-class TestGroupPerm:
+def _token(cfg, v, r, c):
+    """Row of token (v, r, c), the documented order."""
+    return (v * cfg.patch_rows + r) * cfg.patch_cols + c
+
+
+def _listed_groups(cfg, kind):
+    """The attention groups of ``kind``, listed by loops over tokens:
+    per (domain, window) in row-major window order, or per patch location."""
+    veff, pr, pc, w = cfg.effective_domains, cfg.patch_rows, cfg.patch_cols, cfg.window_size
+    if kind == "window":
+        return [[_token(cfg, v, wr * w + dr, wc * w + dc) for dr in range(w) for dc in range(w)]
+                for v in range(veff) for wr in range(pr // w) for wc in range(pc // w)]
+    return [[_token(cfg, v, r, c) for v in range(veff)] for r in range(pr) for c in range(pc)]
+
+
+GROUP_CFGS = [
+    AttentionConfig(nlat=2 * w * 2, nlon=3 * w * 2, patch_size=2, window_size=w,
+                    num_domains=v, layout=layout)
+    for layout in ("sequence_concat", "channel_stack") for w in (1, 2, 4) for v in (1, 2, 3)
+]
+GROUP_IDS = [f"{c.layout}-w{c.window_size}-v{c.num_domains}" for c in GROUP_CFGS]
+
+
+class TestGroupsFromTokenCoordinates:
+    """The oracle masks and the grouped rows against the token order."""
+
+    @pytest.mark.parametrize("cfg", GROUP_CFGS, ids=GROUP_IDS)
+    def test_masks_equal_pairwise_loops(self, cfg):
+        veff, pr, pc, w = cfg.effective_domains, cfg.patch_rows, cfg.patch_cols, cfg.window_size
+        coords = [(v, r, c) for v in range(veff) for r in range(pr) for c in range(pc)]
+        assert [_token(cfg, *t) for t in coords] == list(range(cfg.seq_len))
+        win = np.zeros((cfg.seq_len, cfg.seq_len), dtype=bool)
+        xvar = np.zeros_like(win)
+        for i, (vi, ri, ci) in enumerate(coords):
+            for j, (vj, rj, cj) in enumerate(coords):
+                win[i, j] = vi == vj and ri // w == rj // w and ci // w == cj // w
+                xvar[i, j] = ri == rj and ci == cj
+        assert np.array_equal(window_mask(cfg), win)
+        assert np.array_equal(cross_variable_mask(cfg), xvar)
+
     @pytest.mark.parametrize("kind", ["window", "crossvar"])
-    def test_cached_read_only_inverse_pair(self, kind):
-        cfg = AttentionConfig(nlat=32, nlon=64, num_domains=2, window_size=4)
-        perm, inv, ng, gs = attn._group_perm(cfg, kind)
-        assert attn._group_perm(replace(cfg), kind)[0] is perm
-        assert not perm.flags.writeable and not inv.flags.writeable
-        assert ng * gs == cfg.seq_len
-        assert (perm[inv] == np.arange(cfg.seq_len)).all()
-        assert (np.sort(perm) == np.arange(cfg.seq_len)).all()
+    @pytest.mark.parametrize("cfg", GROUP_CFGS, ids=GROUP_IDS)
+    def test_grouped_rows_are_the_listed_groups(self, cfg, kind):
+        d, n = 3, cfg.seq_len
+        rows = np.repeat(np.arange(n, dtype=np.float64)[:, None], d, axis=1)
+        a, b, c, e = attn._group_dims(cfg, kind)
+        grouped = attn._swap(rows, (a, b, c, e * d), (a * c, b * e, d))
+        assert grouped[:, :, 0].astype(int).tolist() == _listed_groups(cfg, kind)
+        assert (grouped == grouped[:, :, :1]).all()
+        back = attn._swap(grouped, (a, c, b, e * d), (n, d))
+        assert np.array_equal(back, rows)
 
 
 class TestCrossVariableAttention:
@@ -294,7 +333,7 @@ class TestForward:
         cfg = AttentionConfig(num_layers=num_layers)
         params = init_params(cfg, 41)
         inputs = make_inputs(cfg, 42)
-        pt = attn._wrap(params, requires_grad=False)
+        pt = params.tensors
         tokens = attn._embed_tokens(Tensor(inputs), pt, cfg)
         for layer in range(cfg.num_layers):
             tokens = attn._window_t(tokens, pt, cfg, layer)
@@ -409,10 +448,10 @@ class TestGradCheck:
         inputs = make_inputs(cfg, 61)
 
         import capeskit.autodiff as ad
-        from capeskit.attention import _forward_t, _loss_value, _wrap
+        from capeskit.attention import _forward_t, _loss_value
         from capeskit.autodiff import Tensor
 
-        pt = _wrap(params, requires_grad=True)
+        pt = {k: Tensor(v, requires_grad=True) for k, v in params.tensors.items()}
         inputs_t = Tensor(inputs, requires_grad=True)
         out = _forward_t(pt, inputs_t, cfg)
         ad.sum_all(ad.mul(out, out)).backward()

@@ -79,12 +79,6 @@ class TestPrimitives:
         idx = np.array([2, 0, 2, 1])
         check_op(lambda t: ad.sum_all(ad.mul(ad.take_rows(t, idx), ad.take_rows(t, idx))), (3, 2))
 
-    def test_concat_rows(self):
-        rng = np.random.default_rng(5)
-        other = Tensor(rng.standard_normal((2, 3)))
-        check_op(lambda t: ad.sum_all(ad.mul(ad.concat_rows([t, other]),
-                                              ad.concat_rows([t, other]))), (3, 3))
-
     def test_sum_last_and_mean_last(self):
         check_op(lambda t: ad.sum_all(ad.mul(ad.sum_last(t), ad.mean_last(t))), (3, 4))
 

@@ -258,6 +258,29 @@ class TestGenerate:
         for name in fa:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_numerical_over_hybrid_leaves_only_the_new_members(self, tmp_path):
+        cfgp = tmp_path / "gen.cfg"
+        cfgp.write_text(GEN_CONFIG)
+        out = tmp_path / "ens"
+        for mode in ("hybrid", "numerical"):
+            assert main(["generate", "--mode", mode, "--seed", "5",
+                         "--config", str(cfgp), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.tsv", "num-d0-p0-0.grd", "num-d0-s0.grd"]
+
+    @pytest.mark.parametrize("old", [b"m0\trowboat\t\n", b"m0\tai\tinit_seed=\xff\n"])
+    def test_unreadable_old_manifest_is_no_error_and_removes_nothing(self, tmp_path, old):
+        cfgp = tmp_path / "gen.cfg"
+        cfgp.write_text(GEN_CONFIG)
+        out = tmp_path / "ens"
+        out.mkdir()
+        (out / "manifest.tsv").write_bytes(old)
+        (out / "m0.grd").write_text("mine\n")
+        assert main(["generate", "--mode", "numerical", "--seed", "5",
+                     "--config", str(cfgp), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "m0.grd", "manifest.tsv", "num-d0-p0-0.grd", "num-d0-s0.grd"]
+
     def test_ai_mode_only(self, tmp_path):
         cfgp = tmp_path / "gen.cfg"
         cfgp.write_text(GEN_CONFIG)

@@ -510,6 +510,29 @@ class TestManifestIo:
         for a, b in zip(back.values, e.values):
             assert np.array_equal(a, b)
 
+    @staticmethod
+    def _zeros_ensemble(ids):
+        return EnsembleSet.from_members([
+            (MemberMeta(id=i, track="ai", init_seed=k, latent_seed=k),
+             AnomalyField(SPEC, np.zeros((32, 32)))) for k, i in enumerate(ids)])
+
+    def test_stale_members_are_removed(self, tmp_path):
+        d = tmp_path / "ens"
+        write_ensemble_dir(d, self._zeros_ensemble(["a", "b", "c", "d"]))
+        write_ensemble_dir(d, self._zeros_ensemble(["b", "e"]))
+        assert sorted(p.name for p in d.iterdir()) == ["b.grd", "e.grd", "manifest.tsv"]
+        assert [m.id for m in read_ensemble_dir(d).metas()] == ["b", "e"]
+
+    def test_only_listed_members_are_removed(self, tmp_path):
+        d = tmp_path / "ens"
+        write_ensemble_dir(d, self._zeros_ensemble(["a", "b"]))
+        (d / "notes.txt").write_text("mine\n")
+        (d / "a.txt").write_text("mine\n")
+        (d / "z.grd").write_bytes((d / "a.grd").read_bytes())
+        write_ensemble_dir(d, self._zeros_ensemble(["c"]))
+        assert sorted(p.name for p in d.iterdir()) == [
+            "a.txt", "c.grd", "manifest.tsv", "notes.txt", "z.grd"]
+
     @pytest.mark.parametrize("shape", [(32, 32), (80, 80)])
     def test_member_files_equal_write_grid_and_repr(self, tmp_path, shape):
         # small members are formatted several per chunk, an 80x80 member in
