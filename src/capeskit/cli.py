@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -39,7 +40,14 @@ from .ensemble import (
     write_ensemble_dir,
 )
 from .errors import CapeskitError
-from .fusion import EnsembleSet, FusionConfig, blend_scores, fuse, member_metrics
+from .fusion import (
+    EnsembleSet,
+    FusionConfig,
+    blend_scores,
+    fuse,
+    member_metrics,
+    physical_memory,
+)
 from .grid import (
     Climatology,
     GridField,
@@ -182,30 +190,28 @@ def cmd_generate(args) -> int:
         manifest_cfg = _MANIFEST.build(g)
     if args.mode in ("ai", "hybrid"):
         pspec = _PERTURBATION.build(g, base_seed=mix(args.seed, "ai"))
-    n_num = manifest_cfg.member_count if manifest_cfg else 0
-    # every member is written into its row of one array as it is produced;
-    # allocated first, so a count that cannot fit fails before any member
-    values = EnsembleSet.allocate(spec, n_num + (pspec.member_count if pspec else 0))
+    n = sum(c.member_count for c in (manifest_cfg, pspec) if c is not None)
+    # members stream to their files a batch at a time, but fuse reads the
+    # ensemble back as one array: a count it could not hold fails here,
+    # before any member is made
+    EnsembleSet.check_size(spec, n)
     made = make_ensemble_dir(args.out_dir)
     try:
         check_writable(_sidecar(args.out_dir))
-
-        metas = []
+        tracks = []
         if manifest_cfg is not None:
-            metas = build_numerical_manifest(manifest_cfg)
             truth = truth_pattern(spec, mix(args.seed, "truth"), g["truth_amplitude"], g["truth_slope"])
             skill = SkillConfig(numerical=_NUM_SKILL.build(g))
-            surrogate_members(metas, truth, skill, mix(args.seed, "numerical"), values[:n_num])
-
+            tracks.append(surrogate_members(build_numerical_manifest(manifest_cfg), truth, skill,
+                                            mix(args.seed, "numerical")))
         if pspec is not None:
             acfg = _backbone_cfg(g)
             params = attn.init_params(acfg, mix(args.seed, "model"))
             base_rng = np.random.default_rng(mix(args.seed, "base-fields"))
             base = base_rng.standard_normal((g["num_domains"], g["nlat"], g["nlon"], g["channels"]))
-            metas += ai_members(base, params, acfg, pspec, clim, values[n_num:])
-
-        ensemble = EnsembleSet(spec, metas, values)
-        write_ensemble_dir(args.out_dir, ensemble, manifest_cfg)
+            tracks.append(ai_members(base, params, acfg, pspec, clim))
+        # each batch is made when the one before it is formatted
+        write_ensemble_dir(args.out_dir, itertools.chain(*tracks), manifest_cfg)
         try:
             _write_run_manifest(args.out_dir, "generate",
                                 {"mode": args.mode, **g}, args.seed,
@@ -217,7 +223,7 @@ def cmd_generate(args) -> int:
         if made is not None:  # a failed run leaves no directory it made
             shutil.rmtree(made, ignore_errors=True)
         raise
-    print(f"wrote {len(ensemble)} members -> {args.out_dir}")
+    print(f"wrote {n} members -> {args.out_dir}")
     return 0
 
 
@@ -237,11 +243,7 @@ def _cfg_for_length(length: int, base: dict) -> attn.AttentionConfig:
     w, p = base["window_size"], base["patch_size"]
     if length % v:
         raise CapeskitError(f"length {length} not divisible by num_domains {v}")
-    try:  # physical memory; the address space where the OS does not report it
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        memory = sys.maxsize
-    if 8 * length * base["embed_dim"] > memory:  # no float64 token array that large
+    if 8 * length * base["embed_dim"] > physical_memory():  # no float64 token array that large
         raise CapeskitError(f"{length} tokens of width {base['embed_dim']} do not fit in memory")
     patches = length // v
     if patches < 1 or patches % (w * w):

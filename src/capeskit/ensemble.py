@@ -21,16 +21,22 @@ behavior can be studied without the coupled model. Surrogates are built
 in batches: each member draws its own coefficients, and one inverse DFT
 serves the batch.
 
-Each function here that makes or reads an ensemble writes every member
-into its row of one (n, nlat, nlon) array as the member is produced, so
-an ensemble's fields are held once (see :class:`capeskit.fusion.EnsembleSet`).
+Members are made in batches of about _BATCH values, each batch into one
+buffer that the next batch reuses: a stream of (spec, metas, values)
+batches, which :func:`write_ensemble_dir` writes as it comes, so
+``generate`` never holds a whole ensemble. An ensemble held in memory,
+one (n, nlat, nlon) array (see :class:`capeskit.fusion.EnsembleSet`), is
+one batch; :func:`read_ensemble_dir` and :func:`gather`, which builds the
+pool of ``scaling``, write each member into its row of that array, so
+its fields are held once.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -203,15 +209,22 @@ def surrogate_numerical_member(meta: MemberMeta, truth: AnomalyField,
 _BATCH = 1 << 16
 
 
+#: a batch of members: their grid, their metas, and their fields as one
+#: (len(metas), nlat, nlon) array
+Batch = tuple[GridSpec, Sequence[MemberMeta], np.ndarray]
+
+
 def surrogate_members(metas: Sequence[MemberMeta], truth: AnomalyField,
-                      skill_cfg: SkillConfig, seed: int, out: np.ndarray) -> None:
-    """Write surrogate_numerical_member(meta, truth, skill_cfg, seed) of
-    each of ``metas`` into the rows of ``out`` (len(metas), nlat, nlon),
-    bit for bit, building the bias and noise fields in batches of about
-    _BATCH values. A member the single-member path rejects raises its
-    error here, and the first such member in order is the one reported."""
+                      skill_cfg: SkillConfig, seed: int) -> Iterator[Batch]:
+    """surrogate_numerical_member(meta, truth, skill_cfg, seed) of each of
+    ``metas``, bit for bit, in batches of about _BATCH values, whose bias
+    and noise fields are built together. Each batch's values are rows of
+    one buffer, which the next batch overwrites. A member the
+    single-member path rejects raises its error here, and the first such
+    member in order is the one reported."""
     spec = truth.spec
     per = max(1, _BATCH // spec.ncells)
+    buf = np.empty((min(per, len(metas)), spec.nlat, spec.nlon))
     for a in range(0, len(metas), per):
         batch = metas[a:a + per]
         skills = [skill_cfg.for_track(m.track) for m in batch]
@@ -220,7 +233,7 @@ def surrogate_members(metas: Sequence[MemberMeta], truth: AnomalyField,
                                [getattr(s, sigma) for s in skills], slope)
             for role, sigma, slope in (("surrogate-bias", "bias_sigma", BIAS_SLOPE),
                                        ("surrogate-noise", "noise_sigma", NOISE_SLOPE)))
-        rows = out[a:a + len(batch)]
+        rows = buf[:len(batch)]
         np.add(truth.values, bias, out=rows)
         rows += noise
         del bias, noise
@@ -229,6 +242,19 @@ def surrogate_members(metas: Sequence[MemberMeta], truth: AnomalyField,
         if not ok.all():
             surrogate_numerical_member(batch[int(ok.argmin())], truth, skill_cfg, seed)
             raise AssertionError("a surrogate the batch rejects was accepted alone")
+        yield spec, batch, rows
+
+
+def gather(batches: Iterable[Batch], out: np.ndarray) -> list[MemberMeta]:
+    """Copy the values of each batch of ``batches`` into the next rows of
+    ``out`` (n, nlat, nlon), which they fill; returns the metas, in order."""
+    metas = []
+    for _, batch, values in batches:
+        out[len(metas):len(metas) + len(batch)] = values
+        metas += batch
+    if len(metas) != len(out):
+        raise AssertionError(f"{len(metas)} members gathered into {len(out)} rows")
+    return metas
 
 
 # ---------------------------------------------------------------------------
@@ -315,31 +341,31 @@ def ai_member(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig
 
 
 def ai_members(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
-               pspec: PerturbationSpec, clim: Climatology, out: np.ndarray
-               ) -> list[MemberMeta]:
-    """Write all n_init x n_latent members into the rows of ``out``
-    (member_count, nlat, nlon), and return their metas; ids enumerate
-    (i, j) lexicographically.
+               pspec: PerturbationSpec, clim: Climatology) -> Iterator[Batch]:
+    """All n_init x n_latent members, in batches; ids enumerate (i, j)
+    lexicographically.
 
     The perturbed input and the backbone trunk are computed once per init
     and shared by its n_latent members, whose tails run in batches of
-    about _BATCH token values."""
+    about _BATCH token values. Each batch's values are rows of one buffer,
+    sized by the tail batch, which the next batch overwrites."""
     per = max(1, _BATCH // (cfg.seq_len * cfg.embed_dim))
-    metas = []
+    spec = clim.spec
+    buf = np.empty((min(per, pspec.n_latent), spec.nlat, spec.nlon))
     for i in range(pspec.n_init):
         init_seed, tokens = _init_trunk(base_fields, params, cfg, pspec, clim, i)
         for a in range(0, pspec.n_latent, per):
             js = range(a, min(a + per, pspec.n_latent))
-            rows = out[len(metas):len(metas) + len(js)]
-            metas += _latent_members(tokens, init_seed, params, cfg, pspec, clim, i, js, rows)
-    return metas
+            rows = buf[:len(js)]
+            metas = _latent_members(tokens, init_seed, params, cfg, pspec, clim, i, js, rows)
+            yield spec, metas, rows
 
 
 def build_ai_ensemble(base_fields: np.ndarray, params: ModelParams, cfg: AttentionConfig,
                       pspec: PerturbationSpec, clim: Climatology) -> EnsembleSet:
-    """The ensemble of all members :func:`ai_members` writes."""
+    """The ensemble of all members :func:`ai_members` makes."""
     values = EnsembleSet.allocate(clim.spec, pspec.member_count)
-    metas = ai_members(base_fields, params, cfg, pspec, clim, values)
+    metas = gather(ai_members(base_fields, params, cfg, pspec, clim), values)
     return EnsembleSet(clim.spec, metas, values)
 
 
@@ -440,26 +466,43 @@ def uncommit_ensemble_dir(dirpath) -> None:
     _unlink(os.path.join(dirpath, "manifest.tsv"))
 
 
-def write_ensemble_dir(dirpath, ensemble: EnsembleSet,
+def write_ensemble_dir(dirpath, ensemble: EnsembleSet | Iterable[Batch],
                        manifest: Optional[NumericalManifest] = None) -> None:
     """One ``<id>.grd`` anomaly file per member, then the manifest, which
-    marks the commit: an existing one is removed before the first member,
-    so a write that fails part way leaves a directory that
-    :func:`read_ensemble_dir` refuses, never a mix of two ensembles. The
-    member files the old manifest lists and ``ensemble`` does not are
-    removed with it; no other file is, and an old manifest that cannot be
+    marks the commit. ``ensemble`` is an ensemble, written as one batch,
+    or an iterable of batches, such as :func:`ai_members` makes, each
+    written as it comes: the next batch is made only when this one is
+    formatted, so no more than a batch is held.
+
+    The first batch is made before the directory is touched. Then an
+    existing manifest is removed, before the first member is written, so
+    a write or a batch that fails later leaves a directory that
+    :func:`read_ensemble_dir` refuses, never a mix of two ensembles.
+    After the last member, or after such a failure, the member files the
+    old manifest lists are removed, except those with the id of a member
+    taken so far; no other file is, and an old manifest that cannot be
     read removes none."""
+    batches = iter([(ensemble.spec, ensemble.metas(), ensemble.values)]
+                   if isinstance(ensemble, EnsembleSet) else ensemble)
+    first = list(itertools.islice(batches, 1))
     make_ensemble_dir(dirpath)
     try:
         old_ids = {meta.id for meta in read_manifest(os.path.join(dirpath, "manifest.tsv"))}
     except CapeskitError:  # none, or unreadable
         old_ids = set()
     uncommit_ensemble_dir(dirpath)
-    metas = ensemble.metas()
-    for member_id in sorted(old_ids - {meta.id for meta in metas}):
-        _unlink(os.path.join(dirpath, f"{member_id}.grd"))
-    write_anomalies(ensemble.spec, ensemble.values,
-                    [os.path.join(dirpath, f"{meta.id}.grd") for meta in metas])
+    metas = []
+
+    def files():
+        for spec, batch, values in itertools.chain(first, batches):
+            metas.extend(batch)
+            yield spec, [os.path.join(dirpath, f"{meta.id}.grd") for meta in batch], values
+
+    try:
+        write_anomalies(files())
+    finally:  # no file of the old ensemble outlives its manifest unlisted
+        for member_id in sorted(old_ids - {meta.id for meta in metas}):
+            _unlink(os.path.join(dirpath, f"{member_id}.grd"))
     write_manifest(os.path.join(dirpath, "manifest.tsv"), metas, manifest)
 
 

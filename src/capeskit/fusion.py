@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -67,6 +68,15 @@ class MemberMeta:
                 raise CapeskitError(f"ai member {self.id!r} needs both seeds")
 
 
+def physical_memory() -> int:
+    """The machine's physical memory in bytes; the address space where the
+    OS does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
 class EnsembleSet:
     """Members on one shared grid: their metas, in order, and their anomaly
     fields as one read-only, C-contiguous (n, nlat, nlon) float64 array,
@@ -113,14 +123,18 @@ class EnsembleSet:
         return cls(spec, [m for m, _ in members], np.stack([f.values for _, f in members]))
 
     @staticmethod
+    def check_size(spec: GridSpec, n: int) -> None:
+        """Refuse n fields on ``spec`` that physical memory could not hold
+        as one array, as :meth:`allocate` does, without allocating them."""
+        if 8 * n * spec.ncells > physical_memory():
+            raise CapeskitError(f"{n} fields of {spec.nlat}x{spec.nlon} do not fit in memory")
+
+    @staticmethod
     def allocate(spec: GridSpec, n: int) -> np.ndarray:
-        """An uninitialized (n, nlat, nlon) array to fill with n members."""
-        try:
-            return np.empty((n, spec.nlat, spec.nlon))
-        except (MemoryError, ValueError):  # ValueError: beyond the address space
-            raise CapeskitError(
-                f"{n} fields of {spec.nlat}x{spec.nlon} do not fit in memory"
-            ) from None
+        """An uninitialized (n, nlat, nlon) array to fill with n members,
+        if :meth:`check_size` does not refuse them."""
+        EnsembleSet.check_size(spec, n)
+        return np.empty((n, spec.nlat, spec.nlon))
 
     def __len__(self) -> int:
         return len(self._metas)

@@ -19,6 +19,7 @@ from .ensemble import (
     SkillConfig,
     build_numerical_manifest,
     correlated_field,
+    gather,
     surrogate_members,
 )
 from .errors import CapeskitError
@@ -94,7 +95,7 @@ def synthetic_benchmark(cfg: BenchmarkConfig, seed: int
     The truth is a correlated field rescaled so its peak |anomaly| equals
     cfg.amplitude; generation fails if any category band (normal, first,
     second) or the extreme range ends up unpopulated. The pool is one
-    (n_numerical + n_ai, nlat, nlon) array filled in batches by
+    (n_numerical + n_ai, nlat, nlon) array filled batch by batch from
     :func:`capeskit.ensemble.surrogate_members`; trials subsample it by
     index arrays and share it read-only.
     """
@@ -124,7 +125,7 @@ def synthetic_benchmark(cfg: BenchmarkConfig, seed: int
             init_seed=mix(seed, "ai-init", idx),
             latent_seed=mix(seed, "ai-latent", idx),
         ))
-    surrogate_members(metas, truth, cfg.skill, mix(seed, "benchmark-members"), values)
+    gather(surrogate_members(metas, truth, cfg.skill, mix(seed, "benchmark-members")), values)
     return truth, clim, EnsembleSet(spec, metas, values)
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import capeskit.attention as attn
 import capeskit.cli as cli
-from capeskit import grid
+from capeskit import ensemble, grid
 from capeskit.attention import AttentionConfig
 from capeskit.cli import ATTN_BENCH, GENERATE, GRAD_CHECK, SCALING, _cfg_for_length, main
 from capeskit.errors import CapeskitError
@@ -1155,6 +1155,46 @@ class TestGenerateOverAnEnsemble:
             rc, err = run_cli(["fuse", "--ensemble-dir", str(out), "--out-field",
                                str(tmp / "f.grd"), "--out-weights", str(tmp / "w.csv")])
             assert rc == 2 and "no manifest.tsv" in err, err
+
+    def test_one_member_batches_write_the_same_bytes(self, runs, tmp_path, monkeypatch):
+        # every batch of one member, made in a buffer of one row that each
+        # batch reuses
+        monkeypatch.setattr(ensemble, "_BATCH", 1)
+        rc, err = run_cli(["generate", "--mode", "hybrid", "--seed", "13",
+                           "--config", str(runs / "small.cfg"), "--out-dir", str(tmp_path / "o")])
+        assert rc == 0, err
+        assert tree(tmp_path / "o") == tree(runs / "s13")
+
+    def over_s7(self, runs, tmp, extra):
+        """``generate`` of seed 13, with ``extra`` config lines, into a copy
+        of the seed-7 ensemble: (exit code, stderr, the tree before)."""
+        shutil.copytree(runs / "s7", tmp / "o")
+        shutil.copy(runs / "s7.manifest.json", tmp / "o.manifest.json")
+        (tmp / "run.cfg").write_text(self.CONFIG + extra)
+        before = tree(tmp)
+        rc, err = run_cli(["generate", "--mode", "hybrid", "--seed", "13",
+                           "--config", str(tmp / "run.cfg"), "--out-dir", str(tmp / "o")])
+        return rc, err, before
+
+    def test_a_member_failing_after_the_first_batch_uncommits_the_ensemble(self, runs, tmp_path):
+        # the numerical batch goes to the writer, then the first AI member
+        # overflows; the writer stops at once, so those files may or may not
+        # have been written
+        rc, err, _ = self.over_s7(runs, tmp_path, "latent_sigma = 1e308\n")
+        assert (rc, err) == (2, "error: ai-0000-0000: field values must be finite (no NaN/Inf)\n")
+        assert not list(tmp_path.rglob("*.tmp"))
+        # the old AI members, whose ids no member taken has, go with the manifest
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+            "num-d0-p0-0.grd", "num-d0-s0.grd", "num-d0-s1.grd"]
+        rc, err = run_cli(["fuse", "--ensemble-dir", str(tmp_path / "o"), "--out-field",
+                           str(tmp_path / "f.grd"), "--out-weights", str(tmp_path / "w.csv")])
+        assert rc == 2 and "no manifest.tsv" in err, err
+
+    def test_a_member_failing_in_the_first_batch_leaves_the_ensemble(self, runs, tmp_path):
+        # the first batch is made before the directory is touched
+        rc, err, before = self.over_s7(runs, tmp_path, "bias_sigma = 1e308\n")
+        assert (rc, err) == (2, "error: num-d0-s0: field values must be finite (no NaN/Inf)\n")
+        assert tree(tmp_path) == before
 
     def test_a_failed_sidecar_write_uncommits_the_ensemble(self, runs, tmp_path, monkeypatch):
         out = tmp_path / "o"

@@ -15,6 +15,7 @@ from capeskit.ensemble import (
     build_ai_ensemble,
     build_numerical_manifest,
     correlated_field,
+    gather,
     read_ensemble_dir,
     read_manifest,
     surrogate_members,
@@ -217,7 +218,7 @@ class TestBatchedSurrogates:
 
     def run_batched(self, metas, truth, cfg, seed):
         out = np.full((len(metas), truth.spec.nlat, truth.spec.nlon), np.nan)
-        surrogate_members(metas, truth, cfg, seed, out)
+        assert gather(surrogate_members(metas, truth, cfg, seed), out) == metas
         return out
 
     @pytest.mark.parametrize("batch", [None, 7 * 480, 480])
@@ -301,9 +302,11 @@ def traced_peak(fn):
 
 
 class TestEnsembleMemory:
-    """Building or reading an ensemble holds each field once: the peak
-    traced allocation stays under 1.5x the final (n, nlat, nlon) array,
-    where a list of fields stacked into the array would need 2x."""
+    """Reading an ensemble holds each field once: the peak traced
+    allocation stays under 1.5x the final (n, nlat, nlon) array, where a
+    list of fields stacked into the array would need 2x. ``generate``
+    holds a batch of members, not the ensemble: its peak does not grow
+    with the member count."""
 
     N = 300
 
@@ -317,29 +320,35 @@ class TestEnsembleMemory:
         assert np.array_equal(back.values, values)
         assert peak < 1.5 * back.values.nbytes, (peak, back.values.nbytes)
 
-    @pytest.mark.parametrize("mode,config,members", [
-        # 3 dates x (9 schemes + 24 x 24 lattice) numerical members, built in
-        # batches of 64
-        ("numerical", "param_grid = 24x24\n", 1755),
-        # 2 numerical members, then 3 x 200 AI members streamed from the tails
-        ("hybrid", "start_dates = d0\nschemes = s0\nparam_grid = 1x1\n"
-                   "n_init = 3\nn_latent = 200\n", 602),
-    ], ids=["numerical", "hybrid"])
-    def test_generate_build(self, tmp_path, monkeypatch, mode, config, members):
-        cfgp = tmp_path / "gen.cfg"
+    @staticmethod
+    def generate_peak(tmp_path, mode, config, name="ens"):
+        """The peak traced allocation of ``generate`` with ``config`` into
+        the directory ``name``, and the number of members it wrote."""
+        cfgp = tmp_path / f"{name}.cfg"
         cfgp.write_text(config)
-        built = []
-
-        def keep(dirpath, ensemble, manifest=None):
-            built.append((ensemble, tracemalloc.get_traced_memory()[1]))
-        monkeypatch.setattr(cli, "write_ensemble_dir", keep)
-        rc, _ = traced_peak(lambda: cli.main([
+        out = tmp_path / name
+        rc, peak = traced_peak(lambda: cli.main([
             "generate", "--mode", mode, "--seed", "2", "--config", str(cfgp),
-            "--out-dir", str(tmp_path / "ens")]))
+            "--out-dir", str(out)]))
         assert rc == 0
-        (ensemble, peak), = built
-        assert len(ensemble) == members
-        assert peak < 1.5 * ensemble.values.nbytes, (peak, ensemble.values.nbytes)
+        return peak, len(list(out.glob("*.grd")))
+
+    def test_generate_numerical_holds_a_batch(self, tmp_path):
+        # 3 dates x (9 schemes + 24 x 24 lattice) numerical members, made in
+        # batches of 64: under half of the 14.4 MB the ensemble's array takes
+        peak, members = self.generate_peak(tmp_path, "numerical", "param_grid = 24x24\n")
+        array = members * SPEC.ncells * 8
+        assert members == 1755
+        assert peak < 0.5 * array, (peak, array)
+
+    def test_generate_hybrid_peak_does_not_grow_with_members(self, tmp_path):
+        # 2 numerical members, then 3 x 20 and 3 x 200 AI members from tails
+        # of at most 42 members
+        config = "start_dates = d0\nschemes = s0\nparam_grid = 1x1\nn_init = 3\n"
+        small, n_small = self.generate_peak(tmp_path, "hybrid", config + "n_latent = 20\n", "a")
+        large, n_large = self.generate_peak(tmp_path, "hybrid", config + "n_latent = 200\n", "b")
+        assert (n_small, n_large) == (62, 602)
+        assert large < 1.5 * small, (large, small)
 
 
 TOYCFG = attn.AttentionConfig()
@@ -433,7 +442,7 @@ class TestAiEnsemble:
         clim = flat_clim(SPEC)
         pspec = PerturbationSpec(n_init=n_init, n_latent=n_latent, base_seed=37)
         out = np.full((pspec.member_count, 32, 32), np.nan)
-        metas = ens.ai_members(base, params, TOYCFG, pspec, clim, out)
+        metas = gather(ens.ai_members(base, params, TOYCFG, pspec, clim), out)
         assert len(metas) == pspec.member_count
         for k, (meta, values) in enumerate(zip(metas, out)):
             solo_meta, solo = ai_member(base, params, TOYCFG, pspec, clim, *divmod(k, n_latent))
