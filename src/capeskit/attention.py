@@ -26,12 +26,12 @@ groups, heads, the decoder's un-patching) is one axis swap: read the rows
 as (a, b, c, e) and swap b and c. The oracle's masks, ``window_mask`` and
 ``cross_variable_mask``, are not built from those swaps but from token
 coordinates, so a wrong grouping fails the oracle tests. The backbone is
-deterministic:
-:func:`forward` is ``tail(trunk(...))``; :mod:`capeskit.ensemble` adds
-the latent noise of its members between the two.
+deterministic: :func:`forward` is ``decode(trunk(...))``;
+:mod:`capeskit.ensemble` adds the latent noise of its members between the two.
 
-Gradients come from the tape in :mod:`capeskit.autodiff`; ``grad_check``
-verifies them against central finite differences.
+Each stage is one function over the ops of :mod:`capeskit.autodiff`: on
+plain arrays it is the inference path, and on Tensors it is taped, which
+``grad_check`` verifies against central finite differences.
 """
 
 from __future__ import annotations
@@ -175,6 +175,10 @@ class ModelParams:
         return ModelParams(self.cfg, {k: v.copy() for k, v in self.tensors.items()})
 
 
+#: Parameters by name: a ModelParams, or grad_check's name -> Tensor dict.
+Params = ModelParams | dict[str, Tensor]
+
+
 def init_params(cfg: AttentionConfig, seed: int) -> ModelParams:
     """Seeded init: uniform(-1/sqrt(d), 1/sqrt(d)) for projections and
     anchors, zeros for biases and layer-norm offsets, ones for gains."""
@@ -204,24 +208,8 @@ def _swap(x: ad.Value, dims: tuple[int, int, int, int], shape: tuple) -> ad.Valu
     return ad.reshape(ad.transpose(ad.reshape(x, (a, b, c, e)), (0, 2, 1, 3)), shape)
 
 
-def _embed_tokens(inputs_t: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig) -> ad.Value:
-    """(V, nlat, nlon, k) input stack -> (L, d) embedded tokens."""
-    v, k = cfg.num_domains, cfg.channels
-    shape = ad.data(inputs_t).shape
-    if shape != (v, cfg.nlat, cfg.nlon, k):
-        raise CapeskitError(f"inputs shape {shape}, expected {(v, cfg.nlat, cfg.nlon, k)}")
-    if cfg.layout == "channel_stack":  # the domains become channels of one grid
-        inputs_t = ad.transpose(inputs_t, (1, 2, 0, 3))
-    # (domains * patch rows, p, patch cols, p * channels) -> one row per
-    # patch token, its p x p x channels values in row-major order
-    p = cfg.patch_size
-    patches = _swap(inputs_t, (cfg.effective_domains * cfg.patch_rows, p, cfg.patch_cols, -1),
-                    (cfg.seq_len, -1))
-    return ad.add(ad.matmul(patches, pt["embed.W"]), pt["embed.b"])
-
-
 @blas_single_thread
-def tokenize(fields: np.ndarray, params: ModelParams, cfg: AttentionConfig) -> np.ndarray:
+def tokenize(fields: ad.Value, params: Params, cfg: AttentionConfig) -> ad.Value:
     """Patch-embed per-domain fields into the (seq_len, embed_dim) token array.
 
     ``fields`` has shape (V, nlat, nlon, k). Domains are concatenated
@@ -229,7 +217,18 @@ def tokenize(fields: np.ndarray, params: ModelParams, cfg: AttentionConfig) -> n
     under sequence_concat, or stacked along channels first under
     channel_stack. Token (v, r, c) is row (v * patch_rows + r) * patch_cols + c.
     """
-    return _embed_tokens(np.asarray(fields, dtype=np.float64), params.tensors, cfg)
+    v, k = cfg.num_domains, cfg.channels
+    shape = ad.data(fields).shape
+    if shape != (v, cfg.nlat, cfg.nlon, k):
+        raise CapeskitError(f"inputs shape {shape}, expected {(v, cfg.nlat, cfg.nlon, k)}")
+    if cfg.layout == "channel_stack":  # the domains become channels of one grid
+        fields = ad.transpose(fields, (1, 2, 0, 3))
+    # (domains * patch rows, p, patch cols, p * channels) -> one row per
+    # patch token, its p x p x channels values in row-major order
+    p = cfg.patch_size
+    patches = _swap(fields, (cfg.effective_domains * cfg.patch_rows, p, cfg.patch_cols, -1),
+                    (cfg.seq_len, -1))
+    return ad.add(ad.matmul(patches, params["embed.W"]), params["embed.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +268,14 @@ def _group_dims(cfg: AttentionConfig, kind: str) -> tuple[int, int, int, int]:
     return {"window": (veff * pr // w, w, pc // w, w), "crossvar": (1, veff, pr * pc, 1)}[kind]
 
 
-def _proj(x: ad.Value, pt: dict[str, ad.Value], layer: int, lvl: str, which: str) -> ad.Value:
+def _proj(x: ad.Value, params: Params, layer: int, lvl: str, which: str) -> ad.Value:
+    """x @ W{which} + b{which} of ``layer{layer}.{lvl}``."""
     pre = f"layer{layer}.{lvl}"
-    return ad.add(ad.matmul(x, pt[f"{pre}.W{which}"]), pt[f"{pre}.b{which}"])
+    return ad.add(ad.matmul(x, params[f"{pre}.W{which}"]), params[f"{pre}.b{which}"])
 
 
 def _grouped_attention(
-    xn: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig, layer: int, lvl: str, kind: str
+    xn: ad.Value, params: Params, cfg: AttentionConfig, layer: int, lvl: str, kind: str
 ) -> ad.Value:
     """Multi-head attention restricted to equal-size groups, batched as
     (groups, heads, group, group) score tensors. O(L * group_size * d)."""
@@ -284,7 +284,7 @@ def _grouped_attention(
     ng, gs = a * c, b * e
 
     def grouped(which: str) -> ad.Value:
-        y = _swap(_proj(xn, pt, layer, lvl, which), (a, b, c, e * d), (ng, gs, d))
+        y = _swap(_proj(xn, params, layer, lvl, which), (a, b, c, e * d), (ng, gs, d))
         return _swap(y, (ng, gs, h, dh), (ng, h, gs, dh))
 
     q, k, v = grouped("q"), grouped("k"), grouped("v")
@@ -292,82 +292,70 @@ def _grouped_attention(
     attn = ad.softmax_last(scores)
     out = _swap(ad.matmul(attn, v), (ng, h, gs, dh), (ng * gs, d))
     out = _swap(out, (a, c, b, e * d), (cfg.seq_len, d))
-    return ad.add(ad.matmul(out, pt[f"layer{layer}.{lvl}.Wo"]), pt[f"layer{layer}.{lvl}.bo"])
+    return _proj(out, params, layer, lvl, "o")
 
 
 def _cross_attention(
-    q_src: ad.Value, kv_src: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig, layer: int,
-    lvl: str
+    q_src: ad.Value, kv_src: ad.Value, params: Params, cfg: AttentionConfig, layer: int, lvl: str
 ) -> ad.Value:
     """Multi-head cross-attention: queries from q_src, keys/values from
     kv_src. O(len(q_src) * len(kv_src) * d)."""
     h, dh, d = cfg.num_heads, cfg.head_dim, cfg.embed_dim
     nq, nk = ad.data(q_src).shape[0], ad.data(kv_src).shape[0]
-    q = _swap(_proj(q_src, pt, layer, lvl, "q"), (1, nq, h, dh), (h, nq, dh))
-    k = _swap(_proj(kv_src, pt, layer, lvl, "k"), (1, nk, h, dh), (h, nk, dh))
-    v = _swap(_proj(kv_src, pt, layer, lvl, "v"), (1, nk, h, dh), (h, nk, dh))
+    q = _swap(_proj(q_src, params, layer, lvl, "q"), (1, nq, h, dh), (h, nq, dh))
+    k = _swap(_proj(kv_src, params, layer, lvl, "k"), (1, nk, h, dh), (h, nk, dh))
+    v = _swap(_proj(kv_src, params, layer, lvl, "v"), (1, nk, h, dh), (h, nk, dh))
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
     out = ad.matmul(ad.softmax_last(scores), v)  # (h, nq, dh)
     out = _swap(out, (1, h, nq, dh), (nq, d))
-    return ad.add(ad.matmul(out, pt[f"layer{layer}.{lvl}.Wo"]), pt[f"layer{layer}.{lvl}.bo"])
+    return _proj(out, params, layer, lvl, "o")
 
 
-def _ln(x: ad.Value, pt: dict[str, ad.Value], layer: int, which: str) -> ad.Value:
-    return ad.layer_norm(x, pt[f"layer{layer}.{which}.g"], pt[f"layer{layer}.{which}.b"])
+def _ln(x: ad.Value, params: Params, layer: int, which: str) -> ad.Value:
+    return ad.layer_norm(x, params[f"layer{layer}.{which}.g"], params[f"layer{layer}.{which}.b"])
 
 
-def _window_t(x: ad.Value, pt, cfg, layer) -> ad.Value:
-    return ad.add(x, _grouped_attention(_ln(x, pt, layer, "ln_win"), pt, cfg, layer, "win", "window"))
-
-
-def _xvar_t(x: ad.Value, pt, cfg, layer) -> ad.Value:
-    return ad.add(x, _grouped_attention(_ln(x, pt, layer, "ln_xvar"), pt, cfg, layer, "xvar", "crossvar"))
-
-
-def _anchor_t(x: ad.Value, anchors: ad.Value, pt, cfg, layer) -> ad.Value:
-    xn = _ln(x, pt, layer, "ln_anc")
-    state = _cross_attention(anchors, xn, pt, cfg, layer, "agg")   # (m, d)
-    out = _cross_attention(xn, state, pt, cfg, layer, "brd")       # (L, d)
-    return ad.add(x, out)
-
-
-def _mlp_t(x: ad.Value, pt, cfg, layer) -> ad.Value:
-    xn = _ln(x, pt, layer, "ln_mlp")
-    hid = ad.gelu(ad.add(ad.matmul(xn, pt[f"layer{layer}.mlp.W1"]), pt[f"layer{layer}.mlp.b1"]))
-    out = ad.add(ad.matmul(hid, pt[f"layer{layer}.mlp.W2"]), pt[f"layer{layer}.mlp.b2"])
-    return ad.add(x, out)
-
-
-def _check_tokens(x: np.ndarray, cfg: AttentionConfig, what: str = "token") -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.seq_len, cfg.embed_dim):
-        raise CapeskitError(
-            f"{what} shape {x.shape} inconsistent with config "
-            f"({cfg.seq_len}, {cfg.embed_dim})"
-        )
-    return x
+def _check_tokens(x: ad.Value, cfg: AttentionConfig) -> None:
+    shape = ad.data(x).shape
+    if shape != (cfg.seq_len, cfg.embed_dim):
+        raise CapeskitError(f"token shape {shape} inconsistent with config "
+                            f"({cfg.seq_len}, {cfg.embed_dim})")
 
 
 @blas_single_thread
-def window_attention(x: np.ndarray, params: ModelParams, cfg: AttentionConfig,
-                     layer: int = 0) -> np.ndarray:
+def window_attention(x: ad.Value, params: Params, cfg: AttentionConfig,
+                     layer: int = 0) -> ad.Value:
     """Pre-norm windowed attention with residual, grouped per (domain,
     w x w patch window)."""
-    return _window_t(_check_tokens(x, cfg), params.tensors, cfg, layer)
+    _check_tokens(x, cfg)
+    xn = _ln(x, params, layer, "ln_win")
+    return ad.add(x, _grouped_attention(xn, params, cfg, layer, "win", "window"))
 
 
 @blas_single_thread
-def cross_variable_attention(x: np.ndarray, params: ModelParams, cfg: AttentionConfig,
-                             layer: int = 0) -> np.ndarray:
+def cross_variable_attention(x: ad.Value, params: Params, cfg: AttentionConfig,
+                             layer: int = 0) -> ad.Value:
     """Pre-norm attention among the tokens sharing one patch location."""
-    return _xvar_t(_check_tokens(x, cfg), params.tensors, cfg, layer)
+    _check_tokens(x, cfg)
+    xn = _ln(x, params, layer, "ln_xvar")
+    return ad.add(x, _grouped_attention(xn, params, cfg, layer, "xvar", "crossvar"))
 
 
 @blas_single_thread
-def anchor_attention(x: np.ndarray, anchors: np.ndarray, params: ModelParams,
-                     cfg: AttentionConfig, layer: int = 0) -> np.ndarray:
+def anchor_attention(x: ad.Value, anchors: ad.Value, params: Params,
+                     cfg: AttentionConfig, layer: int = 0) -> ad.Value:
     """Aggregate-then-broadcast two-phase attention through m anchors."""
-    return _anchor_t(_check_tokens(x, cfg), anchors, params.tensors, cfg, layer)
+    _check_tokens(x, cfg)
+    xn = _ln(x, params, layer, "ln_anc")
+    state = _cross_attention(anchors, xn, params, cfg, layer, "agg")   # (m, d)
+    out = _cross_attention(xn, state, params, cfg, layer, "brd")       # (L, d)
+    return ad.add(x, out)
+
+
+def _mlp(x: ad.Value, params: Params, layer: int) -> ad.Value:
+    """Pre-norm two-layer GELU MLP with residual."""
+    hid = ad.gelu(_proj(_ln(x, params, layer, "ln_mlp"), params, layer, "mlp", "1"))
+    return ad.add(x, _proj(hid, params, layer, "mlp", "2"))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +375,8 @@ def dense_attention_oracle(x: np.ndarray, mask: np.ndarray, params: ModelParams,
     """Ground-truth masked multi-head attention, O(L^2), plain per-head
     loops. Applies the same pre-norm/residual contract as the grouped
     levels so outputs are directly comparable."""
-    x = _check_tokens(x, cfg)
+    x = np.asarray(x, dtype=np.float64)
+    _check_tokens(x, cfg)
     mask = np.asarray(mask, dtype=bool)
     n = x.shape[0]
     if mask.shape != (n, n):
@@ -419,74 +408,49 @@ def dense_attention_oracle(x: np.ndarray, mask: np.ndarray, params: ModelParams,
 # forward / decode
 
 
-def _decode_t(tokens: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig) -> ad.Value:
-    """Atmosphere-domain tokens, the first patch_rows * patch_cols rows of
-    each (n, d) token array of ``tokens`` (..., n, d), -> (..., nlat, nlon)
-    grids; a stack of token arrays is decoded with one matmul."""
-    p, pr, pc = cfg.patch_size, cfg.patch_rows, cfg.patch_cols
-    *lead, n, d = ad.data(tokens).shape
-    rows = (np.arange(math.prod(lead), dtype=np.intp)[:, None] * n + np.arange(pr * pc)).ravel()
-    atm = ad.take_rows(ad.reshape(tokens, (-1, d)), rows)
-    patches = ad.add(ad.matmul(atm, pt["decoder.W"]), pt["decoder.b"])  # (k*pr*pc, p*p)
-    return _swap(patches, (-1, pc, p, p), (*lead, cfg.nlat, cfg.nlon))
-
-
-def _block_t(tokens: ad.Value, pt: dict[str, ad.Value], cfg: AttentionConfig,
-             layer: int) -> ad.Value:
-    tokens = _window_t(tokens, pt, cfg, layer)
-    tokens = _xvar_t(tokens, pt, cfg, layer)
-    tokens = _anchor_t(tokens, pt["anchors"], pt, cfg, layer)
-    return _mlp_t(tokens, pt, cfg, layer)
-
-
-def _trunk_t(pt: dict[str, ad.Value], inputs_t: ad.Value, cfg: AttentionConfig) -> ad.Value:
-    tokens = _embed_tokens(inputs_t, pt, cfg)
+@blas_single_thread
+def trunk(params: Params, inputs: ad.Value, cfg: AttentionConfig) -> ad.Value:
+    """Embed ``inputs`` and run all ``num_layers`` blocks, each the three
+    attention levels and the MLP. Returns the (seq_len, embed_dim) tokens
+    that :func:`decode` reads."""
+    tokens = tokenize(inputs, params, cfg)
     for layer in range(cfg.num_layers):
-        tokens = _block_t(tokens, pt, cfg, layer)
+        tokens = window_attention(tokens, params, cfg, layer)
+        tokens = cross_variable_attention(tokens, params, cfg, layer)
+        tokens = anchor_attention(tokens, params["anchors"], params, cfg, layer)
+        tokens = _mlp(tokens, params, layer)
     return tokens
 
 
-def _forward_t(pt: dict[str, ad.Value], inputs_t: ad.Value, cfg: AttentionConfig) -> ad.Value:
-    return _decode_t(_trunk_t(pt, inputs_t, cfg), pt, cfg)
-
-
 @blas_single_thread
-def trunk(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
-    """Embed ``inputs`` and run all ``num_layers`` blocks. Returns the
-    (seq_len, embed_dim) token values that :func:`tail` decodes."""
-    return _trunk_t(params.tensors, np.asarray(inputs, dtype=np.float64), cfg)
-
-
-@blas_single_thread
-def decode(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
-           spec: Optional[GridSpec] = None) -> np.ndarray:
-    """Decode a stack of token arrays, (k, n, embed_dim), with one matmul:
-    the (k, nlat, nlon) precipitation values (mm) on ``spec``, the config
-    grid by default. The decoder reads only the atmosphere domain, the
-    first ``patch_rows * patch_cols`` tokens, so n may stop there. Field m
-    has the bits :func:`tail` gives ``tokens[m]``. The tokens are only read."""
+def decode(params: Params, tokens: ad.Value, cfg: AttentionConfig,
+           spec: Optional[GridSpec] = None) -> ad.Value:
+    """Precipitation (mm) on ``spec``, the config grid by default, from
+    token arrays: (n, embed_dim) tokens give one (nlat, nlon) field, a
+    stack (k, n, embed_dim) gives k fields with one matmul, and field m
+    has the bits that decoding ``tokens[m]`` alone gives. The decoder
+    reads only the atmosphere domain, the first ``patch_rows *
+    patch_cols`` tokens, so n may stop there. The tokens are only read."""
     if spec is not None and (spec.nlat, spec.nlon) != (cfg.nlat, cfg.nlon):
         raise CapeskitError(
             f"target spec {spec.nlat}x{spec.nlon} does not match config grid "
             f"{cfg.nlat}x{cfg.nlon}"
         )
-    return _decode_t(np.asarray(tokens, dtype=np.float64), params.tensors, cfg)
-
-
-def tail(params: ModelParams, tokens: np.ndarray, cfg: AttentionConfig,
-         spec: Optional[GridSpec] = None) -> GridField:
-    """Decode :func:`trunk` tokens to a precipitation field (mm) on
-    ``spec``, the config grid by default. The tokens are only read."""
-    values = decode(params, _check_tokens(tokens, cfg, "trunk tokens")[None], cfg, spec)[0]
-    return GridField(spec or GridSpec(cfg.nlat, cfg.nlon), values, units="mm")
+    p, pr, pc = cfg.patch_size, cfg.patch_rows, cfg.patch_cols
+    *lead, n, d = ad.data(tokens).shape
+    rows = (np.arange(math.prod(lead), dtype=np.intp)[:, None] * n + np.arange(pr * pc)).ravel()
+    atm = ad.take_rows(ad.reshape(tokens, (-1, d)), rows)
+    patches = ad.add(ad.matmul(atm, params["decoder.W"]), params["decoder.b"])  # (k*pr*pc, p*p)
+    return _swap(patches, (-1, pc, p, p), (*lead, cfg.nlat, cfg.nlon))
 
 
 def forward(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
             spec: Optional[GridSpec] = None) -> GridField:
     """Run the backbone and decode a precipitation field (mm) at native
-    resolution: ``tail(trunk(...))``, a pure function of (params, inputs).
-    The AI ensemble perturbs the tokens between the two."""
-    return tail(params, trunk(params, inputs, cfg), cfg, spec)
+    resolution: ``decode(trunk(...))``, a pure function of (params,
+    inputs). The AI ensemble perturbs the tokens between the two."""
+    values = decode(params, trunk(params, inputs, cfg), cfg, spec)
+    return GridField(spec or GridSpec(cfg.nlat, cfg.nlon), values, units="mm")
 
 
 # ---------------------------------------------------------------------------
@@ -516,23 +480,24 @@ def tri_level_flops(cfg: AttentionConfig, L: int) -> int:
 def measure_block_time(cfg: AttentionConfig, seed: int = 0, repeats: int = 3) -> float:
     """Best-of-N wall time of one tri-level block (window + cross-variable
     + anchor) on random tokens at cfg's sequence length."""
-    pt = init_params(cfg, seed).tensors
+    params = init_params(cfg, seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((cfg.seq_len, cfg.embed_dim))
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        y = _window_t(x, pt, cfg, 0)
-        y = _xvar_t(y, pt, cfg, 0)
-        y = _anchor_t(y, pt["anchors"], pt, cfg, 0)
+        y = window_attention(x, params, cfg)
+        y = cross_variable_attention(y, params, cfg)
+        anchor_attention(y, params["anchors"], params, cfg)
         best = min(best, time.perf_counter() - t0)
-        _ = y
     return best
 
 
-def _loss_value(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig) -> float:
-    out = _forward_t(params.tensors, inputs, cfg)
-    return float(np.sum(out * out))
+def _loss_value(params: Params, inputs: ad.Value, cfg: AttentionConfig) -> ad.Value:
+    """sum(output^2) of the decoded field: on the tape when ``params`` or
+    ``inputs`` holds Tensors."""
+    out = decode(params, trunk(params, inputs, cfg), cfg)
+    return ad.sum_all(ad.mul(out, out))
 
 
 @blas_single_thread
@@ -547,9 +512,7 @@ def grad_check(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
     inputs = np.asarray(inputs, dtype=np.float64)
     pt = {k: Tensor(v, requires_grad=True) for k, v in params.tensors.items()}
     inputs_t = Tensor(inputs, requires_grad=True)
-    out = _forward_t(pt, inputs_t, cfg)
-    loss = ad.sum_all(ad.mul(out, out))
-    loss.backward()
+    _loss_value(pt, inputs_t, cfg).backward()
 
     targets = [("<inputs>", inputs_t)] + [(n, pt[n]) for n in sorted(pt)]
     sizes = np.array([t.data.size for _, t in targets])
@@ -574,7 +537,7 @@ def grad_check(params: ModelParams, inputs: np.ndarray, cfg: AttentionConfig,
                 inp2.reshape(-1)[local] += delta
             else:
                 p2.tensors[name].reshape(-1)[local] += delta
-            return _loss_value(p2, inp2, cfg)
+            return float(_loss_value(p2, inp2, cfg))
 
         numeric = (loss_with(step) - loss_with(-step)) / (2.0 * step)
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)

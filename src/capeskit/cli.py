@@ -256,7 +256,10 @@ def _cfg_for_length(length: int, base: dict) -> attn.AttentionConfig:
 def cmd_attn_bench(args) -> int:
     t0 = time.perf_counter()
     base = cfgmod.load(ATTN_BENCH, args.config)
-    lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
+    try:
+        lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
+    except ValueError:
+        raise CapeskitError(f"--lengths must list integers, got {args.lengths!r}") from None
     if not lengths:
         raise CapeskitError("--lengths must list at least one sequence length")
     probe = attn.AttentionConfig(

@@ -51,7 +51,7 @@ from .grid import (
     read_anomaly,
     read_bodies,
     split_grid,
-    write_anomalies,
+    write_grids,
     write_text_atomic,
 )
 from .seeds import mix
@@ -499,7 +499,7 @@ def write_ensemble_dir(dirpath, ensemble: EnsembleSet | Iterable[Batch],
             yield spec, [os.path.join(dirpath, f"{meta.id}.grd") for meta in batch], values
 
     try:
-        write_anomalies(files())
+        write_grids("percent", files())
     finally:  # no file of the old ensemble outlives its manifest unlisted
         for member_id in sorted(old_ids - {meta.id for meta in metas}):
             _unlink(os.path.join(dirpath, f"{member_id}.grd"))

@@ -63,7 +63,6 @@ decimals.
 
 from __future__ import annotations
 
-import collections
 import errno
 import functools
 import itertools
@@ -537,26 +536,24 @@ def _format_rows(values: np.ndarray, ncol: int) -> tuple[np.ndarray, np.ndarray]
     return np.insert(m[m != 0], at.repeat(size[fallback]), text), size
 
 
-def _bodies(batches: Iterable[np.ndarray]) -> Iterator[bytes]:
-    """The GRD1 body of each field of each array (n, nrow, ncol) of
-    ``batches``, in order. Small fields are formatted several at a time
-    and a large one in blocks of rows, at most _CHUNK values per call
-    where a row fits. The bodies are copies: an array is not read once
-    its last body is yielded, so the next array may reuse its memory."""
-    for fields in batches:
-        n, nrow, ncol = fields.shape
-        ncells = nrow * ncol
-        if ncells <= _CHUNK:
-            per = _CHUNK // ncells
-            for a in range(0, n, per):
-                text, size = _format_rows(fields[a:a + per], ncol)
-                ends = np.cumsum(size)[ncells - 1::ncells].tolist()
-                yield from (text[i:j].tobytes() for i, j in zip([0] + ends, ends))
-        else:
-            rows = max(1, _CHUNK // ncol)
-            for fld in fields:
-                yield b"".join(_format_rows(fld[r:r + rows], ncol)[0]
-                               for r in range(0, nrow, rows))
+def _bodies(fields: np.ndarray) -> Iterator[bytes]:
+    """The GRD1 body of each field of ``fields`` (n, nrow, ncol), in
+    order. Small fields are formatted several at a time and a large one
+    in blocks of rows, at most _CHUNK values per call where a row fits.
+    The bodies are copies: ``fields`` is not read once its last body is
+    yielded, so its memory may then be reused."""
+    n, nrow, ncol = fields.shape
+    ncells = nrow * ncol
+    if ncells <= _CHUNK:
+        per = _CHUNK // ncells
+        for a in range(0, n, per):
+            text, size = _format_rows(fields[a:a + per], ncol)
+            ends = np.cumsum(size)[ncells - 1::ncells].tolist()
+            yield from (text[i:j].tobytes() for i, j in zip([0] + ends, ends))
+    else:
+        rows = max(1, _CHUNK // ncol)
+        for fld in fields:
+            yield b"".join(_format_rows(fld[r:r + rows], ncol)[0] for r in range(0, nrow, rows))
 
 
 def _temp_path(path: str) -> str:
@@ -674,35 +671,29 @@ def _write_behind(files: Iterator[tuple[str, tuple]]) -> None:
         raise failed[0]
 
 
-def _write_grids(units: str, batches: Iterable[tuple[GridSpec, Sequence, np.ndarray]]) -> None:
+def write_grids(units: str, batches: Iterable[tuple[GridSpec, Sequence, np.ndarray]]) -> None:
     """Write each field of each batch (spec, paths, values) of ``batches``,
-    the fields of ``values`` (n, nlat, nlon) on ``spec``, as a GRD1 file
-    at its path, behind the formatter by :func:`_write_behind`, a single
-    file too. A batch is taken when the one before it is formatted, so it
-    may be made then, and its array may reuse the memory of the one
-    before. Each file is written as its header and then its body, which
-    are not joined, so a body is copied once, when it is made."""
-    pending = collections.deque()  # (path, header) of each field taken, not yet formatted
-
-    def fields():
+    the fields of ``values`` (n, nlat, nlon) on ``spec`` in ``units``, as
+    a GRD1 file at its path, with the bytes :func:`write_grid` writes,
+    behind the formatter by :func:`_write_behind`. A batch is taken when
+    the one before it is formatted, so it may be made then, and its array
+    may reuse the memory of the one before. Each file is written as its
+    header and then its body, which are not joined, so a body is copied
+    once, when it is made."""
+    def files():
         for spec, paths, values in batches:
             header = (f"GRD1 {spec.nlat} {spec.nlon} {_format_value(spec.lat0)} "
                       f"{_format_value(spec.dlat)} {_format_value(spec.lon0)} "
                       f"{_format_value(spec.dlon)} {units}\n").encode()
-            pending.extend((path, header) for path in paths)
-            yield values
-
-    def files():
-        for body in _bodies(fields()):
-            path, header = pending.popleft()
-            yield path, (header, body)
+            for path, body in zip(paths, _bodies(values), strict=True):
+                yield path, (header, body)
 
     _write_behind(files())
 
 
 def write_grid(field: GridField, path) -> None:
     """Write a field as GRD1 text, atomically (write temp, then rename)."""
-    _write_grids(field.units, [(field.spec, [path], field.values[None])])
+    write_grids(field.units, [(field.spec, [path], field.values[None])])
 
 
 # ---------------------------------------------------------------------------
@@ -1028,9 +1019,15 @@ def split_grid(data: bytes) -> tuple[GridSpec, str, memoryview] | None:
     return spec, units, memoryview(data)[end + 1:]
 
 
-def parse_grid(data: bytes) -> GridField:
-    """The field of a GRD1 file's bytes; a malformed file raises the
-    CapeskitError that :func:`read_grid` describes."""
+def read_grid(path) -> GridField:
+    """Read a GRD1 file, rejecting non-ASCII bytes, malformed headers, count
+    mismatches and non-finite values (error messages carry the offending
+    line number).
+
+    The body is parsed by the batched parser; a file it rejects is scanned
+    token by token for the error to report."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     head = split_grid(data)
     if head is not None:
         spec, units, body = head
@@ -1043,34 +1040,12 @@ def parse_grid(data: bytes) -> GridField:
     raise grid_error(data)
 
 
-def read_grid(path) -> GridField:
-    """Read a GRD1 file, rejecting non-ASCII bytes, malformed headers, count
-    mismatches and non-finite values (error messages carry the offending
-    line number).
-
-    The body is parsed by the batched parser; a file it rejects is scanned
-    token by token for the error to report."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_grid(data)
-
-
 def read_anomaly(path) -> AnomalyField:
     return AnomalyField.from_grid(read_grid(path))
 
 
 def write_anomaly(a: AnomalyField, path) -> None:
     write_grid(a.as_grid(), path)
-
-
-def write_anomalies(batches: Iterable[tuple[GridSpec, Sequence, np.ndarray]]) -> None:
-    """Write the anomaly fields of each batch (spec, paths, values) of
-    ``batches``, the fields of ``values`` (n, nlat, nlon) on ``spec``, as
-    GRD1 files, one per path, with the bytes ``write_anomaly`` writes. A
-    batch is taken when the one before it is formatted, and its array may
-    reuse the memory of the one before; small fields are formatted
-    several at a time."""
-    _write_grids("percent", batches)
 
 
 def read_mask(path) -> np.ndarray:

@@ -7,6 +7,7 @@ from capeskit.attention import (
     anchor_attention,
     cross_variable_attention,
     cross_variable_mask,
+    decode,
     dense_attention_oracle,
     flop_count,
     forward,
@@ -328,27 +329,50 @@ class TestForward:
 
     @pytest.mark.parametrize("num_layers,latent_seed", [(1, None), (2, 0), (2, None), (3, 1)])
     def test_trunk_then_tail_matches_single_loop_reference(self, num_layers, latent_seed):
-        # reference: one loop over all layers, then decode; with a latent
-        # seed the tail decodes trunk tokens perturbed as an AI member's are
+        # reference: one loop over all layers of the public stages on
+        # Tensor params, then decode; with a latent seed the decoder reads
+        # trunk tokens perturbed as an AI member's are
         cfg = AttentionConfig(num_layers=num_layers)
         params = init_params(cfg, 41)
         inputs = make_inputs(cfg, 42)
-        pt = params.tensors
-        tokens = attn._embed_tokens(Tensor(inputs), pt, cfg)
+        pt = {k: Tensor(v) for k, v in params.tensors.items()}
+        tokens = tokenize(Tensor(inputs), pt, cfg)
         for layer in range(cfg.num_layers):
-            tokens = attn._window_t(tokens, pt, cfg, layer)
-            tokens = attn._xvar_t(tokens, pt, cfg, layer)
-            tokens = attn._anchor_t(tokens, pt["anchors"], pt, cfg, layer)
-            tokens = attn._mlp_t(tokens, pt, cfg, layer)
-        plain = attn._decode_t(tokens, pt, cfg).data
+            tokens = window_attention(tokens, pt, cfg, layer)
+            tokens = cross_variable_attention(tokens, pt, cfg, layer)
+            tokens = anchor_attention(tokens, pt["anchors"], pt, cfg, layer)
+            tokens = attn._mlp(tokens, pt, layer)
+        plain = decode(pt, tokens, cfg).data
         noise = latent_noise(latent_seed, tokens.data.shape)
-        expected = attn._decode_t(Tensor(tokens.data + noise), pt, cfg).data
+        expected = decode(pt, Tensor(tokens.data + noise), cfg).data
         shared = attn.trunk(params, inputs, cfg)
         kept = shared.copy()
         assert np.array_equal(forward(params, inputs, cfg).values, plain)
-        assert np.array_equal(attn.tail(params, shared + noise, cfg).values, expected)
+        assert np.array_equal(decode(params, shared + noise, cfg), expected)
         # the trunk is only read
         assert np.array_equal(shared, kept)
+
+    @pytest.mark.parametrize("num_layers", [1, 3])
+    def test_trunk_runs_the_public_stages(self, monkeypatch, num_layers):
+        # the level functions attn-bench and the benchmark probes time are
+        # the ones the trunk runs, once per layer each
+        cfg = AttentionConfig(num_layers=num_layers)
+        params = init_params(cfg, 43)
+        inputs = make_inputs(cfg, 44)
+        want = attn.trunk(params, inputs, cfg)
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("window_attention", "cross_variable_attention", "anchor_attention"):
+            monkeypatch.setattr(attn, name, counting(name, getattr(attn, name)))
+        assert np.array_equal(attn.trunk(params, inputs, cfg), want)
+        assert calls == {"window_attention": num_layers, "cross_variable_attention": num_layers,
+                         "anchor_attention": num_layers}
 
     def test_init_params_deterministic(self):
         a, b = init_params(TOY, 40), init_params(TOY, 40)
@@ -372,7 +396,7 @@ class TestArrayPath:
 
         monkeypatch.setattr(Tensor, "__init__", counted)
         forward(params, inputs, TOY)
-        attn.tail(params, attn.trunk(params, inputs, TOY), TOY)
+        decode(params, attn.trunk(params, inputs, TOY), TOY)
         tokenize(inputs, params, TOY)
         window_attention(x, params, TOY)
         cross_variable_attention(x, params, TOY)
@@ -386,15 +410,15 @@ class TestArrayPath:
         params = init_params(cfg, 73)
         inputs = make_inputs(cfg, 74)
         pt = {k: Tensor(v) for k, v in params.tensors.items()}
-        want = attn._forward_t(pt, Tensor(inputs), cfg)
+        trunk_t = attn.trunk(pt, Tensor(inputs), cfg)
+        want = decode(pt, trunk_t, cfg)
         assert isinstance(want, Tensor)
         got = forward(params, inputs, cfg).values
         assert np.array_equal(got, want.data)
-        # the tail of perturbed trunk tokens, as an AI member decodes them
-        trunk_t = attn._trunk_t(pt, Tensor(inputs), cfg)
+        # perturbed trunk tokens, decoded as an AI member's are
         noise = latent_noise(latent_seed, trunk_t.data.shape)
-        want = attn._decode_t(Tensor(trunk_t.data + noise), pt, cfg)
-        got = attn.tail(params, attn.trunk(params, inputs, cfg) + noise, cfg).values
+        want = decode(pt, Tensor(trunk_t.data + noise), cfg)
+        got = decode(params, attn.trunk(params, inputs, cfg) + noise, cfg)
         assert np.array_equal(got, want.data)
 
 
@@ -447,14 +471,11 @@ class TestGradCheck:
         params = init_params(cfg, 60)
         inputs = make_inputs(cfg, 61)
 
-        import capeskit.autodiff as ad
-        from capeskit.attention import _forward_t, _loss_value
-        from capeskit.autodiff import Tensor
+        from capeskit.attention import _loss_value
 
         pt = {k: Tensor(v, requires_grad=True) for k, v in params.tensors.items()}
         inputs_t = Tensor(inputs, requires_grad=True)
-        out = _forward_t(pt, inputs_t, cfg)
-        ad.sum_all(ad.mul(out, out)).backward()
+        _loss_value(pt, inputs_t, cfg).backward()
 
         step = 1e-5
         families = ["anchors", "embed.W", "embed.b", "decoder.W", "decoder.b",

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import errno
 import io
+import itertools
 import json
 import os
 import shutil
@@ -709,6 +710,13 @@ BAD_VALUES = [
      "error: 48 tokens of width 1099511627776 " + TOO_BIG),
     (["grad-check", "--config", "{cfg}"], "embed_dim = 1099511627776\nnum_heads = 1\n",
      "error: out of memory: "),
+    # lengths that are not integers
+    (["attn-bench", "--lengths", "48,abc", "--out", "{tmp}/f.csv"], "",
+     "error: --lengths must list integers, got '48,abc'"),
+    (["attn-bench", "--lengths", "48.0", "--out", "{tmp}/f.csv"], "",
+     "error: --lengths must list integers, got '48.0'"),
+    (["attn-bench", "--lengths", "1e3", "--out", "{tmp}/f.csv"], "",
+     "error: --lengths must list integers, got '1e3'"),
     # lengths whose tokens cannot fit in physical memory, rejected before the
     # grid search: one beyond the address space, one just under the old
     # address-space bound (a grid search of seconds), one beyond any float64 array
@@ -1116,6 +1124,7 @@ class TestGenerateOverAnEnsemble:
         before = tree(tmp)
         renamed = []
         replace, bodies = os.replace, grid._bodies
+        made = itertools.count()  # bodies made so far, over every batch
 
         def failing_replace(src, dst):
             if where == "writer" and len(renamed) == k:
@@ -1124,7 +1133,8 @@ class TestGenerateOverAnEnsemble:
             replace(src, dst)
 
         def failing_bodies(values):
-            for i, body in enumerate(bodies(values)):
+            for body in bodies(values):
+                i = next(made)
                 if i == k and where == "formatter":
                     raise MemoryError()
                 if i == k and where == "interrupt":

@@ -407,7 +407,7 @@ class TestAiEnsemble:
         assert distinct >= 0.99 * pairs
 
     def test_noise_layer_before_last_matches_isolation_and_forward(self):
-        # each member is tail(trunk(base + pert) + noise): the trunk runs
+        # each member is decode(trunk(base + pert) + noise): the trunk runs
         # both layers once per init, and only the seeded noise differs
         cfg = attn.AttentionConfig(num_layers=2)
         params = attn.init_params(cfg, 21)
@@ -425,8 +425,9 @@ class TestAiEnsemble:
             inputs = base + pert.values[None, :, :, None]
             noise = np.random.default_rng(meta.latent_seed).normal(
                 0.0, pspec.latent_sigma, size=(cfg.seq_len, cfg.embed_dim))
-            direct = attn.tail(params, attn.trunk(params, inputs, cfg) + noise, cfg, spec=SPEC)
-            assert np.array_equal(anomaly_percent(direct, clim).values, values)
+            direct = attn.decode(params, attn.trunk(params, inputs, cfg) + noise, cfg, spec=SPEC)
+            assert np.array_equal(anomaly_percent(GridField(SPEC, direct, "mm"), clim).values,
+                                  values)
         assert len({row.tobytes() for row in e.values}) == len(e)
 
     @pytest.mark.parametrize("n_init,n_latent,per", [
@@ -468,11 +469,6 @@ class TestAiEnsemble:
         e = build_ai_ensemble(base, params, TOYCFG, pspec, flat_clim(SPEC))
         assert len(e) == 12
         assert counts == {"correlated_field": pspec.n_init, "trunk": pspec.n_init}
-
-    def test_tail_rejects_wrong_token_shape(self):
-        params = attn.init_params(TOYCFG, 34)
-        with pytest.raises(CapeskitError, match="trunk tokens"):
-            attn.tail(params, np.zeros((TOYCFG.seq_len + 1, TOYCFG.embed_dim)), TOYCFG)
 
     def test_rejects_out_of_range_member(self):
         params = attn.init_params(TOYCFG, 9)

@@ -247,7 +247,7 @@ class TestWriteBehind:
     def test_files_are_those_write_grid_writes(self, tmp_path, monkeypatch, handoff):
         monkeypatch.setattr(grid, "_HANDOFF", handoff)
         values, paths = self.write(tmp_path)
-        grid.write_anomalies([(self.SPEC, paths, values)])
+        grid.write_grids("percent", [(self.SPEC, paths, values)])
         for i, path in enumerate(paths):
             write_grid(GridField(self.SPEC, values[i], units="percent"), tmp_path / "one.grd")
             assert path.read_bytes() == (tmp_path / "one.grd").read_bytes()
@@ -273,7 +273,7 @@ class TestWriteBehind:
         try:
             with pytest.raises(CapeskitError,
                                match=re.escape(f"cannot write {paths[k]}: Permission denied")):
-                grid.write_anomalies([(self.SPEC, paths, values)])
+                grid.write_grids("percent", [(self.SPEC, paths, values)])
         finally:
             sys.setswitchinterval(default)
         self.assert_prefix_written(tmp_path, values, paths, k)
@@ -292,7 +292,7 @@ class TestWriteBehind:
 
         monkeypatch.setattr(grid, "_bodies", fail_after_k)
         with pytest.raises(error, match="formatter failed"):
-            grid.write_anomalies([(self.SPEC, paths, values)])
+            grid.write_grids("percent", [(self.SPEC, paths, values)])
         written = sum(path.exists() for path in paths)
         assert written <= k
         self.assert_prefix_written(tmp_path, values, paths, written)
@@ -441,7 +441,7 @@ def repr_body(values):
 
 def body(values):
     """The GRD1 body the writer produces for one 2-D array."""
-    return next(grid._bodies([np.asarray(values, dtype=np.float64)[None]]))
+    return next(grid._bodies(np.asarray(values, dtype=np.float64)[None]))
 
 
 def random_finite(rng, n):
@@ -524,7 +524,7 @@ class TestBodyWriter:
         x[:4] = rng.standard_normal((4, 32, 32)) * 1e20
         x[2, 5, 7] = 1e-4
         x[3, 0, 0] = -9999999999999998.0
-        assert list(grid._bodies([x])) == [repr_body(f) for f in x]
+        assert list(grid._bodies(x)) == [repr_body(f) for f in x]
 
     def test_every_point_position_digit_count_sign_and_column(self):
         # each of the 340 positional layouts: 1 to 17 significant digits,
@@ -676,7 +676,7 @@ class TestBodyReader:
         import tracemalloc
 
         x = np.random.default_rng(3).normal(-60.0, 40.0, (6, 32, 32))
-        group, _ = next(grid._groups(list(grid._bodies([x]))))
+        group, _ = next(grid._groups(list(grid._bodies(x))))
         assert sum(map(len, group)) > grid.READ_BYTES // 2  # three members
         grid._parse(group)  # the tables are built on first use
         tracemalloc.start()
