@@ -16,9 +16,6 @@ from .fusion import (  # noqa: F401
     EnsembleSet,
     FusionConfig,
     MemberMeta,
-    anomaly_magnitude,
     contribution_scores,
-    ensemble_median,
     fuse,
-    sign_consistency,
 )

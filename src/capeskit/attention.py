@@ -74,7 +74,7 @@ class AttentionConfig:
 
     def __post_init__(self):
         for name in ("embed_dim", "num_heads", "num_layers", "patch_size", "window_size",
-                     "num_anchors", "num_domains", "channels"):
+                     "num_anchors", "num_domains", "nlat", "nlon", "channels"):
             if getattr(self, name) < 1:
                 raise CapeskitError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.layout not in LAYOUTS:
@@ -362,11 +362,11 @@ def _mlp(x: ad.Value, params: Params, layer: int) -> ad.Value:
 # dense reference
 
 
-def _np_layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+def _np_layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc * np.power(var + eps, -0.5) * g + b
+    return xc * np.power(var + ad.LN_EPS, -0.5) * g + b
 
 
 def dense_attention_oracle(x: np.ndarray, mask: np.ndarray, params: ModelParams,

@@ -216,10 +216,14 @@ def gelu(a) -> Value:
     return _node(y, (a, vjp))
 
 
-def layer_norm(x, gain, offset, eps: float = 1e-6) -> Value:
+#: the variance offset of :func:`layer_norm`
+LN_EPS = 1e-6
+
+
+def layer_norm(x, gain, offset) -> Value:
     """Layer normalization over the last axis, composed from primitives."""
     mu = mean_last(x)
     xc = sub(x, mu)
     var = mean_last(mul(xc, xc))
-    rstd = power(add(var, eps), -0.5)
+    rstd = power(add(var, LN_EPS), -0.5)
     return add(mul(mul(xc, rstd), gain), offset)

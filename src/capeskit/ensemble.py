@@ -104,17 +104,21 @@ def _correlated_values(spec: GridSpec, seeds: Sequence[int], sigmas: Sequence[fl
 # numerical manifest
 
 
+#: the manifest.tsv keys of a lattice member's two parameter coordinates
+PARAM_AXES = ("param-a", "param-b")
+
+
 @dataclass(frozen=True)
 class NumericalManifest:
     """Start dates, physics schemes, and the parameter-sweep lattice.
 
-    The two swept physical parameters are opaque here: axes carry labels
-    and members carry normalized lattice coordinates in [0, 1]^2.
+    The two swept physical parameters are opaque here: axes carry the
+    labels :data:`PARAM_AXES` and members carry normalized lattice
+    coordinates in [0, 1]^2.
     """
 
     start_dates: tuple[str, ...] = ("0301", "0311", "0321")
     schemes: tuple[str, ...] = tuple(f"s{i}" for i in range(9))
-    param_axes: tuple[str, str] = ("param-a", "param-b")
     param_shape: tuple[int, int] = field(default=(7, 7), metadata={"sep": "x"})
 
     def __post_init__(self):
@@ -391,8 +395,8 @@ def _meta_pairs(meta: MemberMeta, manifest: Optional[NumericalManifest]) -> list
             pairs.append(("scheme", manifest.schemes[meta.scheme_index]))
         if meta.param_i is not None and meta.param_j is not None:
             u, v = manifest.param_coords(meta.param_i, meta.param_j)
-            pairs.append((manifest.param_axes[0], repr(u)))
-            pairs.append((manifest.param_axes[1], repr(v)))
+            pairs.append((PARAM_AXES[0], repr(u)))
+            pairs.append((PARAM_AXES[1], repr(v)))
     return pairs
 
 

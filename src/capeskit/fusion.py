@@ -10,9 +10,10 @@ forecast is the per-cell weighted sum of member anomalies.
 An :class:`EnsembleSet` keeps its members' fields in one (n, nlat, nlon)
 array, so every step is a reduction over it with no per-member loop: the
 sign of the median and the weighted sum run over axis 0, the two metrics
-over axes (1, 2). Sign consistency needs only the median's sign, and that
-comes from per-cell counts of positive and negative values; for even n,
-only the cells whose middle pair can straddle zero are sorted.
+over axes (1, 2), both in :func:`member_metrics`. No median field is built:
+sign consistency needs only the median's sign, and that comes from
+per-cell counts of positive and negative values; for even n, only the
+cells whose middle pair can straddle zero are sorted.
 """
 
 from __future__ import annotations
@@ -171,35 +172,6 @@ class FusionConfig:
             raise CapeskitError(f"alpha must be in [0,1], got {self.alpha}")
 
 
-def ensemble_median(e: EnsembleSet) -> AnomalyField:
-    """Per-cell median across members; even counts take the midpoint of
-    the two central values."""
-    return AnomalyField(e.spec, np.median(e.values, axis=0))
-
-
-def _sign_agreement(values: np.ndarray, median: np.ndarray) -> np.ndarray:
-    """s1 of each field of ``values`` (m, nlat, nlon) against ``median``."""
-    agree = np.sign(values) == np.sign(median)
-    return np.count_nonzero(agree, axis=(1, 2)) / (values.shape[1] * values.shape[2])
-
-
-def _magnitude(values: np.ndarray) -> np.ndarray:
-    """s2 of each field of ``values`` (m, nlat, nlon)."""
-    return np.mean(np.abs(values), axis=(1, 2))
-
-
-def sign_consistency(member: AnomalyField, median: AnomalyField) -> float:
-    """Fraction of cells where the member's anomaly sign matches the
-    ensemble median's (zero matches only zero)."""
-    member.require_compatible(median)
-    return float(_sign_agreement(member.values[None], median.values)[0])
-
-
-def anomaly_magnitude(member: AnomalyField) -> float:
-    """Mean absolute anomaly percentage over all cells."""
-    return float(_magnitude(member.values[None])[0])
-
-
 def _minmax(values: np.ndarray) -> np.ndarray:
     """Min-max normalized ``values``; all 0.5 when they cannot
     discriminate (max = min across members)."""
@@ -247,12 +219,17 @@ def _median_sign(values: np.ndarray) -> np.ndarray:
 
 
 def member_metrics(e: EnsembleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (unnormalized) s1, s2 metric vectors in member order.
+    """Raw (unnormalized) metric vectors in member order: s1, the fraction
+    of cells where a member's anomaly sign matches the ensemble median's
+    (zero matches only zero), and s2, its mean absolute anomaly.
 
     s1 compares signs only, so it takes the median's sign from per-cell
     counts (:func:`_median_sign`) instead of a full median; even n sorts
     only the cells where exactly half the members share a sign."""
-    return _sign_agreement(e.values, _median_sign(e.values)), _magnitude(e.values)
+    values = e.values
+    agree = np.sign(values) == _median_sign(values)
+    s1 = np.count_nonzero(agree, axis=(1, 2)) / e.spec.ncells
+    return s1, np.mean(np.abs(values), axis=(1, 2))
 
 
 def contribution_scores(e: EnsembleSet, cfg: FusionConfig = FusionConfig()) -> np.ndarray:

@@ -101,6 +101,9 @@ class GridSpec:
             raise CapeskitError(f"grid must be at least 1x1, got {self.nlat}x{self.nlon}")
         if self.nlat * self.nlon > sys.maxsize // 8:  # no float64 array that large exists
             raise CapeskitError(f"grid {self.nlat}x{self.nlon} has too many cells")
+        for name in ("lat0", "dlat", "lon0", "dlon"):
+            if not np.isfinite(getattr(self, name)):
+                raise CapeskitError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dlat == 0 or self.dlon == 0:
             raise CapeskitError("dlat and dlon must be nonzero")
 
@@ -183,8 +186,8 @@ class Climatology:
     floor: float = 0.1  # mm; guards division over arid cells
 
     def __post_init__(self):
-        if not self.floor > 0:
-            raise CapeskitError(f"climatology floor must be positive, got {self.floor}")
+        if not (self.floor > 0 and np.isfinite(self.floor)):
+            raise CapeskitError(f"climatology floor must be finite and positive, got {self.floor}")
         if self.field.units != "mm":
             raise CapeskitError(f"climatology must be in mm, got {self.field.units!r}")
         floored = GridField(

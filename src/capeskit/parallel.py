@@ -9,6 +9,12 @@ are small (L x d by d x d with d = 32), and once L reaches ~1024 they
 cross OpenBLAS's threading threshold, where waking worker threads costs
 more than the arithmetic. Pinning numpy's bundled OpenBLAS to one thread
 for that work keeps block time linear in L.
+
+That pin does not save the CPU time numpy's OpenBLAS threads spend
+spinning: they start with ``import numpy``, before any capeskit code runs,
+so every command uses more CPU time than wall time. capeskit reads and
+sets no environment variable; only the caller's ``OPENBLAS_NUM_THREADS=1``
+saves it (measured in the README).
 """
 
 from __future__ import annotations

@@ -26,6 +26,10 @@ _RAMP = (
 
 _THRESHOLDS = (-100, -50, -20, 0, 20, 50, 100)
 
+#: heatmap pixels per grid cell; line-chart width and height in pixels
+_CELL = 12
+_CHART_WIDTH, _CHART_HEIGHT = 480, 320
+
 
 def anomaly_color(a: float) -> str:
     """Hex color for one anomaly percentage."""
@@ -38,12 +42,12 @@ def anomaly_color(a: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*_RAMP[-1][1])
 
 
-def svg_heatmap(anom: AnomalyField, cell: int = 12) -> str:
+def svg_heatmap(anom: AnomalyField) -> str:
     """Anomaly heatmap with a legend at the category thresholds."""
     nlat, nlon = anom.spec.nlat, anom.spec.nlon
     legend_w = 150
-    width = nlon * cell + legend_w + 20
-    height = max(nlat * cell, 20 * (len(_THRESHOLDS) + 1)) + 20
+    width = nlon * _CELL + legend_w + 20
+    height = max(nlat * _CELL, 20 * (len(_THRESHOLDS) + 1)) + 20
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -52,11 +56,11 @@ def svg_heatmap(anom: AnomalyField, cell: int = 12) -> str:
         for j in range(nlon):
             color = anomaly_color(anom.values[i, j])
             parts.append(
-                f'<rect x="{10 + j * cell}" y="{10 + i * cell}" '
-                f'width="{cell}" height="{cell}" fill="{color}"/>'
+                f'<rect x="{10 + j * _CELL}" y="{10 + i * _CELL}" '
+                f'width="{_CELL}" height="{_CELL}" fill="{color}"/>'
             )
     # legend: swatch at each threshold value
-    lx = nlon * cell + 20
+    lx = nlon * _CELL + 20
     parts.append(
         f'<text x="{lx}" y="20" font-family="monospace" font-size="12">'
         "anomaly %</text>"
@@ -75,15 +79,14 @@ def svg_heatmap(anom: AnomalyField, cell: int = 12) -> str:
     return "\n".join(parts) + "\n"
 
 
-def svg_line_chart(xs, ys, x_label: str, y_label: str,
-                   width: int = 480, height: int = 320) -> str:
+def svg_line_chart(xs, ys, x_label: str, y_label: str) -> str:
     """Single-series line chart with min/max axis labels."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.size == 0 or xs.size != ys.size:
         raise ValueError("need equal, nonzero numbers of x and y points")
     ml, mr, mt, mb = 60, 20, 20, 50
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _CHART_WIDTH - ml - mr, _CHART_HEIGHT - mt - mb
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
     xr = (x1 - x0) or 1.0
@@ -97,8 +100,9 @@ def svg_line_chart(xs, ys, x_label: str, y_label: str,
 
     pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}">',
+        f'<rect width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         'stroke="black" stroke-width="1"/>',
         f'<polyline points="{pts}" fill="none" stroke="#01665e" stroke-width="2"/>',
@@ -106,7 +110,7 @@ def svg_line_chart(xs, ys, x_label: str, y_label: str,
     for x, y in zip(xs, ys):
         parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="#01665e"/>')
     parts.append(
-        f'<text x="{ml}" y="{height - 10}" font-family="monospace" font-size="12">'
+        f'<text x="{ml}" y="{_CHART_HEIGHT - 10}" font-family="monospace" font-size="12">'
         f"{x_label}: {x0:g} .. {x1:g}</text>"
     )
     parts.append(

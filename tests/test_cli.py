@@ -705,6 +705,11 @@ BAD_VALUES = [
      "error: grad_check needs probe_count >= 1 and step > 0, got 20 and 0.0"),
     (["grad-check", "--config", "{cfg}"], "probes = 0\n",
      "error: grad_check needs probe_count >= 1 and step > 0, got 0 and 1e-05"),
+    (["grad-check", "--config", "{cfg}"], "nlat = -16\n", "error: nlat must be >= 1, got -16"),
+    (["grad-check", "--config", "{cfg}"], "nlon = 0\n", "error: nlon must be >= 1, got 0"),
+    (["score", "--forecast", "{tmp}/g.grd", "--obs", "{tmp}/g.grd", "--clim", "{tmp}/c.grd",
+      "--clim-floor", "inf", "--out", "{tmp}/s.csv"], "",
+     "error: climatology floor must be finite and positive, got inf"),
     # sizes beyond the address space: every allocation fails at once
     (ATTN_48, "embed_dim = 1099511627776\nnum_heads = 1\n",
      "error: 48 tokens of width 1099511627776 " + TOO_BIG),
@@ -918,6 +923,10 @@ BAD_FILES = {
         "ens/manifest.tsv": member_manifest(6), **{f"ens/m{i}.grd": GRD_WIDE for i in range(5)},
         "ens/m5.grd": GRD_WIDE.replace(b"32 32 0.0", b"32 32 1.0")},
         "member 'm5' grid differs from the ensemble grid"),
+    "nan-geometry": (["score", "--forecast", "{tmp}/a.grd", "--obs", "{tmp}/a.grd",
+                      "--clim", "{tmp}/a.grd", "--out", "{tmp}/s.csv"],
+                     {"a.grd": b"GRD1 1 2 nan 1 0 1 mm\n1.0 2.0\n"},
+                     "a.grd: line 1: lat0 must be finite, got nan"),
     "file-as-ensemble-dir": (["fuse", "--ensemble-dir", "{tmp}/e",
                               "--out-field", "{tmp}/f.grd", "--out-weights", "{tmp}/w.csv"],
                              {"e": b""}, "/e: no manifest.tsv"),

@@ -38,6 +38,10 @@ class TestTypes:
             GridSpec(0, 3)
         with pytest.raises(ValueError):
             GridSpec(2, 3, dlat=0.0)
+        for name in ("lat0", "dlat", "lon0", "dlon"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(CapeskitError, match=f"^{name} must be finite, got {value}$"):
+                    GridSpec(2, 3, **{name: value})
 
     def test_compatibility_is_exact_equality(self):
         a = mm(SPEC, np.zeros((2, 3)))
@@ -71,8 +75,10 @@ class TestTypes:
     def test_climatology_requires_mm_and_positive_floor(self):
         with pytest.raises(CapeskitError, match="climatology must be in mm, got 'percent'"):
             Climatology(GridField(SPEC, np.ones((2, 3)), units="percent"))
-        with pytest.raises(ValueError):
-            Climatology(mm(SPEC, np.ones((2, 3))), floor=0.0)
+        for floor in (0.0, math.inf, math.nan):
+            with pytest.raises(CapeskitError,
+                               match=f"floor must be finite and positive, got {floor}"):
+                Climatology(mm(SPEC, np.ones((2, 3))), floor=floor)
 
 
 class TestAnomalyPercent:
@@ -170,6 +176,13 @@ class TestGrd1:
             read_grid(path)
         path.write_text("GRD1 1 2 0.0 1.0 0.0 1.0 furlongs\n1 2\n")
         with pytest.raises(CapeskitError, match="units"):
+            read_grid(path)
+
+    def test_non_finite_header_geometry(self, tmp_path):
+        # nan != nan: such a field would not even match its own grid
+        path = tmp_path / "bad.grd"
+        path.write_text("GRD1 1 2 nan 1 0 1 mm\n1 2\n")
+        with pytest.raises(CapeskitError, match="^line 1: lat0 must be finite, got nan$"):
             read_grid(path)
 
     def test_unparseable_value_names_line(self, tmp_path):

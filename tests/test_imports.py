@@ -1,7 +1,9 @@
 """Every name a module of ``capeskit`` imports is used in that module,
-and every function and class it defines at top level is used somewhere.
+and every function and class it defines at top level is used in ``src/``.
 
-Re-exports carry ``# noqa: F401`` on their import line and are exempt.
+Re-exports carry ``# noqa: F401`` on their import line and are exempt
+from the first rule; they are no use under the second. Only the acceptance
+tests and the benchmark's tracer keep a name that ``src/`` does not use.
 """
 
 import ast
@@ -45,8 +47,9 @@ def test_finds_an_unused_import():
 
 
 ROOT = SRC.parent.parent
-#: the trees whose code may use a name of ``capeskit``
-USERS = ("src", "tests", "perfbench")
+#: the files whose uses of a ``capeskit`` name keep it although ``src/``
+#: does not use it: the acceptance tests and the benchmark's tracer
+KEEPERS = (ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench" / "tracer.py")
 
 
 def _docstring(node) -> bool:
@@ -56,9 +59,10 @@ def _docstring(node) -> bool:
 
 
 def used_names(tree) -> Counter:
-    """Every use of a name in ``tree``: names, attributes, imported names,
-    and the words of string constants other than docstrings (such as the
-    names ``monkeypatch.setattr`` and a tracer's tables look up)."""
+    """Every use of a name in ``tree``: names, attributes, and the words of
+    string constants other than docstrings (such as the names a tracer's
+    tables look up). Importing a name is not a use of it, so a re-export
+    is not one either."""
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                        ast.AsyncFunctionDef))
@@ -69,42 +73,42 @@ def used_names(tree) -> Counter:
             used[node.id] += 1
         elif isinstance(node, ast.Attribute):
             used[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            used.update(node.name.split("."))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
             used.update(re.findall(r"\w+", node.value))
     return used
 
 
-def dead_definitions(sources: dict) -> list[str]:
-    """The top-level functions and classes of the ``capeskit`` sources
-    among ``sources`` (path -> text) that nothing outside their own
-    definition uses."""
-    trees = {path: ast.parse(text) for path, text in sources.items()}
+def dead_definitions(sources: dict, kept=frozenset()) -> list[str]:
+    """The top-level functions and classes of the modules ``sources``
+    (file name -> text) that no module among them uses outside their own
+    definition, other than the names in ``kept``."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
     used = sum((used_names(tree) for tree in trees.values()), Counter())
     dead = []
-    for path, tree in trees.items():
-        if not Path(path).is_relative_to(SRC):
-            continue
+    for name, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if used[node.name] == used_names(node)[node.name]:
-                    dead.append(f"{Path(path).name}:{node.lineno}: {node.name}")
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in kept
+                    and used[node.name] == used_names(node)[node.name]):
+                dead.append(f"{name}:{node.lineno}: {node.name}")
     return dead
 
 
-def test_every_top_level_definition_is_used():
-    sources = {path: path.read_text(encoding="utf-8")
-               for tree in USERS for path in sorted((ROOT / tree).rglob("*.py"))}
-    assert dead_definitions(sources) == []
+def test_every_top_level_definition_is_used_in_src():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    kept = set().union(*(used_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in KEEPERS))
+    assert dead_definitions(sources, kept) == []
 
 
 def test_finds_a_dead_definition():
-    lib = SRC / "lib.py"
     sources = {
-        lib: 'def _runs(n):\n    """_runs and _left."""\n    return _runs(n - 1) if n else 0\n\n'
-             "def _left():\n    pass\n\ndef _called():\n    pass\n\nclass Kept:\n    pass\n",
-        ROOT / "tests" / "t.py": "from capeskit.lib import Kept\nlib._called()\n# _left\n",
+        "__init__.py": "from .lib import _left, api  # noqa: F401\n",
+        "lib.py": 'def _runs(n):\n    """_runs and _left."""\n    return _runs(n - 1) if n else 0\n\n'
+                  "def _left():\n    pass\n\ndef _called():\n    pass\n\nclass Named:\n    pass\n\n"
+                  "def api():\n    pass\n",
+        "use.py": "from .lib import _called\n_called()\nTABLE = ('Named',)\n# _runs\n",
     }
-    assert dead_definitions(sources) == ["lib.py:1: _runs", "lib.py:5: _left"]
+    assert dead_definitions(sources, {"api"}) == ["lib.py:1: _runs", "lib.py:5: _left"]
+    assert dead_definitions(sources) == ["lib.py:1: _runs", "lib.py:5: _left", "lib.py:14: api"]
