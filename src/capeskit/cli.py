@@ -81,10 +81,29 @@ def _sidecar(primary_output) -> str:
     return f"{os.fspath(primary_output).rstrip('/')}.manifest.json"
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: the same absolute path,
+    or, when both exist, the same file reached another way (a link)."""
+    if os.path.abspath(a) == os.path.abspath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return False
+
+
 def _check_outputs(*paths) -> None:
-    """Fail before any work when an output, or the run manifest beside the
-    first, cannot be written, with the error its write would raise."""
-    for path in (*paths, _sidecar(paths[0])):
+    """Fail before any work when two outputs, or an output and the run
+    manifest beside the first, name the same file, so that one would
+    replace the other, or when one of them cannot be written, with the
+    error its write would raise."""
+    sidecar = _sidecar(paths[0])
+    paths = (*map(os.fspath, paths), sidecar)
+    for a, b in itertools.combinations(paths, 2):
+        if _same_file(a, b):
+            what = "the run manifest" if b is sidecar else "output"
+            raise CapeskitError(f"output {a} and {what} {b} are the same file")
+    for path in paths:
         check_writable(path)
 
 

@@ -8,12 +8,16 @@ with weight alpha, and renormalized into fusion weights. The fused
 forecast is the per-cell weighted sum of member anomalies.
 
 An :class:`EnsembleSet` keeps its members' fields in one (n, nlat, nlon)
-array, so every step is a reduction over it with no per-member loop: the
-sign of the median and the weighted sum run over axis 0, the two metrics
-over axes (1, 2), both in :func:`member_metrics`. No median field is built:
-sign consistency needs only the median's sign, and that comes from
-per-cell counts of positive and negative values; for even n, only the
-cells whose middle pair can straddle zero are sorted.
+array. :func:`member_metrics` reads it in blocks of whole members, about
+_BLOCK values each, so its temporaries stay the size of one block and
+``fuse`` holds the ensemble once. No median field is built: sign
+consistency needs only the median's sign, and that comes from per-cell
+counts of positive and negative values. The first pass over the blocks
+adds up those counts and each member's mean absolute value (s2); for even
+n, only the cells whose middle pair can straddle zero are then sorted, a
+block of cells at a time. The second pass counts each member's cells that
+agree with the median's sign (s1). The weighted sum of :func:`fuse` is one
+product over the whole array, which makes no copy of it.
 """
 
 from __future__ import annotations
@@ -196,25 +200,58 @@ def blend_scores(s1, s2, cfg: FusionConfig = FusionConfig()) -> np.ndarray:
     return raw / total
 
 
-def _median_sign(values: np.ndarray) -> np.ndarray:
+#: values of an ensemble's array that the fusion metrics read per step, a
+#: whole number of members (one member when a field is larger): bounds
+#: their temporaries, so ``fuse`` holds the array and one block
+_BLOCK = 1 << 16
+
+
+def _blocks(values: np.ndarray) -> list[slice]:
+    """The rows of ``values`` (n, nlat, nlon) in consecutive slices of
+    about _BLOCK values, or of one member when a field is larger."""
+    per = max(1, _BLOCK // values[0].size)
+    return [slice(a, a + per) for a in range(0, len(values), per)]
+
+
+def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-cell counts of positive and of negative values of
+    ``values`` (n, nlat, nlon), and each member's mean absolute value, in
+    one pass over its blocks."""
+    pos = np.zeros(values.shape[1:], np.intp)
+    neg = np.zeros(values.shape[1:], np.intp)
+    mean_abs = np.empty(values.shape[0])
+    for rows in _blocks(values):
+        block = values[rows]
+        pos += np.count_nonzero(block > 0, axis=0)
+        neg += np.count_nonzero(block < 0, axis=0)
+        mean_abs[rows] = np.mean(np.abs(block), axis=(1, 2))
+    return pos, neg, mean_abs
+
+
+def _median_sign(values: np.ndarray, counts=None) -> np.ndarray:
     """np.sign(np.median(values, axis=0)) of an (n, nlat, nlon) array, bit
-    for bit, without sorting every cell.
+    for bit, without sorting every cell; ``counts`` are the per-cell
+    counts of positive and negative values, if :func:`_tally` made them.
 
     More than n // 2 values of one sign fix the median's sign; fewer of
     both leave it 0. For even n, a cell with exactly n // 2 of one sign
     has a middle pair that can straddle zero, or whose midpoint underflows
-    to 0, so those cells alone are sorted and their midpoint taken as
-    np.median takes it."""
+    to 0, so those cells alone are sorted, about _BLOCK values at a time,
+    and their midpoint taken as np.median takes it."""
     n = values.shape[0]
     half = n // 2
-    pos = np.count_nonzero(values > 0, axis=0)
-    neg = np.count_nonzero(values < 0, axis=0)
+    pos, neg = _tally(values)[:2] if counts is None else counts
     sign = (pos > half) - (neg > half).astype(np.float64)
     if n % 2 == 0:
-        tie = (pos == half) | (neg == half)
-        if tie.any():
-            mid = np.sort(values[:, tie], axis=0)[half - 1:half + 1]
-            sign[tie] = np.sign((mid[0] + mid[1]) / 2)
+        tie = np.flatnonzero((pos == half) | (neg == half))
+        cols = values.reshape(n, -1)
+        flat = sign.reshape(-1)
+        per = max(1, _BLOCK // n)
+        for a in range(0, tie.size, per):
+            cells = tie[a:a + per]
+            mid = cols[:, cells]
+            mid.sort(axis=0)
+            flat[cells] = np.sign((mid[half - 1] + mid[half]) / 2)
     return sign
 
 
@@ -225,11 +262,15 @@ def member_metrics(e: EnsembleSet) -> tuple[np.ndarray, np.ndarray]:
 
     s1 compares signs only, so it takes the median's sign from per-cell
     counts (:func:`_median_sign`) instead of a full median; even n sorts
-    only the cells where exactly half the members share a sign."""
+    only the cells where exactly half the members share a sign. Both read
+    ``e.values`` a block of members at a time."""
     values = e.values
-    agree = np.sign(values) == _median_sign(values)
-    s1 = np.count_nonzero(agree, axis=(1, 2)) / e.spec.ncells
-    return s1, np.mean(np.abs(values), axis=(1, 2))
+    pos, neg, s2 = _tally(values)
+    sign = _median_sign(values, (pos, neg))
+    agree = np.empty(len(e), np.intp)
+    for rows in _blocks(values):
+        agree[rows] = np.count_nonzero(np.sign(values[rows]) == sign, axis=(1, 2))
+    return agree / e.spec.ncells, s2
 
 
 def contribution_scores(e: EnsembleSet, cfg: FusionConfig = FusionConfig()) -> np.ndarray:

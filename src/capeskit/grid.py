@@ -38,7 +38,8 @@ compare the writer with the ``repr`` join on random bit patterns and on
 every layout. Creating a file costs about as much as formatting it, so
 files are written on one I/O thread while the next ones are formatted
 (and, when fields come in batches, while the next batch is made); a
-file's header and body are written one after the other, not joined.
+file's header and body are joined once, when the body is copied out of
+the formatted text, and written with one ``os.write``.
 
 The reader
 ----------
@@ -539,12 +540,13 @@ def _format_rows(values: np.ndarray, ncol: int) -> tuple[np.ndarray, np.ndarray]
     return np.insert(m[m != 0], at.repeat(size[fallback]), text), size
 
 
-def _bodies(fields: np.ndarray) -> Iterator[bytes]:
-    """The GRD1 body of each field of ``fields`` (n, nrow, ncol), in
-    order. Small fields are formatted several at a time and a large one
-    in blocks of rows, at most _CHUNK values per call where a row fits.
-    The bodies are copies: ``fields`` is not read once its last body is
-    yielded, so its memory may then be reused."""
+def _bodies(fields: np.ndarray, header: bytes = b"") -> Iterator[bytes]:
+    """The GRD1 text of each field of ``fields`` (n, nrow, ncol), in
+    order: ``header``, then the field's body, as one bytes object. Small
+    fields are formatted several at a time and a large one in blocks of
+    rows, at most _CHUNK values per call where a row fits; each text is
+    copied once, when its parts are joined. No text refers to ``fields``,
+    so its memory may be reused once its last text is yielded."""
     n, nrow, ncol = fields.shape
     ncells = nrow * ncol
     if ncells <= _CHUNK:
@@ -552,11 +554,12 @@ def _bodies(fields: np.ndarray) -> Iterator[bytes]:
         for a in range(0, n, per):
             text, size = _format_rows(fields[a:a + per], ncol)
             ends = np.cumsum(size)[ncells - 1::ncells].tolist()
-            yield from (text[i:j].tobytes() for i, j in zip([0] + ends, ends))
+            yield from (b"".join((header, text.data[i:j])) for i, j in zip([0] + ends, ends))
     else:
         rows = max(1, _CHUNK // ncol)
         for fld in fields:
-            yield b"".join(_format_rows(fld[r:r + rows], ncol)[0] for r in range(0, nrow, rows))
+            yield b"".join([header] + [_format_rows(fld[r:r + rows], ncol)[0]
+                                       for r in range(0, nrow, rows)])
 
 
 def _temp_path(path: str) -> str:
@@ -566,27 +569,23 @@ def _temp_path(path: str) -> str:
     return os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
 
 
-def write_text_atomic(path, text: str | bytes | tuple) -> None:
-    """Write ``text`` atomically: a str as UTF-8 with ``\\n`` newlines, bytes
-    as they are, and a tuple of bytes one after the other, so that they
-    need not be joined. It goes into a new temp file beside ``path``,
-    created exclusively with the mode the process umask
-    gives, then renamed over ``path``. On any failure the temp file, if
-    made, is removed and ``path`` is left as it was; an OSError (a missing
+def write_text_atomic(path, text: str | bytes) -> None:
+    """Write ``text`` atomically: a str as UTF-8 with ``\\n`` newlines, and
+    bytes as they are. It goes into a new temp file beside ``path``,
+    created exclusively with the mode the process umask gives, then
+    renamed over ``path``. On any failure the temp file, if made, is
+    removed and ``path`` is left as it was; an OSError (a missing
     directory, a directory at ``path``) is reported as an input error
     naming ``path``."""
     path = os.fspath(path)
     tmp = _temp_path(path)
-    parts = (text.encode("utf-8"),) if isinstance(text, str) else (
-        text if isinstance(text, tuple) else (text,))
+    view = memoryview(text.encode("utf-8") if isinstance(text, str) else text)
     fd = None
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            for part in parts:
-                view = memoryview(part)
-                while view:
-                    view = view[os.write(fd, view):]
+            while view:
+                view = view[os.write(fd, view):]
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -635,8 +634,8 @@ def _runs(items: Iterable[tuple[int, object]], limit: int) -> Iterator[list]:
         yield run
 
 
-def _write_behind(files: Iterator[tuple[str, tuple]]) -> None:
-    """:func:`write_text_atomic` of each (path, parts) of ``files``, in
+def _write_behind(files: Iterator[tuple[str, bytes]]) -> None:
+    """:func:`write_text_atomic` of each (path, data) of ``files``, in
     order, on one I/O thread, while this thread makes the next ones. The
     writer's first failure stops it, so no later file is written, and is
     raised here; an exception here stops and joins the writer before it
@@ -647,11 +646,11 @@ def _write_behind(files: Iterator[tuple[str, tuple]]) -> None:
 
     def writer():
         for group in iter(queued.get, None):
-            for path, parts in group:
+            for path, data in group:
                 if stop.is_set():
                     break
                 try:
-                    write_text_atomic(path, parts)
+                    write_text_atomic(path, data)
                 except BaseException as exc:
                     failed.append(exc)
                     stop.set()
@@ -659,8 +658,7 @@ def _write_behind(files: Iterator[tuple[str, tuple]]) -> None:
     thread = threading.Thread(target=writer, name="capeskit-writer")
     thread.start()
     try:
-        for group in _runs(((sum(map(len, parts)), (path, parts)) for path, parts in files),
-                           _HANDOFF):
+        for group in _runs(((len(data), (path, data)) for path, data in files), _HANDOFF):
             if stop.is_set():
                 break
             queued.put(group)
@@ -680,16 +678,14 @@ def write_grids(units: str, batches: Iterable[tuple[GridSpec, Sequence, np.ndarr
     a GRD1 file at its path, with the bytes :func:`write_grid` writes,
     behind the formatter by :func:`_write_behind`. A batch is taken when
     the one before it is formatted, so it may be made then, and its array
-    may reuse the memory of the one before. Each file is written as its
-    header and then its body, which are not joined, so a body is copied
-    once, when it is made."""
+    may reuse the memory of the one before. Each file, header and body,
+    is one bytes object, which the writer writes with one ``os.write``."""
     def files():
         for spec, paths, values in batches:
             header = (f"GRD1 {spec.nlat} {spec.nlon} {_format_value(spec.lat0)} "
                       f"{_format_value(spec.dlat)} {_format_value(spec.lon0)} "
                       f"{_format_value(spec.dlon)} {units}\n").encode()
-            for path, body in zip(paths, _bodies(values), strict=True):
-                yield path, (header, body)
+            yield from zip(paths, _bodies(values, header), strict=True)
 
     _write_behind(files())
 

@@ -796,10 +796,28 @@ def refuse_work(*args, **kwargs):
     raise AssertionError("the work ran although an output cannot be written")
 
 
-# Outputs that cannot be written, found before any work: argv, files to
+# Outputs that cannot be written, or two outputs that name one file, so
+# that one would replace the other, found before any work: argv, files to
 # write under "{tmp}" ("d/x" makes "d" a directory), the functions of the
 # work (module, name), the expected message.
 UNWRITABLE = {
+    "fuse-weights-is-field": (["fuse", "--ensemble-dir", "{tmp}/ens", "--out-weights", "{tmp}/x",
+                               "--out-field", "{tmp}/x"], {}, [(cli, "read_ensemble_dir")],
+                              "error: output {tmp}/x and output {tmp}/x are the same file"),
+    "fuse-weights-is-sidecar": (["fuse", "--ensemble-dir", "{tmp}/ens",
+                                 "--out-weights", "{tmp}/f.grd.manifest.json",
+                                 "--out-field", "{tmp}/f.grd"], {}, [(cli, "read_ensemble_dir")],
+                                "error: output {tmp}/f.grd.manifest.json and the run manifest "
+                                "{tmp}/f.grd.manifest.json are the same file"),
+    "fuse-weights-spelled-otherwise": (["fuse", "--ensemble-dir", "{tmp}/ens",
+                                        "--out-weights", "{tmp}/d/../d/f.grd",
+                                        "--out-field", "{tmp}/d/f.grd"], {"d/x": b""},
+                                       [(cli, "read_ensemble_dir")],
+                                       "error: output {tmp}/d/f.grd and output "
+                                       "{tmp}/d/../d/f.grd are the same file"),
+    "scaling-svg-is-csv": (["scaling", "--out", "{tmp}/c.csv", "--svg", "{tmp}/c.csv"], {},
+                           [(cli, "synthetic_benchmark")],
+                           "error: output {tmp}/c.csv and output {tmp}/c.csv are the same file"),
     "generate-file-as-dir": (["generate", "--mode", "hybrid", "--out-dir", "{tmp}/f"],
                              {"f": b""}, [(cli, "surrogate_members"), (cli, "ai_members")],
                              "error: cannot write {tmp}/f: File exists"),
@@ -836,6 +854,18 @@ class TestOutputsCheckedFirst:
         assert err == message.replace("{tmp}", str(tmp_path)) + "\n"
         assert not list(tmp_path.rglob(".*.tmp"))
         assert not (tmp_path / "w.csv").exists()
+
+    def test_outputs_linked_to_one_file_fail_before_the_work(self, tmp_path, monkeypatch):
+        (tmp_path / "f.grd").write_bytes(b"field")
+        os.link(tmp_path / "f.grd", tmp_path / "w.csv")
+        monkeypatch.setattr(cli, "read_ensemble_dir", refuse_work)
+        rc, err = run_cli(["fuse", "--ensemble-dir", str(tmp_path / "ens"),
+                           "--out-weights", str(tmp_path / "w.csv"),
+                           "--out-field", str(tmp_path / "f.grd")])
+        assert rc == 2
+        assert err == (f"error: output {tmp_path / 'f.grd'} and output {tmp_path / 'w.csv'} "
+                       "are the same file\n")
+        assert (tmp_path / "w.csv").read_bytes() == b"field"
 
 
 class TestFileModes:
@@ -1141,8 +1171,8 @@ class TestGenerateOverAnEnsemble:
             renamed.append(os.path.relpath(dst, tmp))
             replace(src, dst)
 
-        def failing_bodies(values):
-            for body in bodies(values):
+        def failing_bodies(values, header):
+            for body in bodies(values, header):
                 i = next(made)
                 if i == k and where == "formatter":
                     raise MemoryError()

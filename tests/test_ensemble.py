@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ from capeskit.ensemble import (
     write_manifest,
 )
 from capeskit.errors import CapeskitError
-from capeskit.fusion import EnsembleSet, MemberMeta
+from capeskit.fusion import EnsembleSet, MemberMeta, blend_scores, fuse, member_metrics
 from capeskit.grid import (
     AnomalyField,
     Climatology,
@@ -33,6 +31,7 @@ from capeskit.grid import (
     _CHUNK,
     READ_BYTES,
     anomaly_percent,
+    read_anomaly,
     write_grid,
 )
 from capeskit.seeds import mix
@@ -291,16 +290,6 @@ class TestBatchedSurrogates:
                 self.run_batched(ai_first, truth, SkillConfig(numerical=skill), seed=1)
 
 
-def traced_peak(fn):
-    """fn()'s result and the peak traced allocation (bytes) while it ran."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestEnsembleMemory:
     """Reading an ensemble holds each field once: the peak traced
     allocation stays under 1.5x the final (n, nlat, nlon) array, where a
@@ -310,7 +299,7 @@ class TestEnsembleMemory:
 
     N = 300
 
-    def test_read_ensemble_dir(self, tmp_path):
+    def test_read_ensemble_dir(self, tmp_path, traced_peak):
         rng = np.random.default_rng(3)
         values = rng.uniform(-100, 100, (self.N, 32, 32))
         metas = [MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i)
@@ -321,7 +310,7 @@ class TestEnsembleMemory:
         assert peak < 1.5 * back.values.nbytes, (peak, back.values.nbytes)
 
     @staticmethod
-    def generate_peak(tmp_path, mode, config, name="ens"):
+    def generate_peak(traced_peak, tmp_path, mode, config, name="ens"):
         """The peak traced allocation of ``generate`` with ``config`` into
         the directory ``name``, and the number of members it wrote."""
         cfgp = tmp_path / f"{name}.cfg"
@@ -333,22 +322,47 @@ class TestEnsembleMemory:
         assert rc == 0
         return peak, len(list(out.glob("*.grd")))
 
-    def test_generate_numerical_holds_a_batch(self, tmp_path):
+    def test_generate_numerical_holds_a_batch(self, tmp_path, traced_peak):
         # 3 dates x (9 schemes + 24 x 24 lattice) numerical members, made in
         # batches of 64: under half of the 14.4 MB the ensemble's array takes
-        peak, members = self.generate_peak(tmp_path, "numerical", "param_grid = 24x24\n")
+        peak, members = self.generate_peak(traced_peak, tmp_path, "numerical",
+                                           "param_grid = 24x24\n")
         array = members * SPEC.ncells * 8
         assert members == 1755
         assert peak < 0.5 * array, (peak, array)
 
-    def test_generate_hybrid_peak_does_not_grow_with_members(self, tmp_path):
+    def test_generate_hybrid_peak_does_not_grow_with_members(self, tmp_path, traced_peak):
         # 2 numerical members, then 3 x 20 and 3 x 200 AI members from tails
         # of at most 42 members
         config = "start_dates = d0\nschemes = s0\nparam_grid = 1x1\nn_init = 3\n"
-        small, n_small = self.generate_peak(tmp_path, "hybrid", config + "n_latent = 20\n", "a")
-        large, n_large = self.generate_peak(tmp_path, "hybrid", config + "n_latent = 200\n", "b")
+        small, n_small = self.generate_peak(traced_peak, tmp_path, "hybrid",
+                                            config + "n_latent = 20\n", "a")
+        large, n_large = self.generate_peak(traced_peak, tmp_path, "hybrid",
+                                            config + "n_latent = 200\n", "b")
         assert (n_small, n_large) == (62, 602)
         assert large < 1.5 * small, (large, small)
+
+    def test_fuse_holds_the_ensemble_once(self, tmp_path, traced_peak):
+        # the metrics read the array a block of members at a time, so fuse
+        # holds the array and one block; a full-size np.sign or np.abs of
+        # the array would take it past 2x
+        n = 1000
+        rng = np.random.default_rng(4)
+        values = rng.uniform(-100, 100, (n, 32, 32))
+        values[rng.random(values.shape) < 0.2] = 0.0
+        metas = [MemberMeta(id=f"ai-{i:04d}", track="ai", init_seed=i, latent_seed=i)
+                 for i in range(n)]
+        e = EnsembleSet(SPEC, metas, values)
+        (s1, s2), alone = traced_peak(lambda: member_metrics(e))
+        assert alone <= 0.1 * values.nbytes, (alone, values.nbytes)
+        write_ensemble_dir(tmp_path / "ens", e)
+        rc, peak = traced_peak(lambda: cli.main([
+            "fuse", "--ensemble-dir", str(tmp_path / "ens"),
+            "--out-weights", str(tmp_path / "w.csv"), "--out-field", str(tmp_path / "f.grd")]))
+        assert rc == 0
+        assert peak < 1.5 * values.nbytes, (peak, values.nbytes)
+        weights = blend_scores(s1, s2)
+        assert np.array_equal(read_anomaly(tmp_path / "f.grd").values, fuse(e, weights).values)
 
 
 TOYCFG = attn.AttentionConfig()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capeskit import fusion
 from capeskit.errors import CapeskitError
 from capeskit.fusion import (
     EnsembleSet,
@@ -184,6 +185,20 @@ def straddling_values(rng, n, nlat, nlon):
     return np.stack(cols, axis=1).reshape(n, nlat, nlon)
 
 
+def tie_heavy_values(rng, n, nlat, nlon):
+    """For even n: +-0 but for exactly n // 2 positive values in about 9
+    cells of 10 (a random count in the rest), and a few negative values,
+    in shuffled order. Most cells tie, and their middle pair is a zero or
+    a negative value and the smallest positive one, often a subnormal
+    whose midpoint with zero underflows."""
+    shape = (n, nlat, nlon)
+    rank = rng.random(shape).argsort(axis=0)  # a random order of each cell
+    pos = np.where(rng.random((nlat, nlon)) < 0.9, n // 2, rng.integers(0, n + 1, (nlat, nlon)))
+    mags = rng.choice([5e-324, 1e-323, 1.5e-323, 1.0, 40.0], shape)
+    values = np.where(rng.random(shape) < 0.05, -mags, rng.choice([0.0, -0.0], shape))
+    return np.where(rank < pos, mags, values)
+
+
 POOLS = {"zero-heavy": zero_heavy_values, "straddling": straddling_values}
 
 
@@ -202,6 +217,24 @@ class TestMetricsOracle:
         # more than numpy's 8,192-element buffer per field, several fields
         for n in (2, 9):
             self.check(np.random.default_rng(nlat * n), n, nlat, nlon)
+
+    # 64 members of 32 x 32 fill a block; a 256 x 256 member is a block
+    @pytest.mark.parametrize("n,nlat,nlon", [(63, 32, 32), (64, 32, 32), (65, 32, 32),
+                                             (128, 32, 32), (129, 32, 32),
+                                             (2, 256, 256), (3, 256, 256)])
+    def test_counts_at_block_boundaries(self, n, nlat, nlon):
+        assert fusion._BLOCK in (64 * 32 * 32, 256 * 256)
+        self.check(np.random.default_rng(n), n, nlat, nlon)
+
+    # even n, where most cells tie; from n = 128 they are sorted in several
+    # blocks of cells (of 512 cells at n = 128, 32 at n = 2000)
+    @pytest.mark.parametrize("n,nlat,nlon", [(2, 32, 32), (64, 32, 32), (128, 32, 32),
+                                             (1000, 10, 10), (2000, 6, 7)])
+    def test_tie_heavy_pool(self, n, nlat, nlon):
+        values = tie_heavy_values(np.random.default_rng(n), n, nlat, nlon)
+        ties = np.count_nonzero(np.count_nonzero(values > 0, axis=0) == n // 2)
+        assert ties > 0.8 * nlat * nlon
+        self.check_values(values)
 
     @pytest.mark.parametrize("pool", sorted(POOLS))
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 11, 64, 255, 256, 999, 1000,

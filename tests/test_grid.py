@@ -232,6 +232,29 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.grd"]
 
+    @pytest.mark.parametrize("step", [1, 7, 1 << 20])
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch, step):
+        # os.write may write fewer bytes than it is given; the writer goes
+        # on from there, and a file that fits in one write takes one
+        spec = GridSpec(4, 5)
+        values = np.random.default_rng(2).uniform(-100, 100, (3, 4, 5))
+        paths = [tmp_path / f"m{i}.grd" for i in range(3)]
+        write, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(len(data))
+            return write(fd, data[:step])
+
+        monkeypatch.setattr(grid.os, "write", short_write)
+        grid.write_grids("percent", [(spec, paths, values)])
+        monkeypatch.undo()
+        files = []
+        for i, path in enumerate(paths):
+            write_grid(GridField(spec, values[i], units="percent"), tmp_path / "one.grd")
+            files.append((tmp_path / "one.grd").read_bytes())
+            assert path.read_bytes() == files[-1]
+        assert sizes == [len(f) - k for f in files for k in range(0, len(f), step)]
+
 
 class TestWriteBehind:
     """GRD1 files, one or several, are written on one I/O thread behind
@@ -297,8 +320,8 @@ class TestWriteBehind:
         values, paths = self.write(tmp_path, n)
         bodies = grid._bodies
 
-        def fail_after_k(fields):
-            for n, body in enumerate(bodies(fields)):
+        def fail_after_k(fields, header):
+            for n, body in enumerate(bodies(fields, header)):
                 if n == k:
                     raise error("formatter failed")
                 yield body
@@ -404,20 +427,17 @@ class TestGrd1Reader:
         with pytest.raises(CapeskitError, match=f"line {line}: non-ASCII byte 0xc3"):
             read_grid(path)
 
-    def test_huge_declared_grid_counts_before_allocating(self, tmp_path):
+    def test_huge_declared_grid_counts_before_allocating(self, tmp_path, traced_peak):
         # 10^10 cells would be a 74.5 GiB array; the error path only counts
-        import tracemalloc
-
         path = tmp_path / "huge.grd"
         path.write_text("GRD1 100000 100000 0.0 1.0 0.0 1.0 mm\n1.0\n")
-        tracemalloc.start()
-        try:
+
+        def read_huge():
             with pytest.raises(CapeskitError, match="value count mismatch: header "
                                                       "declares 10000000000, found 1"):
                 read_grid(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(read_huge)
         assert peak < 1 << 20
 
     def test_read_anomaly_shares_the_frozen_values(self, tmp_path):
@@ -568,18 +588,11 @@ class TestBodyWriter:
             x[:, col] = values
             assert body(x) == repr_body(x)
 
-    def test_working_set_of_a_chunk(self):
+    def test_working_set_of_a_chunk(self, traced_peak):
         # at most 200 B per value, the figure _CHUNK's comment states
-        import tracemalloc
-
         x = np.random.default_rng(3).normal(-60.0, 40.0, (grid._CHUNK // 256, 256))
         grid._format_rows(x, 256)  # the tables are built on first use
-        tracemalloc.start()
-        try:
-            grid._format_rows(x, 256)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: grid._format_rows(x, 256))
         assert peak <= 200 * x.size
 
     @pytest.mark.slow
@@ -684,20 +697,13 @@ class TestBodyReader:
             assert grid.read_bodies([body], len(tokens), values)
             assert np.array_equal(bits(values), bits([float(t) for t in tokens]))
 
-    def test_working_set_of_a_read_group(self):
+    def test_working_set_of_a_read_group(self, traced_peak):
         # at most 10 B per byte of text, the figure READ_BYTES's comment states
-        import tracemalloc
-
         x = np.random.default_rng(3).normal(-60.0, 40.0, (6, 32, 32))
         group, _ = next(grid._groups(list(grid._bodies(x))))
         assert sum(map(len, group)) > grid.READ_BYTES // 2  # three members
         grid._parse(group)  # the tables are built on first use
-        tracemalloc.start()
-        try:
-            grid._parse(group)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: grid._parse(group))
         assert peak <= 10 * sum(map(len, group))
 
     @pytest.mark.slow
