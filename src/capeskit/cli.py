@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 internal invariant violation, 2 user/input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -76,48 +77,65 @@ def _read_at(read, path):
         raise CapeskitError(f"{path}: {exc}") from None
 
 
-def _sidecar(primary_output) -> str:
-    """The run manifest's path: beside the command's primary output."""
-    return f"{os.fspath(primary_output).rstrip('/')}.manifest.json"
-
-
-def _same_file(a: str, b: str) -> bool:
-    """Whether paths ``a`` and ``b`` name one file: the same absolute path,
-    or, when both exist, the same file reached another way (a link)."""
-    if os.path.abspath(a) == os.path.abspath(b):
-        return True
+def _file_key(path):
+    """A key for the file ``path`` names: its (device, inode) when a file
+    is there, else its absolute path. Two paths have one key exactly when
+    they name one file: the same absolute path, or, when both exist, the
+    same file reached another way (a link)."""
     try:
-        return os.path.samefile(a, b)
-    except OSError:  # one of them does not exist yet
-        return False
+        st = os.stat(path)
+    except OSError:  # nothing there yet
+        return os.path.abspath(path)
+    return st.st_dev, st.st_ino
 
 
-def _check_outputs(*paths) -> None:
-    """Fail before any work when two outputs, or an output and the run
-    manifest beside the first, name the same file, so that one would
-    replace the other, or when one of them cannot be written, with the
-    error its write would raise."""
-    sidecar = _sidecar(paths[0])
-    paths = (*map(os.fspath, paths), sidecar)
-    for a, b in itertools.combinations(paths, 2):
-        if _same_file(a, b):
-            what = "the run manifest" if b is sidecar else "output"
-            raise CapeskitError(f"output {a} and {what} {b} are the same file")
-    for path in paths:
-        check_writable(path)
+@contextlib.contextmanager
+def _run(command: str, config: dict, seed, outputs: list, inputs=(), directory=False):
+    """The one run of a command that writes ``outputs`` (``None`` is a path
+    not given, here and in ``inputs``). Before the body, it fails when two
+    outputs, or an output and the run manifest beside the first, name one
+    file, then when one names one of ``inputs``, then when one cannot be
+    written; the body is given the input check for paths it finds later.
+    After the body, it writes the manifest: ``config`` as the body left
+    it, and the run's wall time. With ``directory``, the first output is
+    an ensemble directory, made: a failed run removes what it made, and a
+    manifest that cannot be written removes the ensemble's manifest."""
+    t0 = time.perf_counter()
+    outputs = [os.fspath(p) for p in outputs if p]
+    sidecar = f"{outputs[0].rstrip('/')}.manifest.json"
+    known = {}  # file key -> output
+    for path in (*outputs, sidecar):
+        key = _file_key(path)
+        if key in known:
+            what = "the run manifest" if path is sidecar else "output"
+            raise CapeskitError(f"output {known[key]} and {what} {path} are the same file")
+        known[key] = path
 
+    def check_inputs(paths) -> None:
+        for path in filter(None, paths):
+            other = known.get(_file_key(path))
+            if other is not None:
+                raise CapeskitError(f"output {other} and input {path} are the same file")
 
-def _write_run_manifest(primary_output, command: str, config: dict,
-                        seed, outputs: list, t0: float) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "base_seed": seed,
-        "artifact_version": __version__,
-        "outputs": [os.fspath(p) for p in outputs],
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    write_text_atomic(_sidecar(primary_output), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    check_inputs(inputs)
+    made = make_ensemble_dir(outputs[0]) if directory else None
+    try:
+        for path in (sidecar,) if directory else (*outputs, sidecar):
+            check_writable(path)
+        yield check_inputs
+        manifest = {"command": command, "config": config, "base_seed": seed,
+                    "artifact_version": __version__, "outputs": outputs,
+                    "wall_time_s": time.perf_counter() - t0}
+        try:
+            write_text_atomic(sidecar, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        except BaseException:  # no ensemble is left under an older run's sidecar
+            if directory:
+                uncommit_ensemble_dir(outputs[0])
+            raise
+    except BaseException:
+        if made is not None:  # a failed run leaves no directory it made
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -125,27 +143,24 @@ def _write_run_manifest(primary_output, command: str, config: dict,
 
 
 def cmd_score(args) -> int:
-    t0 = time.perf_counter()
-    _check_outputs(args.out)
-    forecast = _read_at(read_grid, args.forecast)
-    obs = _read_at(read_grid, args.obs)
-    clim = Climatology(_read_at(read_grid, args.clim), floor=args.clim_floor)
-    mask = _read_at(read_mask, args.mask) if args.mask else None
-    fa = anomaly_percent(forecast, clim)
-    oa = anomaly_percent(obs, clim)
-    b = ps_breakdown(fa, oa, mask)
-    ps = ps_score(b)
-    a = acc(fa, oa, mask)
-    r = rmse(forecast, obs, mask)
-    csv = (
-        "N,N0,N1,N2,M,PS,ACC,RMSE\n"
-        f"{b.N},{b.N0},{b.N1},{b.N2},{b.M},{ps:.3f},{a:.3f},{r:.3f}\n"
-    )
-    write_text_atomic(args.out, csv)
-    _write_run_manifest(args.out, "score", {
-        "forecast": args.forecast, "obs": args.obs, "clim": args.clim,
-        "mask": args.mask, "clim_floor": clim.floor,
-    }, None, [args.out], t0)
+    inputs = {"forecast": args.forecast, "obs": args.obs, "clim": args.clim, "mask": args.mask}
+    with _run("score", {**inputs, "clim_floor": args.clim_floor}, None, [args.out],
+              inputs.values()):
+        forecast = _read_at(read_grid, args.forecast)
+        obs = _read_at(read_grid, args.obs)
+        clim = Climatology(_read_at(read_grid, args.clim), floor=args.clim_floor)
+        mask = _read_at(read_mask, args.mask) if args.mask else None
+        fa = anomaly_percent(forecast, clim)
+        oa = anomaly_percent(obs, clim)
+        b = ps_breakdown(fa, oa, mask)
+        ps = ps_score(b)
+        a = acc(fa, oa, mask)
+        r = rmse(forecast, obs, mask)
+        csv = (
+            "N,N0,N1,N2,M,PS,ACC,RMSE\n"
+            f"{b.N},{b.N0},{b.N1},{b.N2},{b.M},{ps:.3f},{a:.3f},{r:.3f}\n"
+        )
+        write_text_atomic(args.out, csv)
     print(f"PS={ps:.3f} ACC={a:.3f} RMSE={r:.3f} -> {args.out}")
     return 0
 
@@ -155,24 +170,22 @@ def cmd_score(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    t0 = time.perf_counter()
     fcfg = FusionConfig(alpha=args.alpha)
-    _check_outputs(args.out_field, args.out_weights)
-    ensemble = read_ensemble_dir(args.ensemble_dir)
-    s1, s2 = member_metrics(ensemble)
-    weights = blend_scores(s1, s2, fcfg)
-    fused = fuse(ensemble, weights)
-    rows = ["member_id,track,s1,s2,weight"]
-    for meta, a, b, w in zip(ensemble.metas(), s1, s2, weights):
-        # weights at full round-trip precision so they stay usable as
-        # fuse() inputs; s1/s2 are diagnostics
-        rows.append(f"{meta.id},{meta.track},{a:.6f},{b:.6f},{float(w)!r}")
-    write_text_atomic(args.out_weights, "\n".join(rows) + "\n")
-    write_anomaly(fused, args.out_field)
-    _write_run_manifest(args.out_field, "fuse", {
-        "ensemble_dir": args.ensemble_dir, "alpha": args.alpha,
-        "members": len(ensemble),
-    }, None, [args.out_field, args.out_weights], t0)
+    config = {"ensemble_dir": args.ensemble_dir, "alpha": args.alpha}
+    with _run("fuse", config, None, [args.out_field, args.out_weights]) as check_inputs:
+        # the manifest and the members it lists are the inputs
+        ensemble = read_ensemble_dir(args.ensemble_dir, check_inputs)
+        config["members"] = len(ensemble)
+        s1, s2 = member_metrics(ensemble)
+        weights = blend_scores(s1, s2, fcfg)
+        fused = fuse(ensemble, weights)
+        rows = ["member_id,track,s1,s2,weight"]
+        for meta, a, b, w in zip(ensemble.metas(), s1, s2, weights):
+            # weights at full round-trip precision so they stay usable as
+            # fuse() inputs; s1/s2 are diagnostics
+            rows.append(f"{meta.id},{meta.track},{a:.6f},{b:.6f},{float(w)!r}")
+        write_text_atomic(args.out_weights, "\n".join(rows) + "\n")
+        write_anomaly(fused, args.out_field)
     print(f"fused {len(ensemble)} members -> {args.out_field}")
     return 0
 
@@ -200,7 +213,6 @@ def _backbone_cfg(g: dict) -> attn.AttentionConfig:
 
 
 def cmd_generate(args) -> int:
-    t0 = time.perf_counter()
     g = cfgmod.load(GENERATE, args.config)
     spec = GridSpec(g["nlat"], g["nlon"])
     clim = Climatology(GridField(spec, np.full((g["nlat"], g["nlon"]), g["clim_mm"]), "mm"))
@@ -214,9 +226,8 @@ def cmd_generate(args) -> int:
     # ensemble back as one array: a count it could not hold fails here,
     # before any member is made
     EnsembleSet.check_size(spec, n)
-    made = make_ensemble_dir(args.out_dir)
-    try:
-        check_writable(_sidecar(args.out_dir))
+    with _run("generate", {"mode": args.mode, **g}, args.seed, [args.out_dir], [args.config],
+              directory=True):
         tracks = []
         if manifest_cfg is not None:
             truth = truth_pattern(spec, mix(args.seed, "truth"), g["truth_amplitude"], g["truth_slope"])
@@ -231,17 +242,6 @@ def cmd_generate(args) -> int:
             tracks.append(ai_members(base, params, acfg, pspec, clim))
         # each batch is made when the one before it is formatted
         write_ensemble_dir(args.out_dir, itertools.chain(*tracks), manifest_cfg)
-        try:
-            _write_run_manifest(args.out_dir, "generate",
-                                {"mode": args.mode, **g}, args.seed,
-                                [args.out_dir], t0)
-        except BaseException:  # no ensemble is left under an older run's sidecar
-            uncommit_ensemble_dir(args.out_dir)
-            raise
-    except BaseException:
-        if made is not None:  # a failed run leaves no directory it made
-            shutil.rmtree(made, ignore_errors=True)
-        raise
     print(f"wrote {n} members -> {args.out_dir}")
     return 0
 
@@ -273,7 +273,6 @@ def _cfg_for_length(length: int, base: dict) -> attn.AttentionConfig:
 
 
 def cmd_attn_bench(args) -> int:
-    t0 = time.perf_counter()
     base = cfgmod.load(ATTN_BENCH, args.config)
     try:
         lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
@@ -287,21 +286,19 @@ def cmd_attn_bench(args) -> int:
         num_layers=1, **base,
     )
     timing_cfgs = [(length, _cfg_for_length(length, base)) for length in lengths]
-    _check_outputs(args.out)
-    rows = ["level,L,flops"]
-    for length in lengths:
-        f = attn.flop_count(probe, length)
-        rows.append(f"window,{length},{f['window_flops']}")
-        rows.append(f"crossvar,{length},{f['crossvar_flops']}")
-        rows.append(f"anchor,{length},{f['anchor_flops']}")
-        rows.append(f"tri_level,{length},{attn.tri_level_flops(probe, length)}")
-        rows.append(f"dense,{length},{f['dense_flops']}")
-    for length, cfg in timing_cfgs:
-        dt = attn.measure_block_time(cfg, seed=args.seed)
-        print(f"L={length} tri-level block time {dt * 1e3:.3f} ms")
-    write_text_atomic(args.out, "\n".join(rows) + "\n")
-    _write_run_manifest(args.out, "attn-bench",
-                        {**base, "lengths": lengths}, args.seed, [args.out], t0)
+    with _run("attn-bench", {**base, "lengths": lengths}, args.seed, [args.out], [args.config]):
+        rows = ["level,L,flops"]
+        for length in lengths:
+            f = attn.flop_count(probe, length)
+            rows.append(f"window,{length},{f['window_flops']}")
+            rows.append(f"crossvar,{length},{f['crossvar_flops']}")
+            rows.append(f"anchor,{length},{f['anchor_flops']}")
+            rows.append(f"tri_level,{length},{attn.tri_level_flops(probe, length)}")
+            rows.append(f"dense,{length},{f['dense_flops']}")
+        for length, cfg in timing_cfgs:
+            dt = attn.measure_block_time(cfg, seed=args.seed)
+            print(f"L={length} tri-level block time {dt * 1e3:.3f} ms")
+        write_text_atomic(args.out, "\n".join(rows) + "\n")
     print(f"flop table -> {args.out}")
     return 0
 
@@ -345,28 +342,24 @@ def _scaling_config(v: dict) -> ScalingConfig:
 
 
 def cmd_scaling(args) -> int:
-    t0 = time.perf_counter()
     cfg = _scaling_config(cfgmod.load(SCALING, args.config))
-    _check_outputs(args.out, *([args.svg] if args.svg else []))
-    truth, clim, pool = synthetic_benchmark(cfg.benchmark, args.seed)
-    rows = skill_curve(pool, truth, clim, cfg, args.seed)
-    lines = ["size,n_num,n_ai,trials,ps_mean,ps_std,acc_mean,acc_std"]
-    for r in rows:
-        lines.append(
-            f"{r.size},{r.n_num},{r.n_ai},{r.trials},"
-            f"{r.ps_mean:.4f},{r.ps_std:.4f},{r.acc_mean:.4f},{r.acc_std:.4f}"
-        )
-    write_text_atomic(args.out, "\n".join(lines) + "\n")
-    outputs = [args.out]
-    if args.svg:
-        chart = svg_line_chart(
-            [r.size for r in rows], [r.ps_mean for r in rows],
-            x_label="ensemble size", y_label="mean PS",
-        )
-        write_text_atomic(args.svg, chart)
-        outputs.append(args.svg)
-    _write_run_manifest(args.out, "scaling",
-                        {"snapshot": dataclasses.asdict(cfg)}, args.seed, outputs, t0)
+    with _run("scaling", {"snapshot": dataclasses.asdict(cfg)}, args.seed,
+              [args.out, args.svg], [args.config]):
+        truth, clim, pool = synthetic_benchmark(cfg.benchmark, args.seed)
+        rows = skill_curve(pool, truth, clim, cfg, args.seed)
+        lines = ["size,n_num,n_ai,trials,ps_mean,ps_std,acc_mean,acc_std"]
+        for r in rows:
+            lines.append(
+                f"{r.size},{r.n_num},{r.n_ai},{r.trials},"
+                f"{r.ps_mean:.4f},{r.ps_std:.4f},{r.acc_mean:.4f},{r.acc_std:.4f}"
+            )
+        write_text_atomic(args.out, "\n".join(lines) + "\n")
+        if args.svg:
+            chart = svg_line_chart(
+                [r.size for r in rows], [r.ps_mean for r in rows],
+                x_label="ensemble size", y_label="mean PS",
+            )
+            write_text_atomic(args.svg, chart)
     for r in rows:
         print(f"size={r.size} ps_mean={r.ps_mean:.3f} acc_mean={r.acc_mean:.3f}")
     return 0
@@ -377,11 +370,8 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_render(args) -> int:
-    t0 = time.perf_counter()
-    _check_outputs(args.svg)
-    anom = _read_at(read_anomaly, args.field)
-    write_text_atomic(args.svg, svg_heatmap(anom))
-    _write_run_manifest(args.svg, "render", {"field": args.field}, None, [args.svg], t0)
+    with _run("render", {"field": args.field}, None, [args.svg], [args.field]):
+        write_text_atomic(args.svg, svg_heatmap(_read_at(read_anomaly, args.field)))
     print(f"heatmap -> {args.svg}")
     return 0
 

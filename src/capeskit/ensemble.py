@@ -539,19 +539,22 @@ def _member_bodies(dirpath, metas: Sequence[MemberMeta], spec: GridSpec) -> Iter
         yield head[2]
 
 
-def read_ensemble_dir(dirpath) -> EnsembleSet:
+def read_ensemble_dir(dirpath, check=None) -> EnsembleSet:
     """The ensemble of a directory ``write_ensemble_dir`` wrote. The first
     member is read alone and sets the grid; the others stream in manifest
     order from one generator into :func:`capeskit.grid.read_bodies`, the
     one batching layer, which parses them into their rows of the ensemble
     array. If it refuses them, one pass reads them one at a time, so the
-    first bad member in manifest order is the one reported."""
+    first bad member in manifest order is the one reported. ``check``, if
+    given, may first refuse the paths of the manifest and its members."""
     manifest_path = os.path.join(dirpath, "manifest.tsv")
     if not os.path.exists(manifest_path):
         raise CapeskitError(f"{dirpath}: no manifest.tsv (not an ensemble directory?)")
     metas = read_manifest(manifest_path)
     if not metas:
         raise CapeskitError(f"{dirpath}: manifest lists no members")
+    if check is not None:
+        check([manifest_path, *(os.path.join(dirpath, f"{meta.id}.grd") for meta in metas)])
     first = _read_member(dirpath, metas[0])
     spec = first.spec
     values = EnsembleSet.allocate(spec, len(metas))

@@ -73,13 +73,51 @@ class MemberMeta:
                 raise CapeskitError(f"ai member {self.id!r} needs both seeds")
 
 
-def physical_memory() -> int:
-    """The machine's physical memory in bytes; the address space where the
-    OS does not report it."""
+#: the file naming this process's cgroups, and the root of the cgroup tree
+_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cgroup_limit() -> int:
+    """The smallest memory limit in bytes of this process's cgroup and the
+    cgroups above it: ``memory.max`` (cgroup v2) or
+    ``memory.limit_in_bytes`` (v1). A file that cannot be read, or holds
+    ``max``, sets no limit; with none, the address space."""
+    limit = sys.maxsize
     try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        with open(_CGROUP, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError):
+        return limit
+    for fields in (line.split(":", 2) for line in lines):  # id:controllers:path
+        if len(fields) != 3:
+            continue
+        _, controllers, path = fields
+        if controllers == "":
+            root, name = _CGROUP_ROOT, "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = os.path.join(_CGROUP_ROOT, "memory"), "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            try:
+                with open(os.path.join(root, *parts[:depth], name), encoding="ascii") as fh:
+                    limit = min(limit, int(fh.read()))
+            except (OSError, ValueError):  # no file, or "max"
+                pass
+    return limit
+
+
+def physical_memory() -> int:
+    """The memory this process may hold in bytes: the machine's physical
+    memory (the address space where the OS does not report it), or its
+    cgroup's limit if that is smaller."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
-        return sys.maxsize
+        physical = sys.maxsize
+    return min(physical, _cgroup_limit())
 
 
 class EnsembleSet:

@@ -47,6 +47,10 @@ class BenchmarkConfig:
     n_ai: int = 1600
     skill: SkillConfig = SkillConfig()
 
+    def __post_init__(self):
+        if min(self.n_numerical, self.n_ai) < 0:
+            raise CapeskitError(f"member counts must be >= 0, got {self.n_numerical}, {self.n_ai}")
+
 
 @dataclass(frozen=True)
 class ScalingConfig:

@@ -692,6 +692,10 @@ BAD_VALUES = [
      "bad.cfg: config key 'field_sigma': expected a finite number, got 'nan'"),
     (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"], "alpha = 2\n",
      "error: alpha must be in [0,1], got 2.0"),
+    (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"], "n_ai = -40\n",
+     "error: member counts must be >= 0, got 174, -40"),
+    (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv"], "n_numerical = -4\n",
+     "error: member counts must be >= 0, got -4, 1600"),
     (["scaling", "--config", "{cfg}", "--out", "{tmp}/c.csv", "--svg", "{tmp}/c.svg"],
      "sizes = ,\n", "error: sizes must list at least one ensemble size"),
     (["fuse", "--ensemble-dir", "{tmp}/ens", "--alpha", "2",
@@ -796,10 +800,44 @@ def refuse_work(*args, **kwargs):
     raise AssertionError("the work ran although an output cannot be written")
 
 
-# Outputs that cannot be written, or two outputs that name one file, so
-# that one would replace the other, found before any work: argv, files to
-# write under "{tmp}" ("d/x" makes "d" a directory), the functions of the
-# work (module, name), the expected message.
+GRD_MM = b"GRD1 1 1 0.0 1.0 0.0 1.0 mm\n100.0\n"
+GRD_PCT = b"GRD1 1 1 0.0 1.0 0.0 1.0 percent\n5.0\n"
+
+
+def member_manifest(n):
+    return "".join(f"m{i}\tai\tinit_seed={i},latent_seed={i}\n" for i in range(n)).encode()
+
+
+SMALL_GEN = b"n_init = 1\nn_latent = 1\nstart_dates = d0\nschemes = s0\nparam_grid = 1x1\n"
+# score's inputs, and an ensemble "ens" of members "m0" and "m1", with the
+# functions that read them
+SCORE_FILES = {"fc.grd": GRD_MM, "obs.grd": GRD_MM, "clim.grd": GRD_MM, "mask.grd": GRD_MM}
+SCORE_WORK = [(cli, "read_grid"), (cli, "read_mask")]
+ENS_FILES = {"ens/manifest.tsv": member_manifest(2), "ens/m0.grd": GRD_PCT, "ens/m1.grd": GRD_PCT}
+ENS_WORK = [(ensemble, "_read_member"), (ensemble, "read_bodies"), (cli, "member_metrics")]
+GEN_WORK = [(cli, "surrogate_members"), (cli, "ai_members")]
+
+
+def score_argv(**flags):
+    names = {"forecast": "fc.grd", "obs": "obs.grd", "clim": "clim.grd", "mask": "mask.grd",
+             "out": "s.csv", **flags}
+    return ["score", *itertools.chain(*((f"--{k}", f"{{tmp}}/{v}") for k, v in names.items()))]
+
+
+def fuse_argv(field="f.grd", weights="w.csv"):
+    return ["fuse", "--ensemble-dir", "{tmp}/ens", "--out-field", f"{{tmp}}/{field}",
+            "--out-weights", f"{{tmp}}/{weights}"]
+
+
+def same_as_input(output, input_):
+    return f"error: output {{tmp}}/{output} and input {{tmp}}/{input_} are the same file"
+
+
+# Outputs that cannot be written, or that name one file with another
+# output, the run manifest or an input, so that one would replace the
+# other, found before any work: argv, files to write under "{tmp}" ("d/x"
+# makes "d" a directory), the functions of the work (module, name), the
+# expected message.
 UNWRITABLE = {
     "fuse-weights-is-field": (["fuse", "--ensemble-dir", "{tmp}/ens", "--out-weights", "{tmp}/x",
                                "--out-field", "{tmp}/x"], {}, [(cli, "read_ensemble_dir")],
@@ -837,16 +875,71 @@ UNWRITABLE = {
                            "--out-field", "{tmp}/nodir/f.grd"], {},
                           [(cli, "read_ensemble_dir")],
                           "error: cannot write {tmp}/nodir/f.grd: No such file or directory"),
+    **{f"score-out-is-{flag}": (score_argv(out=name), SCORE_FILES, SCORE_WORK,
+                                same_as_input(name, name))
+       for flag, name in [("forecast", "fc.grd"), ("obs", "obs.grd"), ("clim", "clim.grd"),
+                          ("mask", "mask.grd")]},
+    "score-obs-is-sidecar": (score_argv(obs="s.csv.manifest.json"),
+                             {**SCORE_FILES, "s.csv.manifest.json": GRD_MM}, SCORE_WORK,
+                             same_as_input("s.csv.manifest.json", "s.csv.manifest.json")),
+    "score-out-spelled-otherwise": (score_argv(out="d/../clim.grd"), {**SCORE_FILES, "d/x": b""},
+                                    SCORE_WORK, same_as_input("d/../clim.grd", "clim.grd")),
+    "render-svg-is-field": (["render", "--field", "{tmp}/a.grd", "--svg", "{tmp}/a.grd"],
+                            {"a.grd": GRD_PCT}, [(cli, "read_anomaly")],
+                            same_as_input("a.grd", "a.grd")),
+    "scaling-config-is-out": (["scaling", "--config", "{tmp}/s.cfg", "--out", "{tmp}/s.cfg"],
+                              {"s.cfg": b"trials = 2\n"}, [(cli, "synthetic_benchmark")],
+                              same_as_input("s.cfg", "s.cfg")),
+    "scaling-config-is-svg": (["scaling", "--config", "{tmp}/s.cfg", "--out", "{tmp}/c.csv",
+                               "--svg", "{tmp}/s.cfg"], {"s.cfg": b"trials = 2\n"},
+                              [(cli, "synthetic_benchmark")], same_as_input("s.cfg", "s.cfg")),
+    "scaling-config-is-sidecar": (["scaling", "--config", "{tmp}/c.csv.manifest.json",
+                                   "--out", "{tmp}/c.csv"],
+                                  {"c.csv.manifest.json": b"trials = 2\n"},
+                                  [(cli, "synthetic_benchmark")],
+                                  same_as_input("c.csv.manifest.json", "c.csv.manifest.json")),
+    "attn-bench-config-is-out": (["attn-bench", "--lengths", "48", "--config", "{tmp}/a.cfg",
+                                  "--out", "{tmp}/a.cfg"], {"a.cfg": b"embed_dim = 32\n"},
+                                 [(attn, "measure_block_time")], same_as_input("a.cfg", "a.cfg")),
+    "attn-bench-config-is-sidecar": (["attn-bench", "--lengths", "48",
+                                      "--config", "{tmp}/f.csv.manifest.json",
+                                      "--out", "{tmp}/f.csv"],
+                                     {"f.csv.manifest.json": b"embed_dim = 32\n"},
+                                     [(attn, "measure_block_time")],
+                                     same_as_input("f.csv.manifest.json", "f.csv.manifest.json")),
+    "generate-config-is-out-dir": (["generate", "--mode", "hybrid", "--config", "{tmp}/o",
+                                    "--out-dir", "{tmp}/o"], {"o": SMALL_GEN}, GEN_WORK,
+                                   same_as_input("o", "o")),
+    "generate-config-is-sidecar": (["generate", "--mode", "hybrid",
+                                    "--config", "{tmp}/o.manifest.json", "--out-dir", "{tmp}/o"],
+                                   {"o.manifest.json": SMALL_GEN}, GEN_WORK,
+                                   same_as_input("o.manifest.json", "o.manifest.json")),
+    "fuse-field-is-member": (fuse_argv(field="ens/m0.grd"), ENS_FILES, ENS_WORK,
+                             same_as_input("ens/m0.grd", "ens/m0.grd")),
+    "fuse-weights-is-member": (fuse_argv(weights="ens/m1.grd"), ENS_FILES, ENS_WORK,
+                               same_as_input("ens/m1.grd", "ens/m1.grd")),
+    "fuse-field-is-manifest": (fuse_argv(field="ens/manifest.tsv"), ENS_FILES, ENS_WORK,
+                               same_as_input("ens/manifest.tsv", "ens/manifest.tsv")),
+    "fuse-weights-is-manifest": (fuse_argv(weights="ens/manifest.tsv"), ENS_FILES, ENS_WORK,
+                                 same_as_input("ens/manifest.tsv", "ens/manifest.tsv")),
+    "fuse-member-spelled-otherwise": (fuse_argv(field="ens/../ens/m1.grd"), ENS_FILES, ENS_WORK,
+                                      same_as_input("ens/../ens/m1.grd", "ens/m1.grd")),
 }
+
+
+def write_files(root, files):
+    """Write ``files`` (path under ``root`` -> bytes), making their directories."""
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(exist_ok=True)
+        (root / rel).write_bytes(data)
 
 
 class TestOutputsCheckedFirst:
     @pytest.mark.parametrize("name", sorted(UNWRITABLE))
     def test_unwritable_output_fails_before_the_work(self, tmp_path, monkeypatch, name):
         argv, files, work, message = UNWRITABLE[name]
-        for rel, data in files.items():
-            (tmp_path / rel).parent.mkdir(exist_ok=True)
-            (tmp_path / rel).write_bytes(data)
+        write_files(tmp_path, files)
+        before = tree(tmp_path), sorted(tmp_path.rglob("*"))
         for module, fn in work:
             monkeypatch.setattr(module, fn, refuse_work)
         rc, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
@@ -854,6 +947,8 @@ class TestOutputsCheckedFirst:
         assert err == message.replace("{tmp}", str(tmp_path)) + "\n"
         assert not list(tmp_path.rglob(".*.tmp"))
         assert not (tmp_path / "w.csv").exists()
+        # every input as it was, and no file or directory left behind
+        assert (tree(tmp_path), sorted(tmp_path.rglob("*"))) == before
 
     def test_outputs_linked_to_one_file_fail_before_the_work(self, tmp_path, monkeypatch):
         (tmp_path / "f.grd").write_bytes(b"field")
@@ -866,6 +961,40 @@ class TestOutputsCheckedFirst:
         assert err == (f"error: output {tmp_path / 'f.grd'} and output {tmp_path / 'w.csv'} "
                        "are the same file\n")
         assert (tmp_path / "w.csv").read_bytes() == b"field"
+
+    @pytest.mark.parametrize("argv, files, work, input_", [
+        (score_argv(out="s.csv"), SCORE_FILES, SCORE_WORK, "obs.grd"),
+        (fuse_argv(weights="s.csv"), ENS_FILES, ENS_WORK, "ens/m1.grd"),
+    ], ids=["score", "fuse"])
+    def test_output_linked_to_an_input_fails_before_the_work(self, tmp_path, monkeypatch,
+                                                             argv, files, work, input_):
+        write_files(tmp_path, files)
+        os.link(tmp_path / input_, tmp_path / "s.csv")
+        before = tree(tmp_path)
+        for module, fn in work:
+            monkeypatch.setattr(module, fn, refuse_work)
+        rc, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert (rc, err) == (2, same_as_input("s.csv", input_).replace("{tmp}", str(tmp_path))
+                             + "\n")
+        assert tree(tmp_path) == before
+
+    def test_an_unlisted_file_in_the_ensemble_dir_is_an_output(self, tmp_path):
+        write_files(tmp_path, ENS_FILES)
+        rc, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in fuse_argv("ens/fused.grd")])
+        assert (rc, err) == (0, "")
+        assert read_grid(tmp_path / "ens" / "fused.grd").values.tolist() == [[5.0]]
+        rc, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in fuse_argv()])
+        assert (rc, err) == (0, "")  # the manifest does not list it, so fuse still reads "ens"
+
+    def test_fuse_reads_the_manifest_once(self, tmp_path, monkeypatch):
+        write_files(tmp_path, ENS_FILES)
+        calls = []
+        read_manifest = ensemble.read_manifest
+        monkeypatch.setattr(ensemble, "read_manifest",
+                            lambda path: calls.append(path) or read_manifest(path))
+        rc, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in fuse_argv()])
+        assert (rc, err) == (0, "")
+        assert calls == [os.path.join(str(tmp_path / "ens"), "manifest.tsv")]
 
 
 class TestFileModes:
@@ -889,13 +1018,7 @@ class TestFileModes:
 
 # Bad input files that must exit 2 with one line: name -> (argv, files to
 # write under the test's temporary directory "{tmp}", expected message).
-GRD_MM = b"GRD1 1 1 0.0 1.0 0.0 1.0 mm\n100.0\n"
-GRD_PCT = b"GRD1 1 1 0.0 1.0 0.0 1.0 percent\n5.0\n"
 GRD_WIDE = b"GRD1 32 32 0.0 1.0 0.0 1.0 percent\n" + b"-12.345678901234567 " * 1024 + b"\n"
-
-
-def member_manifest(n):
-    return "".join(f"m{i}\tai\tinit_seed={i},latent_seed={i}\n" for i in range(n)).encode()
 
 
 FUSE = ["fuse", "--ensemble-dir", "{tmp}/ens", "--out-field", "{tmp}/f.grd",
@@ -1116,6 +1239,84 @@ class TestBadInputFiles:
             assert rc in (0, 2), err
             if rc == 2:
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestRunManifest:
+    GEN = ("n_init = 1\nn_latent = 2\nstart_dates = d0\nschemes = s0\nparam_grid = 1x1\n"
+           "nlat = 16\nnlon = 16\nembed_dim = 8\n")
+    BACKBONE = {"channels": 4, "embed_dim": 32, "layout": "sequence_concat", "num_anchors": 8,
+                "num_domains": 3, "num_heads": 4, "patch_size": 8, "window_size": 2}
+
+    def test_each_command_writes_the_whole_sidecar(self, tmp_path, monkeypatch):
+        # relative paths, so that the sidecars do not name the test's directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.cfg").write_text(self.GEN)
+        (tmp_path / "s.cfg").write_text(SCALING_CONFIG)
+        for name, values in [("clim", [[100.0, 100.0], [100.0, 100.0]]),
+                             ("obs", [[130.0, 40.0], [110.0, 220.0]]),
+                             ("fc", [[125.0, 45.0], [95.0, 140.0]])]:
+            write_mm(tmp_path / f"{name}.grd", values)
+        write_grid(GridField(SPEC, np.ones((2, 2)), units="unitless"), tmp_path / "mask.grd")
+        runs = {
+            "ens": ["generate", "--mode", "hybrid", "--seed", "5", "--config", "g.cfg",
+                    "--out-dir", "ens"],
+            "f.grd": ["fuse", "--ensemble-dir", "ens", "--out-field", "f.grd",
+                      "--out-weights", "w.csv"],
+            "f.svg": ["render", "--field", "f.grd", "--svg", "f.svg"],
+            "s.csv": ["score", "--forecast", "fc.grd", "--obs", "obs.grd", "--clim", "clim.grd",
+                      "--mask", "mask.grd", "--out", "s.csv"],
+            "c.csv": ["scaling", "--seed", "2", "--config", "s.cfg", "--out", "c.csv",
+                      "--svg", "c.svg"],
+            "a.csv": ["attn-bench", "--lengths", "48", "--out", "a.csv"],
+        }
+        generate = {
+            "mode": "hybrid", "nlat": 16, "nlon": 16, "clim_mm": 300.0, "n_init": 1,
+            "n_latent": 2, "field_sigma": 5.0, "spectral_slope": 3.0, "latent_sigma": 0.1,
+            "start_dates": ["d0"], "schemes": ["s0"], "param_grid": [1, 1],
+            "truth_amplitude": 130.0, "truth_slope": 3.0, "bias_sigma": 15.0,
+            "noise_sigma": 40.0, "num_layers": 2, **self.BACKBONE, "embed_dim": 8,
+        }
+        track = {"bias_sigma": 15.0, "noise_sigma": 40.0}
+        scaling = {"snapshot": {
+            "sizes": [11, 22], "ratio": [1, 10], "trials": 2, "fusion": {"alpha": 0.5},
+            "benchmark": {"nlat": 32, "nlon": 32, "clim_mm": 300.0, "amplitude": 130.0,
+                          "slope": 3.0, "n_numerical": 4, "n_ai": 40,
+                          "skill": {"numerical": track, "ai": track}},
+        }}
+        expected = {
+            "ens": ("generate", generate, 5, ["ens"]),
+            "f.grd": ("fuse", {"ensemble_dir": "ens", "alpha": 0.5, "members": 4}, None,
+                      ["f.grd", "w.csv"]),
+            "f.svg": ("render", {"field": "f.grd"}, None, ["f.svg"]),
+            "s.csv": ("score", {"forecast": "fc.grd", "obs": "obs.grd", "clim": "clim.grd",
+                                "mask": "mask.grd", "clim_floor": 0.1}, None, ["s.csv"]),
+            "c.csv": ("scaling", scaling, 2, ["c.csv", "c.svg"]),
+            "a.csv": ("attn-bench", {**self.BACKBONE, "lengths": [48]}, 0, ["a.csv"]),
+        }
+        for primary, argv in runs.items():
+            rc, err = run_cli(argv)
+            assert (rc, err) == (0, ""), argv
+            sidecar = json.loads((tmp_path / f"{primary}.manifest.json").read_text())
+            wall = sidecar.pop("wall_time_s")
+            assert isinstance(wall, float) and wall > 0
+            command, config, seed, outputs = expected[primary]
+            assert sidecar == {"command": command, "config": config, "base_seed": seed,
+                               "artifact_version": "0.1.0", "outputs": outputs}
+
+
+class TestCgroupMemoryLimit:
+    def test_generate_refuses_what_the_cgroup_limit_cannot_hold(self, tmp_path, monkeypatch):
+        from capeskit import fusion
+
+        (tmp_path / "cgroup").write_text("0::/job\n")
+        write_files(tmp_path, {"job/memory.max": b"1048576\n"})
+        monkeypatch.setattr(fusion, "_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(fusion, "_CGROUP_ROOT", str(tmp_path))
+        for module, fn in GEN_WORK:
+            monkeypatch.setattr(module, fn, refuse_work)
+        rc, err = run_cli(["generate", "--mode", "hybrid", "--out-dir", str(tmp_path / "o")])
+        assert (rc, err) == (2, "error: 1774 fields of 32x32 do not fit in memory\n")
+        assert not (tmp_path / "o").exists()
 
 
 def tree(root):

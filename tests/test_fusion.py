@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,40 @@ class TestEnsembleSet:
     def test_allocation_beyond_memory_is_input_error(self):
         with pytest.raises(CapeskitError, match="do not fit in memory"):
             EnsembleSet.allocate(GridSpec(10**6, 10**6), 10**9)
+
+    # /proc/self/cgroup lines, and the limit files under the cgroup root
+    CGROUPS = {
+        "v2": ("0::/a/b\n", {"a/b/memory.max": "4096\n"}, 4096),
+        "v2-parent-smaller": ("0::/a/b\n", {"a/b/memory.max": "max\n",
+                                             "a/memory.max": "2048\n"}, 2048),
+        "v1": ("4:memory:/job\n3:cpu:/other\n", {"memory/job/memory.limit_in_bytes": "8192\n",
+                                                    "cpu/other/memory.limit_in_bytes": "1\n"},
+               8192),
+        "v1-no-namespace": ("4:cpuacct,memory:/docker/x\n",
+                            {"memory/memory.limit_in_bytes": "16384\n"}, 16384),
+        "hybrid": ("4:memory:/job\n0::/\n", {"memory/job/memory.limit_in_bytes": "8192\n",
+                                                "memory.max": "1024\n"}, 1024),
+        "max": ("0::/a\n", {"a/memory.max": "max\n"}, None),
+        "no-limit-file": ("0::/a\n", {}, None),
+        "unreadable-limit": ("0::/a\n", {"a/memory.max/x": ""}, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CGROUPS))
+    def test_memory_is_capped_by_the_cgroup_limit(self, tmp_path, monkeypatch, name):
+        lines, files, limit = self.CGROUPS[name]
+        (tmp_path / "cgroup").write_text(lines)
+        for rel, text in files.items():
+            (tmp_path / "root" / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "root" / rel).write_text(text)
+        monkeypatch.setattr(fusion, "_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(fusion, "_CGROUP_ROOT", str(tmp_path / "root"))
+        assert fusion._cgroup_limit() == (sys.maxsize if limit is None else limit)
+        if limit is not None:
+            assert fusion.physical_memory() == limit
+
+    def test_no_cgroup_file_sets_no_limit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fusion, "_CGROUP", str(tmp_path / "missing"))
+        assert fusion._cgroup_limit() == sys.maxsize
 
     def test_meta_invariants(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Every name a module of ``capeskit`` imports is used in that module,
-and every function and class it defines at top level is used in ``src/``.
+and every function and class it defines at top level, and every method,
+property and annotated field of such a class, is used in ``src/``.
 
 Re-exports carry ``# noqa: F401`` on their import line and are exempt
 from the first rule; they are no use under the second. Only the acceptance
@@ -79,19 +80,38 @@ def used_names(tree) -> Counter:
     return used
 
 
+def definitions(tree):
+    """(qualified name, name, node) of each top-level function and class
+    of ``tree``, and of each member of a top-level class: its methods and
+    properties other than dunders, and its annotated fields (such as a
+    dataclass's)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield f"{node.name}.{name}", name, member
+
+
 def dead_definitions(sources: dict, kept=frozenset()) -> list[str]:
-    """The top-level functions and classes of the modules ``sources``
-    (file name -> text) that no module among them uses outside their own
-    definition, other than the names in ``kept``."""
+    """The definitions of the modules ``sources`` (file name -> text) that
+    no module among them uses outside their own definition, other than the
+    names in ``kept``: top-level functions and classes, and the members of
+    classes."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = sum((used_names(tree) for tree in trees.values()), Counter())
     dead = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name not in kept
-                    and used[node.name] == used_names(node)[node.name]):
-                dead.append(f"{name}:{node.lineno}: {node.name}")
+    for module, tree in trees.items():
+        for qualified, name, node in definitions(tree):
+            if name not in kept and used[name] == used_names(node)[name]:
+                dead.append(f"{module}:{node.lineno}: {qualified}")
     return dead
 
 
@@ -107,8 +127,19 @@ def test_finds_a_dead_definition():
         "__init__.py": "from .lib import _left, api  # noqa: F401\n",
         "lib.py": 'def _runs(n):\n    """_runs and _left."""\n    return _runs(n - 1) if n else 0\n\n'
                   "def _left():\n    pass\n\ndef _called():\n    pass\n\nclass Named:\n    pass\n\n"
-                  "def api():\n    pass\n",
-        "use.py": "from .lib import _called\n_called()\nTABLE = ('Named',)\n# _runs\n",
+                  "def api():\n    pass\n\n"
+                  "class Box:\n    read: int\n    unread: int = 0\n    SIZE = 1\n\n"
+                  "    def __len__(self):\n        return self.read\n\n"
+                  "    @property\n    def unused_property(self):\n        return 1\n\n"
+                  "    def called(self):\n        pass\n\n"
+                  "    def _recursive(self):\n        return self._recursive()\n",
+        "use.py": "from .lib import Box, _called\n_called()\nTABLE = ('Named',)\n# _runs\n"
+                  "Box(1, unread=2).called()\n",
     }
-    assert dead_definitions(sources, {"api"}) == ["lib.py:1: _runs", "lib.py:5: _left"]
-    assert dead_definitions(sources) == ["lib.py:1: _runs", "lib.py:5: _left", "lib.py:14: api"]
+    members = ["lib.py:19: Box.unread", "lib.py:26: Box.unused_property",
+               "lib.py:32: Box._recursive"]
+    assert dead_definitions(sources, {"api"}) == ["lib.py:1: _runs", "lib.py:5: _left", *members]
+    assert dead_definitions(sources, {"api", "unread", "unused_property", "_recursive"}) == [
+        "lib.py:1: _runs", "lib.py:5: _left"]
+    assert dead_definitions(sources) == [
+        "lib.py:1: _runs", "lib.py:5: _left", "lib.py:14: api", *members]
