@@ -562,11 +562,18 @@ def _bodies(fields: np.ndarray, header: bytes = b"") -> Iterator[bytes]:
                                        for r in range(0, nrow, rows)])
 
 
+#: four random bytes drawn once per process, and the serial number of each
+#: temp name: a name costs no system call of its own
+_TEMP_TOKEN = os.urandom(4).hex()
+_temp_serial = itertools.count()
+
+
 def _temp_path(path: str) -> str:
-    """A new temp file beside ``path``, named by the process id and four
-    random bytes: no killed process with the same id left one of that name."""
+    """A new temp file beside ``path``, named by the process id, this
+    process's four random bytes and a serial number: no killed process with
+    the same id left one of that name."""
     head, name = os.path.split(path)
-    return os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    return os.path.join(head, f".{name}.{os.getpid()}.{_TEMP_TOKEN}.{next(_temp_serial)}.tmp")
 
 
 def write_text_atomic(path, text: str | bytes) -> None:

@@ -4,17 +4,18 @@ Compute runs on the calling thread. One I/O thread writes GRD1 files
 behind the formatter (``grid._write_behind``); it writes the files the
 formatter hands it in order, so bytes and file order do not depend on it.
 
-Backbone work runs under :data:`blas_single_thread`. Its matrix products
-are small (L x d by d x d with d = 32), and once L reaches ~1024 they
-cross OpenBLAS's threading threshold, where waking worker threads costs
-more than the arithmetic. Pinning numpy's bundled OpenBLAS to one thread
-for that work keeps block time linear in L.
+numpy loads on one CPU (``capeskit/__init__.py``). Its bundled OpenBLAS
+sizes its thread pool once, at load, from the affinity mask, so in a
+process that imports capeskit first it runs one thread and starts no
+worker to spin beside the command; the caller's ``OPENBLAS_NUM_THREADS``
+no longer changes that (measured in the README).
 
-That pin does not save the CPU time numpy's OpenBLAS threads spend
-spinning: they start with ``import numpy``, before any capeskit code runs,
-so every command uses more CPU time than wall time. capeskit reads and
-sets no environment variable; only the caller's ``OPENBLAS_NUM_THREADS=1``
-saves it (measured in the README).
+:data:`blas_single_thread` stays for callers that imported numpy first,
+such as pytest or a notebook, whose OpenBLAS has its workers. Backbone
+work runs under it. Its matrix products are small (L x d by d x d with
+d = 32), and once L reaches ~1024 they cross OpenBLAS's threading
+threshold, where waking worker threads costs more than the arithmetic.
+One thread for that work keeps block time linear in L.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Every name a module of ``capeskit`` imports is used in that module,
 and every function and class it defines at top level, and every method,
-property and annotated field of such a class, is used in ``src/``.
+property and annotated field of such a class, is used in ``src/``. Every
+parameter of a function is read by its body.
 
 Re-exports carry ``# noqa: F401`` on their import line and are exempt
 from the first rule; they are no use under the second. Only the acceptance
@@ -115,11 +116,15 @@ def dead_definitions(sources: dict, kept=frozenset()) -> list[str]:
     return dead
 
 
+def kept_names() -> set:
+    """Every name the ``KEEPERS`` files use."""
+    return set().union(*(used_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in KEEPERS))
+
+
 def test_every_top_level_definition_is_used_in_src():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    kept = set().union(*(used_names(ast.parse(path.read_text(encoding="utf-8")))
-                         for path in KEEPERS))
-    assert dead_definitions(sources, kept) == []
+    assert dead_definitions(sources, kept_names()) == []
 
 
 def test_finds_a_dead_definition():
@@ -143,3 +148,51 @@ def test_finds_a_dead_definition():
         "lib.py:1: _runs", "lib.py:5: _left"]
     assert dead_definitions(sources) == [
         "lib.py:1: _runs", "lib.py:5: _left", "lib.py:14: api", *members]
+
+
+def dead_parameters(source: str, kept=frozenset()) -> list[str]:
+    """``line N: function(parameter)`` for each parameter of a function or
+    lambda in ``source`` that its body never reads, other than the names in
+    ``kept`` and the parameters of dunder methods, whose protocol fixes
+    them (such as ``__exit__``'s)."""
+    dead = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "lambda")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = [arg for arg in (*args.posonlyargs, *args.args, args.vararg,
+                                  *args.kwonlyargs, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {use.id for statement in body for use in ast.walk(statement)
+                if isinstance(use, ast.Name) and isinstance(use.ctx, ast.Load)}
+        dead += [(arg.lineno, f"{name}({arg.arg})") for arg in params
+                 if arg.arg not in read and arg.arg not in kept]
+    return [f"line {line}: {param}" for line, param in sorted(dead, key=lambda d: d[0])]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert dead_parameters(path.read_text(encoding="utf-8"), kept_names()) == []
+
+
+def test_finds_a_dead_parameter():
+    source = ("def f(a, b, /, c, *rest, d=0, e, **extra):\n"
+              "    del b\n"
+              "    e = c\n"
+              "    return a + (lambda x, y: x)(c, d)\n\n"
+              "class C:\n"
+              "    def __exit__(self, *exc):\n"
+              "        return False\n\n"
+              "    def g(self, used, unused):\n"
+              "        def inner():\n"
+              "            return used\n"
+              "        return inner\n")
+    assert dead_parameters(source) == [
+        "line 1: f(b)", "line 1: f(rest)", "line 1: f(e)", "line 1: f(extra)",
+        "line 4: lambda(y)", "line 10: g(self)", "line 10: g(unused)"]
+    assert dead_parameters(source, {"b", "self"}) == [
+        "line 1: f(rest)", "line 1: f(e)", "line 1: f(extra)", "line 4: lambda(y)",
+        "line 10: g(unused)"]
